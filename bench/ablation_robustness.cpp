@@ -9,7 +9,7 @@
 ///      components before classification;
 ///   2. model corruption — flip a fraction of every *class vector*'s
 ///      components (simulating faulty low-power memory), then classify
-///      clean queries through the packed associative memory.
+///      clean queries through the packed associative-memory query.
 /// Reported: accuracy vs corruption level, plus the packed model footprint.
 ///
 /// Environment: GRAPHHD_BENCH_SCALE (default 0.5).
@@ -20,7 +20,6 @@
 #include "core/model.hpp"
 #include "data/synthetic.hpp"
 #include "eval/experiment.hpp"
-#include "hdc/packed_assoc.hpp"
 
 int main() {
   using namespace graphhd;
@@ -40,10 +39,12 @@ int main() {
 
   // Pre-encode the test set once; corruption is applied to the encodings.
   std::vector<hdc::Hypervector> encoded;
+  std::vector<hdc::PackedHypervector> packed;
   std::vector<std::size_t> labels;
   encoded.reserve(test.size());
   for (std::size_t i = 0; i < test.size(); ++i) {
     encoded.push_back(model.encoder().encode(test.graph(i)));
+    packed.push_back(hdc::PackedHypervector::from_bipolar(encoded.back()));
     labels.push_back(test.label(i));
   }
 
@@ -70,8 +71,8 @@ int main() {
   std::printf("\n2. Model corruption (flipped fraction of every class vector):\n");
   std::printf("%10s %12s\n", "flipped", "accuracy");
   for (const double fraction : fractions) {
-    // Corrupt a copy of the class vectors, then query through a packed
-    // associative memory (the deployment artifact).
+    // Corrupt a copy of the class vectors, then query it with packed words
+    // (the deployed XOR + popcount op).
     hdc::AssociativeMemory corrupted(config.dimension, model.num_classes(), config.metric,
                                      /*quantized=*/true);
     hdc::Rng corrupt_rng(0xbadbeef + static_cast<std::uint64_t>(1e6 * fraction));
@@ -80,19 +81,15 @@ int main() {
     for (std::size_t c = 0; c < model.num_classes(); ++c) {
       corrupted.add(c, model.memory().class_vector(c).with_noise(flips, corrupt_rng));
     }
-    const hdc::PackedAssociativeMemory packed(corrupted);
     std::size_t hits = 0;
-    for (std::size_t i = 0; i < encoded.size(); ++i) {
-      hits += packed.query(encoded[i]).best_class == labels[i] ? 1 : 0;
+    for (std::size_t i = 0; i < packed.size(); ++i) {
+      hits += corrupted.query(packed[i]).best_class == labels[i] ? 1 : 0;
     }
     std::printf("%9.0f%% %11.1f%%\n", 100.0 * fraction,
                 100.0 * static_cast<double>(hits) / static_cast<double>(encoded.size()));
   }
 
-  {
-    const hdc::PackedAssociativeMemory packed(model.memory());
-    std::printf("\npacked model footprint: %zu bytes (%zu classes x %zu-bit vectors)\n",
-                packed.footprint_bytes(), packed.num_classes(), config.dimension);
-  }
+  std::printf("\npacked model footprint: %zu bytes (%zu classes x %zu-bit vectors)\n",
+              model.snapshot()->footprint_bytes(), model.num_classes(), config.dimension);
   return 0;
 }

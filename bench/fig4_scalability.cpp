@@ -20,8 +20,6 @@
 ///   GRAPHHD_SWEEP_VERTICES  graph size of the thread-sweep dataset (default 300)
 ///   GRAPHHD_THREADS       worker count of the process pool for part 2
 ///   GRAPHHD_SKIP_FIGURE   when set, run only the thread sweep
-///   GRAPHHD_BACKEND       dense (default) or packed — selects the GraphHD
-///                         backend for both the sweep and the figure curve
 
 #include <chrono>
 #include <cstdio>
@@ -56,11 +54,10 @@ bool run_thread_sweep() {
     sweep.push_back(configured);
   }
 
-  graphhd::core::GraphHdConfig config;
-  config.backend = graphhd::core::backend_from_env(config.backend);
+  const graphhd::core::GraphHdConfig config;
 
-  std::printf("== batch encode/predict thread sweep (n=%zu, %zu graphs, backend=%s) ==\n",
-              spec.num_vertices, dataset.size(), graphhd::core::to_string(config.backend));
+  std::printf("== batch encode/predict thread sweep (n=%zu, %zu graphs) ==\n",
+              spec.num_vertices, dataset.size());
   std::printf("%8s %12s %12s %10s %10s\n", "threads", "fit_s", "predict_s", "speedup",
               "identical");
 

@@ -1,14 +1,17 @@
 /// \file micro_backend.cpp
-/// Dense vs packed backend micro-benchmark — the efficiency half of the
-/// paper, measured end to end.
+/// Dense reference vs packed trainer micro-benchmark — the efficiency half
+/// of the paper, measured end to end.
 ///
-/// Trains one GraphHD model per backend (kDenseBipolar, kPackedBinary) on a
-/// synthetic Erdős–Rényi dataset, *verifies the two backends predict
-/// bit-identically* (exit code 1 otherwise — CI runs this as a gate), then
-/// times:
-///   * encode throughput  — graphs/s through each backend's encoder;
-///   * query  throughput  — class-memory queries/s on pre-encoded vectors,
-///     the associative-memory op the paper's hardware argument is about.
+/// The "dense" side is the paper-exact reference: GraphHdEncoder::encode and
+/// an hdc::AssociativeMemory bundled and queried with bipolar vectors.  The
+/// "packed" side is the trainer's one code path: a GraphHdModel (packed
+/// encoding, signed-counter class memory, packed queries).  The harness
+/// *verifies the two agree bit for bit* — counters, labels and scores; exit
+/// code 1 otherwise, CI runs this as a gate — then times:
+///   * encode throughput  — graphs/s through encode vs encode_packed;
+///   * query  throughput  — class-memory queries/s on pre-encoded vectors
+///     (bipolar vs packed AssociativeMemory query), the associative-memory
+///     op the paper's hardware argument is about.
 ///
 /// Output is a single JSON object on stdout (schema "graphhd-bench-backend/v1",
 /// progress goes to stderr) so CI can archive it as BENCH_backend.json and gate
@@ -28,6 +31,7 @@
 ///                              kernel layer, so the healthy ratio is ~2-4x,
 ///                              not the ~8x of the scalar-dense era)
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -66,34 +70,46 @@ int main() {
   spec.num_graphs = graphs;
   const auto dataset = data::make_scalability_dataset(spec, /*seed=*/0xbac40ULL);
 
-  core::GraphHdConfig dense_config;
-  dense_config.dimension = dimension;
-  dense_config.backend = core::Backend::kDenseBipolar;
-  core::GraphHdConfig packed_config = dense_config;
-  packed_config.backend = core::Backend::kPackedBinary;
+  core::GraphHdConfig config;
+  config.dimension = dimension;
 
   std::fprintf(stderr, "micro_backend: d=%zu, %zu graphs of %zu vertices\n", dimension,
                dataset.size(), vertices);
 
-  core::GraphHdModel dense_model(dense_config, 2);
-  core::GraphHdModel packed_model(packed_config, 2);
-  dense_model.fit(dataset);
-  packed_model.fit(dataset);
+  core::GraphHdModel model(config, 2);
+  model.fit(dataset);
 
-  // --- correctness gate: the packed backend must be a faithful fast path.
-  const auto dense_predictions = dense_model.predict_batch(dataset);
-  const auto packed_predictions = packed_model.predict_batch(dataset);
-  bool identical = dense_predictions.size() == packed_predictions.size();
-  for (std::size_t i = 0; identical && i < dense_predictions.size(); ++i) {
-    identical = dense_predictions[i].label == packed_predictions[i].label &&
-                dense_predictions[i].score == packed_predictions[i].score;
+  // The dense reference: bipolar encodings bundled into a bipolar-fed memory.
+  core::GraphHdEncoder reference_encoder(config);
+  hdc::AssociativeMemory reference(dimension, 2, config.metric, config.quantized_model);
+  std::vector<hdc::Hypervector> dense_encoded(dataset.size());
+  std::vector<hdc::PackedHypervector> packed_encoded(dataset.size());
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    dense_encoded[i] = reference_encoder.encode(dataset.graph(i));
+    packed_encoded[i] = model.encoder().encode_packed(dataset.graph(i));
+    reference.add(dataset.label(i), dense_encoded[i]);
+  }
+
+  // --- correctness gate: the trainer must be a faithful fast path.
+  bool identical = true;
+  for (std::size_t c = 0; c < 2; ++c) {
+    const auto expected = reference.accumulator(c).counts();
+    const auto actual = model.memory().accumulator(c).counts();
+    identical = identical && std::equal(expected.begin(), expected.end(), actual.begin(),
+                                        actual.end());
+  }
+  const auto predictions = model.predict_batch(dataset);
+  for (std::size_t i = 0; identical && i < dataset.size(); ++i) {
+    const auto expected = reference.query(dense_encoded[i]);
+    identical = predictions[i].label == expected.best_class &&
+                predictions[i].score == expected.best_similarity;
   }
   if (!identical) {
-    std::fprintf(stderr, "micro_backend: FAIL — packed predictions diverge from dense\n");
+    std::fprintf(stderr, "micro_backend: FAIL — trainer diverges from the dense reference\n");
   }
 
   // --- encode throughput (fresh encoders so both start with cold caches).
-  const auto time_encode = [&](const core::GraphHdConfig& config, bool packed) {
+  const auto time_encode = [&](bool packed) {
     core::GraphHdEncoder encoder(config);
     const auto start = Clock::now();
     for (std::size_t rep = 0; rep < encode_reps; ++rep) {
@@ -108,36 +124,24 @@ int main() {
     const double elapsed = seconds_since(start);
     return static_cast<double>(encode_reps * dataset.size()) / elapsed;
   };
-  const double dense_encode_gps = time_encode(dense_config, /*packed=*/false);
-  const double packed_encode_gps = time_encode(packed_config, /*packed=*/true);
+  const double dense_encode_gps = time_encode(/*packed=*/false);
+  const double packed_encode_gps = time_encode(/*packed=*/true);
 
   // --- query throughput on pre-encoded vectors (the paper's inference op).
-  std::vector<hdc::Hypervector> dense_encoded(dataset.size());
-  std::vector<hdc::PackedHypervector> packed_encoded(dataset.size());
-  {
-    core::GraphHdEncoder dense_encoder(dense_config);
-    core::GraphHdEncoder packed_encoder(packed_config);
-    for (std::size_t i = 0; i < dataset.size(); ++i) {
-      dense_encoded[i] = dense_encoder.encode(dataset.graph(i));
-      packed_encoded[i] = packed_encoder.encode_packed(dataset.graph(i));
-    }
-  }
-  dense_model.memory().finalize();
-  packed_model.packed_memory().finalize();
+  reference.finalize();
+  model.memory().finalize();
 
   const auto start_dense = Clock::now();
   std::size_t dense_sink = 0;
   for (std::size_t rep = 0; rep < query_reps; ++rep) {
-    for (const auto& hv : dense_encoded) dense_sink += dense_model.memory().query(hv).best_class;
+    for (const auto& hv : dense_encoded) dense_sink += reference.query(hv).best_class;
   }
   const double dense_query_seconds = seconds_since(start_dense);
 
   const auto start_packed = Clock::now();
   std::size_t packed_sink = 0;
   for (std::size_t rep = 0; rep < query_reps; ++rep) {
-    for (const auto& hv : packed_encoded) {
-      packed_sink += packed_model.packed_memory().query(hv).best_class;
-    }
+    for (const auto& hv : packed_encoded) packed_sink += model.memory().query(hv).best_class;
   }
   const double packed_query_seconds = seconds_since(start_packed);
 
@@ -152,8 +156,8 @@ int main() {
   const double packed_qps = total_queries / packed_query_seconds;
   const double query_speedup = packed_qps / dense_qps;
   const std::size_t dense_footprint =
-      2 * packed_config.vectors_per_class * dimension;  // int8 per component.
-  const std::size_t packed_footprint = packed_model.packed_memory().footprint_bytes();
+      2 * config.vectors_per_class * dimension;  // int8 per component.
+  const std::size_t packed_footprint = model.snapshot()->footprint_bytes();
 
   std::printf("{\n");
   std::printf("  \"schema\": \"graphhd-bench-backend/v1\",\n");

@@ -110,7 +110,7 @@ int main() {
   eval::CvConfig cv;
   cv.folds = folds;
   cv.repetitions = 1;
-  cv.stream_chunk = chunk;
+  cv.stream.chunk = chunk;
   cv.record_predictions = true;  // the equivalence phase compares them all.
 
   std::fprintf(stderr,
@@ -122,8 +122,7 @@ int main() {
   auto stream = make_stream();
   const auto cv_start = Clock::now();
   const eval::CvResult streamed = eval::cross_validate_stream(
-      "GraphHD", eval::make_graphhd_stream_factory(config, /*honor_backend_env=*/false),
-      stream, "evalstress-rmat", cv);
+      "GraphHD", eval::make_graphhd_stream_factory(config), stream, "evalstress-rmat", cv);
   const double cv_seconds = seconds_since(cv_start);
 
   const std::size_t streaming_rss_mb = peak_rss_mb();
@@ -144,9 +143,8 @@ int main() {
     auto materialize_stream = make_stream();
     const data::GraphDataset dataset = data::materialize(materialize_stream, "evalstress-rmat");
     for (const auto& graph : dataset.graphs()) streamed_edges += graph.num_edges();
-    const eval::CvResult materialized = eval::cross_validate(
-        "GraphHD", eval::make_graphhd_factory(config, /*honor_backend_env=*/false), dataset,
-        cv);
+    const eval::CvResult materialized =
+        eval::cross_validate("GraphHD", eval::make_graphhd_factory(config), dataset, cv);
     materialized_identical = results_identical(streamed, materialized);
     if (!materialized_identical) {
       std::fprintf(stderr,

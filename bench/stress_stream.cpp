@@ -105,11 +105,11 @@ int main() {
   auto stream = make_stream();
   core::GraphHdModel streamed_model(config, 2);
   const auto fit_start = Clock::now();
-  streamed_model.fit_stream(stream, chunk);
+  streamed_model.fit_stream(stream, {.chunk = chunk});
   const double fit_seconds = seconds_since(fit_start);
 
   const auto predict_start = Clock::now();
-  const auto streamed_predictions = streamed_model.predict_stream(stream, chunk);
+  const auto streamed_predictions = streamed_model.predict_stream(stream, {.chunk = chunk});
   const double predict_seconds = seconds_since(predict_start);
 
   const std::size_t streaming_rss_mb = peak_rss_mb();
@@ -148,7 +148,8 @@ int main() {
       if (!ops->supported()) continue;
       kernels::set_active(*ops);
       auto variant_stream = make_stream();
-      const auto variant_streamed = streamed_model.predict_stream(variant_stream, chunk);
+      const auto variant_streamed =
+          streamed_model.predict_stream(variant_stream, {.chunk = chunk});
       const auto variant_batch = materialized_model.predict_batch(dataset);
       kernels_checked.emplace_back(ops->name);
       if (!predictions_identical(variant_streamed, streamed_predictions) ||

@@ -4,7 +4,7 @@
 ///
 ///   graphhd_cli train   --data DIR --name DS --out MODEL [--dimension N]
 ///                       [--seed S] [--retrain K] [--prototypes P]
-///                       [--backend dense|packed]  (GRAPHHD_BACKEND also works)
+///                       [--backend dense|packed]  (recorded tag)
 ///                       [--chunk N] [--shards W] [--shard-workers N]
 ///                       [--shard-index K] [--checkpoint PATH]
 ///                       [--checkpoint-interval N] [--resume] [--no-prefetch]
@@ -170,8 +170,7 @@ constexpr FlagSpec kServeSpec{kServeValued, {}};
   config.seed = parse_u64_any_base("model-seed", args.get("model-seed", "0x9badb055"));
   config.retrain_epochs = parse_u64("retrain", args.get("retrain", "0"));
   config.vectors_per_class = parse_u64("prototypes", args.get("prototypes", "1"));
-  // Backend: --backend flag wins over GRAPHHD_BACKEND wins over the default.
-  config.backend = core::backend_from_env(config.backend);
+  // --backend records the tag; training and prediction run one code path.
   if (const std::string flag = args.get("backend", ""); !flag.empty()) {
     const auto parsed = core::parse_backend(flag);
     if (!parsed.has_value()) {
@@ -179,8 +178,8 @@ constexpr FlagSpec kServeSpec{kServeValued, {}};
     }
     config.backend = *parsed;
   }
-  // Retraining queries the raw accumulators on the dense backend (slightly
-  // more accurate); the packed backend is quantized by construction.
+  // With --retrain the dense tag scores the raw counters (slightly more
+  // accurate); the packed tag requires the quantized model.
   if (config.retrain_epochs > 0 && config.backend == core::Backend::kDenseBipolar) {
     config.quantized_model = false;
   }
@@ -409,16 +408,15 @@ int cmd_predict_remote(const Args& args) {
       core::runtime::env_size("GRAPHHD_NET_TIMEOUT_MS", client_config.read_timeout_ms);
   serve::net::TcpClient client(host, port, client_config);
   std::fprintf(stderr,
-               "connected to %s:%u — %s model, d=%zu, %ju classes, config hash %016jx\n",
-               host.c_str(), port, core::to_string(client.config().backend),
-               client.config().dimension, static_cast<std::uintmax_t>(client.num_classes()),
+               "connected to %s:%u — d=%zu, %ju classes, config hash %016jx\n",
+               host.c_str(), port, client.config().dimension,
+               static_cast<std::uintmax_t>(client.num_classes()),
                static_cast<std::uintmax_t>(client.config_hash()));
 
   const auto dataset = load_dataset(args);
+  // Encode packed, like serve::Client: the server converts to its scoring
+  // representation exactly.
   core::GraphHdEncoder encoder(client.config());
-  // Mirror serve::Client: the packed backend encodes packed, the dense
-  // backend encodes dense (the server converts to its scoring mode exactly).
-  const bool packed_backend = client.config().backend == core::Backend::kPackedBinary;
   const std::size_t window =
       std::max<std::size_t>(1, parse_u64("window", args.get("window", "64")));
 
@@ -436,9 +434,7 @@ int cmd_predict_remote(const Args& args) {
     if (pending.size() >= window) {
       collect_one();
     }
-    pending.push_back(packed_backend
-                          ? client.submit(encoder.encode_packed(dataset.graph(i)))
-                          : client.submit(encoder.encode(dataset.graph(i))));
+    pending.push_back(client.submit(encoder.encode_packed(dataset.graph(i))));
   }
   while (!pending.empty()) {
     collect_one();
@@ -518,10 +514,10 @@ int cmd_serve(const std::string& model_path, const Args& args) {
   std::printf("%u\n", tcp.port());  // machine-readable: first line is the port.
   std::fflush(stdout);
   std::fprintf(stderr,
-               "serving %s (d=%zu, %zu classes, %s backend) on 127.0.0.1:%u — "
+               "serving %s (d=%zu, %zu classes) on 127.0.0.1:%u — "
                "%zu worker%s, max batch %zu%s\n",
                model_path.c_str(), config.dimension, server.snapshot()->num_classes(),
-               core::to_string(config.backend), tcp.port(), server_config.worker_threads,
+               tcp.port(), server_config.worker_threads,
                server_config.worker_threads == 1 ? "" : "s", server_config.max_batch,
                request_limit > 0
                    ? (" (exits after " + std::to_string(request_limit) + " requests)").c_str()
@@ -564,8 +560,6 @@ int cmd_eval(const Args& args) {
   eval::CvConfig cv;
   cv.folds = parse_u64("folds", args.get("folds", "10"));
   cv.repetitions = parse_u64("reps", args.get("reps", "1"));
-  // config_from already resolved flag-beats-env precedence; the factory must
-  // not re-apply the env on top of an explicit --backend.
   if (const std::size_t chunk = stream_chunk_of(args); chunk > 0) {
     // Streaming protocol: two-pass k-fold over the GraphStream, bounded
     // memory, bit-identical results to the materialized run below.
@@ -573,16 +567,14 @@ int cmd_eval(const Args& args) {
     auto source = open_stream(args);
     eval::ExperimentConfig experiment;
     experiment.cv = cv;
-    const auto result =
-        eval::run_graphhd_stream_cv(*source.stream, args.require("name"), experiment,
-                                    config_from(args), /*honor_backend_env=*/false);
+    const auto result = eval::run_graphhd_stream_cv(*source.stream, args.require("name"),
+                                                    experiment, config_from(args));
     print_cv_summary(result, args.require("name"), cv);
     return 0;
   }
   const auto dataset = load_dataset(args);
   const auto result = eval::cross_validate(
-      "GraphHD",
-      eval::make_graphhd_factory(config_from(args), /*honor_backend_env=*/false), dataset, cv);
+      "GraphHD", eval::make_graphhd_factory(config_from(args)), dataset, cv);
   print_cv_summary(result, dataset.name(), cv);
   return 0;
 }
@@ -797,7 +789,7 @@ void usage() {
                "usage: graphhd_cli <train|predict|eval|serve|env|synth|gen|stats|model-info"
                "|convert|merge-checkpoints> [--flag value ...]\n"
                "  train      --data DIR --name DS --out MODEL [--dimension N] [--retrain K]\n"
-               "             [--backend dense|packed]   (or GRAPHHD_BACKEND env)\n"
+               "             [--backend dense|packed]   (recorded tag)\n"
                "             [--chunk N]                (bounded-memory chunked ingestion)\n"
                "             [--shards W]               (sharded map-reduce fit, == serial)\n"
                "             [--shard-workers N]        (fit N shards concurrently; 0 = auto)\n"

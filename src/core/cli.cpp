@@ -73,7 +73,9 @@ Args::Args(int argc, char** argv, int first, const FlagSpec& spec) {
     }
     const std::string key(token.substr(2));
     if (contains(spec.boolean, key)) {
-      values_[key] = "1";
+      // insert_or_assign moves a built string in: assigning the literal to
+      // the mapped string trips a gcc 12 -Wrestrict false positive.
+      values_.insert_or_assign(key, std::string("1"));
       continue;
     }
     if (!contains(spec.valued, key)) {

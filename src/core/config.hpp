@@ -24,14 +24,15 @@ enum class VertexIdentifier {
 
 [[nodiscard]] const char* to_string(VertexIdentifier id) noexcept;
 
-/// Which numeric representation the end-to-end pipeline runs on.
+/// Numeric-backend tag recorded in the config.  The trainer runs one code
+/// path under either tag — packed encoding, one signed-counter class memory,
+/// Hamming or counter-cosine scoring picked by quantized_model — so the tag
+/// changes no counter, class word or prediction (tests/test_backend.cpp).
+/// It stays in the config because the artifacts, the wire handshake and its
+/// config hash, and the encoder-compatibility contract carry it.
 enum class Backend {
-  kDenseBipolar,  ///< int8 bipolar vectors — the paper-exact reference path.
-  kPackedBinary,  ///< 64-bit packed binary words: XOR binding, popcount
-                  ///< Hamming similarity, packed class memory — the hardware
-                  ///< mapping the paper's efficiency claim appeals to.
-                  ///< Predictions are bit-identical to the dense quantized
-                  ///< model (enforced by tests/test_backend.cpp).
+  kDenseBipolar,  ///< "dense": the default tag.
+  kPackedBinary,  ///< "packed": requires quantized_model.
 };
 
 [[nodiscard]] const char* to_string(Backend backend) noexcept;
@@ -39,12 +40,6 @@ enum class Backend {
 /// Parses a backend name: "dense"/"bipolar" -> kDenseBipolar,
 /// "packed"/"binary" -> kPackedBinary; nullopt for anything else.
 [[nodiscard]] std::optional<Backend> parse_backend(std::string_view text) noexcept;
-
-/// Backend selected by the GRAPHHD_BACKEND environment variable, `fallback`
-/// when the variable is unset or empty.  Throws std::runtime_error (naming
-/// the accepted values) on an unparsable value — a silently ignored typo
-/// would run every benchmark on the wrong backend.
-[[nodiscard]] Backend backend_from_env(Backend fallback);
 
 /// All knobs of GraphHD.  Defaults reproduce the paper's setup:
 /// 10,000-dimensional bipolar hypervectors, 10 PageRank iterations, cosine
@@ -56,9 +51,8 @@ struct GraphHdConfig {
   VertexIdentifier identifier = VertexIdentifier::kPageRank;
   hdc::Similarity metric = hdc::Similarity::kCosine;
 
-  /// Numeric representation of the whole fit/predict pipeline.  The packed
-  /// backend requires quantized_model (binary class vectors are
-  /// majority-quantized by construction); validate() enforces this.
+  /// Recorded backend tag (see Backend).  The packed tag requires
+  /// quantized_model; validate() enforces this.
   Backend backend = Backend::kDenseBipolar;
 
   /// true  = class vectors are majority-thresholded bipolar vectors

@@ -1,11 +1,8 @@
 #include "core/encoder.hpp"
 
-#include <cstdlib>
 #include <optional>
 #include <stdexcept>
-#include <string>
 
-#include "core/runtime.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace graphhd::core {
@@ -36,18 +33,6 @@ std::optional<Backend> parse_backend(std::string_view text) noexcept {
   if (text == "dense" || text == "bipolar") return Backend::kDenseBipolar;
   if (text == "packed" || text == "binary") return Backend::kPackedBinary;
   return std::nullopt;
-}
-
-Backend backend_from_env(Backend fallback) {
-  const char* raw = runtime::env_raw("GRAPHHD_BACKEND");
-  if (raw == nullptr) return fallback;
-  const auto parsed = parse_backend(raw);
-  if (!parsed.has_value()) {
-    throw std::runtime_error(
-        std::string("GRAPHHD_BACKEND: unknown backend '") + raw +
-        "' (expected dense|bipolar|packed|binary)");
-  }
-  return *parsed;
 }
 
 void GraphHdConfig::validate() const {

@@ -11,9 +11,10 @@
 /// Graphs without edges fall back to bundling the vertex hypervectors (the
 /// paper's encoder is undefined for m = 0; see DESIGN.md).
 ///
-/// The encoder serves both backends: encode() produces the dense bipolar
-/// representation, encode_packed() the bit-packed binary one.  The two are
-/// exact images of each other — encode_packed(g) is always bit-identical to
+/// encode() produces the dense bipolar representation (the paper-exact
+/// reference), encode_packed() the bit-packed binary one that the trainer
+/// and every predict path use.  The two are exact images of each other —
+/// encode_packed(g) is always bit-identical to
 /// PackedHypervector::from_bipolar(encode(g)) — but the packed baseline path
 /// (no labels, no message passing) never materializes a bipolar vector.
 
@@ -61,8 +62,8 @@ class GraphHdEncoder {
   /// have one entry per vertex.  Only used when config.use_vertex_labels.
   [[nodiscard]] Hypervector encode(const Graph& graph, std::span<const std::size_t> labels);
 
-  /// Encodes one graph straight into the packed binary representation
-  /// (kPackedBinary backend).  The structure-only baseline path runs
+  /// Encodes one graph straight into the packed binary representation.
+  /// The structure-only baseline path runs
   /// entirely on packed words (XOR bind + bit-sliced majority); the
   /// extension paths (labels, message passing, bitslice disabled) fall back
   /// to packing the dense encoding.  Always bit-identical to

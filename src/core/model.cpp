@@ -5,7 +5,6 @@
 #include <chrono>
 #include <filesystem>
 #include <future>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -75,6 +74,25 @@ class ChunkFetcher {
   std::future<data::GraphDataset> pending_;
 };
 
+using EncodedChunk = std::vector<hdc::PackedHypervector>;
+
+/// The training passes' chunk loop: pulls `stream` chunk by chunk (through a
+/// ChunkFetcher), rejects a label beyond the model's `num_classes`, encodes
+/// the chunk in parallel and hands both to `visit`, in stream order.
+template <typename Visit>
+void for_each_encoded_chunk(GraphHdEncoder& encoder, std::size_t num_classes,
+                            data::GraphStream& stream, const StreamOptions& options,
+                            Visit&& visit) {
+  ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
+  for (data::GraphDataset chunk = fetcher.next(); !chunk.empty(); chunk = fetcher.next()) {
+    if (chunk.num_classes() > num_classes) {
+      throw std::invalid_argument(
+          "GraphHdModel::fit_stream: stream label exceeds the model's class count");
+    }
+    visit(chunk, encode_dataset_packed(encoder, chunk));
+  }
+}
+
 /// Per-shard checkpoint file of a sharded fit.
 [[nodiscard]] std::filesystem::path shard_checkpoint_path(const std::filesystem::path& base,
                                                           std::size_t shard) {
@@ -118,30 +136,12 @@ GraphHdModel::GraphHdModel(const GraphHdConfig& config, std::size_t num_classes)
     : config_(config),
       num_classes_(num_classes),
       encoder_(config),
+      memory_(config.dimension, num_classes * config.vectors_per_class, config.metric,
+              config.quantized_model),
       next_replica_(num_classes, 0) {
   if (num_classes < 2) {
     throw std::invalid_argument("GraphHdModel: need at least 2 classes");
   }
-  const std::size_t slots = num_classes * config.vectors_per_class;
-  if (config.backend == Backend::kPackedBinary) {
-    packed_memory_.emplace(config.dimension, slots, config.metric);
-  } else {
-    dense_memory_.emplace(config.dimension, slots, config.metric, config.quantized_model);
-  }
-}
-
-const hdc::AssociativeMemory& GraphHdModel::memory() const {
-  if (!dense_memory_.has_value()) {
-    throw std::logic_error("GraphHdModel::memory: model runs on the packed backend");
-  }
-  return *dense_memory_;
-}
-
-const hdc::PackedClassMemory& GraphHdModel::packed_memory() const {
-  if (!packed_memory_.has_value()) {
-    throw std::logic_error("GraphHdModel::packed_memory: model runs on the dense backend");
-  }
-  return *packed_memory_;
 }
 
 void GraphHdModel::fit(const data::GraphDataset& train) {
@@ -153,40 +153,18 @@ void GraphHdModel::fit(const data::GraphDataset& train) {
   }
   invalidate_snapshot();
 
-  // Encode once (in parallel — see core::encode_dataset); the hypervectors
-  // are reused by the retraining passes.  Both backends run the same Algorithm 1
-  // + retraining schedule — only the vector representation and the memory
-  // type differ, and the packed similarity doubles equal the dense ones, so
-  // the two training runs stay in lockstep (bit-identical class counters).
-  const auto bundle_and_retrain = [&](auto& memory, const auto& encoded) {
-    // Algorithm 1: bundle every sample into (a prototype of) its class.
+  // Encode once (in parallel — see core::encode_dataset_packed); the
+  // encodings are reused by every retraining epoch.
+  const std::vector<hdc::PackedHypervector> encoded = encode_dataset_packed(encoder_, train);
+  for (std::size_t i = 0; i < train.size(); ++i) {
+    bundle_sample(train.label(i), next_replica_[train.label(i)], encoded[i]);
+  }
+  for (std::size_t epoch = 0; epoch < config_.retrain_epochs; ++epoch) {
+    std::size_t mispredictions = 0;
     for (std::size_t i = 0; i < train.size(); ++i) {
-      const std::size_t label = train.label(i);
-      const std::size_t replica = next_replica_[label];
-      next_replica_[label] = (replica + 1) % config_.vectors_per_class;
-      memory.add(slot_of(label, replica), encoded[i]);
+      mispredictions += retrain_sample(train.label(i), encoded[i]) ? 1 : 0;
     }
-
-    // Extension VII.1a: perceptron-style retraining.
-    for (std::size_t epoch = 0; epoch < config_.retrain_epochs; ++epoch) {
-      std::size_t mispredictions = 0;
-      for (std::size_t i = 0; i < train.size(); ++i) {
-        const auto result = memory.query(encoded[i]);
-        const std::size_t predicted_class = class_of_slot(result.best_class);
-        const std::size_t true_class = train.label(i);
-        if (predicted_class == true_class) continue;
-        ++mispredictions;
-        const std::size_t target_slot = best_slot_in_class(result, true_class);
-        memory.retrain_update(target_slot, result.best_class, encoded[i]);
-      }
-      if (mispredictions == 0) break;
-    }
-  };
-
-  if (packed_memory_.has_value()) {
-    bundle_and_retrain(*packed_memory_, encode_dataset_packed(encoder_, train));
-  } else {
-    bundle_and_retrain(*dense_memory_, encode_dataset(encoder_, train));
+    if (mispredictions == 0) break;
   }
   fitted_ = true;
 }
@@ -223,14 +201,6 @@ void GraphHdModel::fit_stream(data::GraphStream& stream, const TrainOptions& opt
   fitted_ = true;
   // Success: the checkpoint has served its purpose.
   remove_if_exists(options.checkpoint);
-}
-
-void GraphHdModel::fit_stream(data::GraphStream& stream, std::size_t chunk_size) {
-  if (chunk_size == 0) {
-    // The historical signature's message, kept for its callers.
-    throw std::invalid_argument("GraphHdModel::fit_stream: chunk_size must be positive");
-  }
-  fit_stream(stream, TrainOptions{.chunk = chunk_size});
 }
 
 std::size_t GraphHdModel::bundle_stream(
@@ -296,34 +266,15 @@ std::size_t GraphHdModel::bundle_stream(
   };
 
   // Algorithm 1: bundle every sample into (a prototype of) its class.
-  {
-    ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
-    const auto bundle_chunk = [&](auto& memory, const auto& encoded,
-                                  const data::GraphDataset& chunk) {
-      for (std::size_t i = 0; i < chunk.size(); ++i) {
-        const std::size_t label = chunk.label(i);
-        const std::size_t replica =
-            replica_for != nullptr ? (*replica_for)(index) : next_replica_[label];
-        next_replica_[label] = (next_replica_[label] + 1) % config_.vectors_per_class;
-        memory.add(slot_of(label, replica), encoded[i]);
-        ++index;
-      }
-    };
-    while (true) {
-      const data::GraphDataset chunk = fetcher.next();
-      if (chunk.empty()) break;
-      if (chunk.num_classes() > num_classes_) {
-        throw std::invalid_argument(
-            "GraphHdModel::fit_stream: stream label exceeds the model's class count");
-      }
-      if (packed_memory_.has_value()) {
-        bundle_chunk(*packed_memory_, encode_dataset_packed(encoder_, chunk), chunk);
-      } else {
-        bundle_chunk(*dense_memory_, encode_dataset(encoder_, chunk), chunk);
-      }
-      maybe_checkpoint(false);
+  const auto bundle_chunk = [&](const data::GraphDataset& chunk, const EncodedChunk& encoded) {
+    for (std::size_t i = 0; i < chunk.size(); ++i, ++index) {
+      const std::size_t label = chunk.label(i);
+      bundle_sample(label, replica_for != nullptr ? (*replica_for)(index) : next_replica_[label],
+                    encoded[i]);
     }
-  }
+    maybe_checkpoint(false);
+  };
+  for_each_encoded_chunk(encoder_, num_classes_, stream, options.stream(), bundle_chunk);
   // Bundle-complete marker: a crash during (deterministic, restartable)
   // retraining resumes from here instead of re-ingesting the stream.
   maybe_checkpoint(true);
@@ -334,35 +285,28 @@ void GraphHdModel::retrain_stream(data::GraphStream& stream, const StreamOptions
   // Extension VII.1a: perceptron-style retraining, re-encoding per epoch.
   for (std::size_t epoch = 0; epoch < config_.retrain_epochs; ++epoch) {
     std::size_t mispredictions = 0;
-    stream.reset();
-    ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
-    const auto retrain_chunk = [&](auto& memory, const auto& encoded,
-                                   const data::GraphDataset& chunk) {
+    const auto retrain_chunk = [&](const data::GraphDataset& chunk, const EncodedChunk& encoded) {
       for (std::size_t i = 0; i < chunk.size(); ++i) {
-        const auto result = memory.query(encoded[i]);
-        const std::size_t predicted_class = class_of_slot(result.best_class);
-        const std::size_t true_class = chunk.label(i);
-        if (predicted_class == true_class) continue;
-        ++mispredictions;
-        const std::size_t target_slot = best_slot_in_class(result, true_class);
-        memory.retrain_update(target_slot, result.best_class, encoded[i]);
+        mispredictions += retrain_sample(chunk.label(i), encoded[i]) ? 1 : 0;
       }
     };
-    while (true) {
-      const data::GraphDataset chunk = fetcher.next();
-      if (chunk.empty()) break;
-      if (chunk.num_classes() > num_classes_) {
-        throw std::invalid_argument(
-            "GraphHdModel::fit_stream: stream label exceeds the model's class count");
-      }
-      if (packed_memory_.has_value()) {
-        retrain_chunk(*packed_memory_, encode_dataset_packed(encoder_, chunk), chunk);
-      } else {
-        retrain_chunk(*dense_memory_, encode_dataset(encoder_, chunk), chunk);
-      }
-    }
+    stream.reset();
+    for_each_encoded_chunk(encoder_, num_classes_, stream, options, retrain_chunk);
     if (mispredictions == 0) break;
   }
+}
+
+void GraphHdModel::bundle_sample(std::size_t label, std::size_t replica,
+                                 const hdc::PackedHypervector& encoded) {
+  next_replica_[label] = (next_replica_[label] + 1) % config_.vectors_per_class;
+  memory_.add(slot_of(label, replica), encoded);
+}
+
+bool GraphHdModel::retrain_sample(std::size_t label, const hdc::PackedHypervector& encoded) {
+  const hdc::QueryResult result = memory_.query(encoded);
+  if (class_of_slot(result.best_class) == label) return false;
+  memory_.retrain_update(best_slot_in_class(result, label), result.best_class, encoded);
+  return true;
 }
 
 std::vector<std::size_t> GraphHdModel::global_replica_assignment(data::GraphStream& stream) {
@@ -657,11 +601,7 @@ void GraphHdModel::merge(GraphHdModel&& other) {
                                 std::to_string(other.num_classes_) + ")");
   }
   invalidate_snapshot();
-  if (packed_memory_.has_value()) {
-    packed_memory_->merge(*other.packed_memory_);
-  } else {
-    dense_memory_->merge(*other.dense_memory_);
-  }
+  memory_.merge(other.memory_);
   // Replica cursors advance per bundled sample, so the merged cursor is the
   // sum of both arrival counts modulo the replica count — exactly where the
   // serial cursor would stand after both sample sets.
@@ -672,25 +612,10 @@ void GraphHdModel::merge(GraphHdModel&& other) {
 }
 
 void GraphHdModel::adopt_state(const GraphHdModel& source) {
-  // Round-trip through the snapshot representation: it carries the raw
-  // signed counters and per-slot metadata, which is exactly restore_state's
-  // input (the same path model_from_snapshot uses).
-  const auto snap = source.snapshot();
-  const std::size_t slots = snap->slots();
-  std::vector<hdc::BundleAccumulator> accumulators;
-  std::vector<std::size_t> sample_counts;
-  accumulators.reserve(slots);
-  sample_counts.reserve(slots);
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    const auto counts = snap->counters(slot);
-    const auto& meta = snap->slot_meta(slot);
-    accumulators.push_back(hdc::BundleAccumulator::from_raw(
-        std::vector<std::int32_t>(counts.begin(), counts.end()),
-        static_cast<std::size_t>(meta.add_count), meta.tie_free));
-    sample_counts.push_back(static_cast<std::size_t>(meta.sample_count));
-  }
-  restore_state(std::move(accumulators), std::move(sample_counts), snap->replica_cursors(),
-                snap->fitted());
+  invalidate_snapshot();
+  memory_ = source.memory_;
+  next_replica_ = source.next_replica_;
+  fitted_ = source.fitted_;
 }
 
 void GraphHdModel::partial_fit(const graph::Graph& graph, std::size_t label) {
@@ -698,13 +623,7 @@ void GraphHdModel::partial_fit(const graph::Graph& graph, std::size_t label) {
     throw std::out_of_range("GraphHdModel::partial_fit: label out of range");
   }
   invalidate_snapshot();
-  const std::size_t replica = next_replica_[label];
-  next_replica_[label] = (replica + 1) % config_.vectors_per_class;
-  if (packed_memory_.has_value()) {
-    packed_memory_->add(slot_of(label, replica), encoder_.encode_packed(graph));
-  } else {
-    dense_memory_->add(slot_of(label, replica), encoder_.encode(graph));
-  }
+  bundle_sample(label, next_replica_[label], encoder_.encode_packed(graph));
 }
 
 std::size_t GraphHdModel::best_slot_in_class(const hdc::QueryResult& result,
@@ -718,10 +637,7 @@ std::size_t GraphHdModel::best_slot_in_class(const hdc::QueryResult& result,
 }
 
 Prediction GraphHdModel::predict(const graph::Graph& graph) {
-  if (packed_memory_.has_value()) {
-    return predict_encoded(encoder_.encode_packed(graph));
-  }
-  return predict_encoded(encoder_.encode(graph));
+  return snapshot()->predict_encoded(encoder_.encode_packed(graph));
 }
 
 Prediction GraphHdModel::predict_encoded(const hdc::Hypervector& encoded) const {
@@ -733,23 +649,9 @@ Prediction GraphHdModel::predict_encoded(const hdc::PackedHypervector& encoded) 
 }
 
 std::vector<Prediction> GraphHdModel::predict_batch(const data::GraphDataset& test) {
-  // Pin one snapshot up front (building it finalizes the class vectors) so
-  // the concurrent queries below are pure reads on an immutable object.
-  // Each query is one batched one-vs-all distance kernel (hdc/kernels)
-  // against every class slot; the pool workers share the immutable dispatch
-  // table.
-  const std::shared_ptr<const InferenceSnapshot> snap = snapshot();
-  std::vector<Prediction> predictions(test.size());
-  if (packed_memory_.has_value()) {
-    const std::vector<hdc::PackedHypervector> encoded = encode_dataset_packed(encoder_, test);
-    parallel::parallel_for(
-        test.size(), [&](std::size_t i) { predictions[i] = snap->predict_encoded(encoded[i]); });
-    return predictions;
-  }
-  const std::vector<hdc::Hypervector> encoded = encode_dataset(encoder_, test);
-  parallel::parallel_for(
-      test.size(), [&](std::size_t i) { predictions[i] = snap->predict_encoded(encoded[i]); });
-  return predictions;
+  // Pinning one snapshot up front (building it finalizes the class vectors)
+  // makes the concurrent queries pure reads on an immutable object.
+  return predict_dataset(*snapshot(), encoder_, test);
 }
 
 void GraphHdModel::predict_stream(data::GraphStream& stream, const StreamOptions& options,
@@ -761,23 +663,9 @@ void GraphHdModel::predict_stream(data::GraphStream& stream, const StreamOptions
   stream.reset();
   std::size_t index = 0;
   ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
-  while (true) {
-    const data::GraphDataset chunk = fetcher.next();
-    if (chunk.empty()) break;
-    std::vector<Prediction> predictions(chunk.size());
-    if (packed_memory_.has_value()) {
-      const auto encoded = encode_dataset_packed(encoder_, chunk);
-      parallel::parallel_for(chunk.size(), [&](std::size_t i) {
-        predictions[i] = snap->predict_encoded(encoded[i]);
-      });
-    } else {
-      const auto encoded = encode_dataset(encoder_, chunk);
-      parallel::parallel_for(chunk.size(), [&](std::size_t i) {
-        predictions[i] = snap->predict_encoded(encoded[i]);
-      });
-    }
-    for (std::size_t i = 0; i < predictions.size(); ++i) {
-      sink(index++, predictions[i]);
+  for (data::GraphDataset chunk = fetcher.next(); !chunk.empty(); chunk = fetcher.next()) {
+    for (const Prediction& prediction : predict_dataset(*snap, encoder_, chunk)) {
+      sink(index++, prediction);
     }
   }
 }
@@ -793,22 +681,6 @@ std::vector<Prediction> GraphHdModel::predict_stream(data::GraphStream& stream,
     predictions.push_back(prediction);
   });
   return predictions;
-}
-
-void GraphHdModel::predict_stream(data::GraphStream& stream, std::size_t chunk_size,
-                                  const std::function<void(std::size_t, const Prediction&)>& sink) {
-  if (chunk_size == 0) {
-    throw std::invalid_argument("GraphHdModel::predict_stream: chunk_size must be positive");
-  }
-  predict_stream(stream, StreamOptions{.chunk = chunk_size}, sink);
-}
-
-std::vector<Prediction> GraphHdModel::predict_stream(data::GraphStream& stream,
-                                                     std::size_t chunk_size) {
-  if (chunk_size == 0) {
-    throw std::invalid_argument("GraphHdModel::predict_stream: chunk_size must be positive");
-  }
-  return predict_stream(stream, StreamOptions{.chunk = chunk_size});
 }
 
 double GraphHdModel::evaluate(const data::GraphDataset& test) {
@@ -831,58 +703,27 @@ void GraphHdModel::restore_state(std::vector<hdc::BundleAccumulator> accumulator
   }
   invalidate_snapshot();
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    if (packed_memory_.has_value()) {
-      // The raw signed-counter state is backend-agnostic; rewrap it.
-      const auto counts = accumulators[slot].counts();
-      packed_memory_->restore(slot,
-                              hdc::PackedBundleAccumulator::from_raw(
-                                  std::vector<std::int32_t>(counts.begin(), counts.end()),
-                                  accumulators[slot].count(), accumulators[slot].tie_free()),
-                              sample_counts[slot]);
-    } else {
-      dense_memory_->restore(slot, std::move(accumulators[slot]), sample_counts[slot]);
-    }
+    memory_.restore(slot, std::move(accumulators[slot]), sample_counts[slot]);
   }
   next_replica_ = std::move(replica_cursors);
   fitted_ = fitted;
 }
 
 std::shared_ptr<const InferenceSnapshot> GraphHdModel::snapshot() const {
+  const std::lock_guard<std::mutex> lock(snapshot_mutex_.mutex);
   if (snapshot_ != nullptr) return snapshot_;
-  const std::size_t slots = num_classes_ * config_.vectors_per_class;
-  const std::size_t words_per_slot = (config_.dimension + 63) / 64;
+  const std::size_t slots = memory_.num_classes();
   std::vector<InferenceSnapshot::SlotMeta> meta(slots);
   std::vector<std::int32_t> counters;
   counters.reserve(slots * config_.dimension);
   std::vector<std::uint64_t> words;
-  words.reserve(slots * words_per_slot);
-  // The packed words are the finalized (majority-thresholded) class vectors
-  // of either memory: PackedBundleAccumulator::threshold is the exact
-  // packing of BundleAccumulator::threshold, so both backends freeze to the
-  // same words for the same counters.
-  if (packed_memory_.has_value()) {
-    packed_memory_->finalize();
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      const auto& acc = packed_memory_->accumulator(slot);
-      meta[slot] = {packed_memory_->class_count(slot), acc.count(), acc.tie_free()};
-      const auto counts = acc.counts();
-      counters.insert(counters.end(), counts.begin(), counts.end());
-      const auto class_hv = packed_memory_->class_vector(slot);
-      const auto row = class_hv.words();
-      words.insert(words.end(), row.begin(), row.end());
-    }
-  } else {
-    dense_memory_->finalize();
-    for (std::size_t slot = 0; slot < slots; ++slot) {
-      const auto& acc = dense_memory_->accumulator(slot);
-      meta[slot] = {dense_memory_->class_count(slot), acc.count(), acc.tie_free()};
-      const auto counts = acc.counts();
-      counters.insert(counters.end(), counts.begin(), counts.end());
-      const auto packed =
-          hdc::PackedHypervector::from_bipolar(dense_memory_->class_vector(slot));
-      const auto row = packed.words();
-      words.insert(words.end(), row.begin(), row.end());
-    }
+  words.reserve(slots * ((config_.dimension + 63) / 64));
+  for (std::size_t slot = 0; slot < slots; ++slot) {
+    const hdc::BundleAccumulator& acc = memory_.accumulator(slot);
+    meta[slot] = {memory_.class_count(slot), acc.count(), acc.tie_free()};
+    counters.insert(counters.end(), acc.counts().begin(), acc.counts().end());
+    const auto row = memory_.packed_class_vector(slot).words();
+    words.insert(words.end(), row.begin(), row.end());
   }
   snapshot_ = std::make_shared<const InferenceSnapshot>(config_, num_classes_, fitted_,
                                                         next_replica_, std::move(meta),
@@ -910,17 +751,10 @@ GraphHdModel model_from_snapshot(const InferenceSnapshot& snapshot) {
   return model;
 }
 
-std::size_t GraphHdModel::slot_count(std::size_t slot) const {
-  return packed_memory_.has_value() ? packed_memory_->class_count(slot)
-                                    : dense_memory_->class_count(slot);
-}
-
 std::vector<std::size_t> GraphHdModel::class_counts() const {
   std::vector<std::size_t> counts(num_classes_, 0);
-  for (std::size_t c = 0; c < num_classes_; ++c) {
-    for (std::size_t r = 0; r < config_.vectors_per_class; ++r) {
-      counts[c] += slot_count(slot_of(c, r));
-    }
+  for (std::size_t slot = 0; slot < memory_.num_classes(); ++slot) {
+    counts[class_of_slot(slot)] += memory_.class_count(slot);
   }
   return counts;
 }

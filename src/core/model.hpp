@@ -7,7 +7,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <vector>
 
 #include "core/config.hpp"
@@ -17,7 +17,6 @@
 #include "data/dataset.hpp"
 #include "data/stream.hpp"
 #include "hdc/assoc_memory.hpp"
-#include "hdc/packed_assoc.hpp"
 
 namespace graphhd::core {
 
@@ -32,12 +31,13 @@ namespace graphhd::core {
 ///    are dealt round-robin onto prototypes; queries take the max.
 /// The model also supports true online learning via partial_fit.
 ///
-/// config.backend selects the numeric representation end to end:
-/// kDenseBipolar keeps the paper-exact int8 pipeline; kPackedBinary encodes
-/// graphs into packed words and classifies with XOR + popcount against a
-/// packed class memory.  The two backends produce bit-identical predictions
-/// for the quantized model (tests/test_backend.cpp); packed is the
-/// hardware-shaped fast path.
+/// One code path serves every config: graphs are encoded straight into
+/// packed words (GraphHdEncoder::encode_packed, bit-identical to packing the
+/// paper's bipolar encoding) and bundled into one signed-counter class
+/// memory; config.quantized_model alone picks Hamming scoring against the
+/// majority-quantized class vectors or cosine scoring against the raw
+/// counters.  config.backend is a recorded tag that changes neither
+/// (tests/test_backend.cpp).
 ///
 /// The model is the *trainer* half of the trainer/serving split
 /// (core/snapshot.hpp): every external predict path runs off snapshot(), an
@@ -51,7 +51,6 @@ class GraphHdModel {
   [[nodiscard]] const GraphHdConfig& config() const noexcept { return config_; }
   [[nodiscard]] std::size_t num_classes() const noexcept { return num_classes_; }
   [[nodiscard]] GraphHdEncoder& encoder() noexcept { return encoder_; }
-  [[nodiscard]] Backend backend() const noexcept { return config_.backend; }
 
   /// Full training pass (Algorithm 1 + configured extensions).  May be
   /// called once per model; throws on a second call.
@@ -79,10 +78,6 @@ class GraphHdModel {
   ///    tests/test_checkpoint.cpp).  The checkpoint file is removed on
   ///    successful completion.
   void fit_stream(data::GraphStream& stream, const TrainOptions& options = {});
-
-  /// Deprecated positional form of fit_stream — forwards to the TrainOptions
-  /// overload with `{.chunk = chunk_size}`.  Prefer the options overload.
-  void fit_stream(data::GraphStream& stream, std::size_t chunk_size);
 
   /// Sharded map-reduce training: partitions the stream round-robin into
   /// `options.shards` disjoint shard views (data::ShardedStream — sample i
@@ -175,33 +170,23 @@ class GraphHdModel {
   [[nodiscard]] std::vector<Prediction> predict_stream(data::GraphStream& stream,
                                                        const StreamOptions& options = {});
 
-  /// Deprecated positional forms of predict_stream — forward to the
-  /// StreamOptions overloads with `{.chunk = chunk_size}`.
-  void predict_stream(data::GraphStream& stream, std::size_t chunk_size,
-                      const std::function<void(std::size_t, const Prediction&)>& sink);
-  [[nodiscard]] std::vector<Prediction> predict_stream(data::GraphStream& stream,
-                                                       std::size_t chunk_size);
-
   /// Predicts a pre-encoded hypervector (lets callers amortize encoding).
-  /// On the packed backend the query is packed first (one conversion, then
-  /// popcount scoring).
+  /// Both representations give the same prediction; the snapshot converts
+  /// the query to its scoring representation exactly.
   [[nodiscard]] Prediction predict_encoded(const hdc::Hypervector& encoded) const;
-
-  /// Predicts a pre-encoded packed hypervector.  On the dense backend the
-  /// query is unpacked first — prefer matching the model's backend.
   [[nodiscard]] Prediction predict_encoded(const hdc::PackedHypervector& encoded) const;
 
   /// Batch accuracy against a labeled dataset.
   [[nodiscard]] double evaluate(const data::GraphDataset& test);
 
   /// The immutable inference view of the current trained state (the
-  /// trainer/serving split; see core/snapshot.hpp).  Lazily built and
-  /// cached; any mutation (fit, fit_stream, partial_fit, restore_state)
-  /// invalidates the cache, so an already-shared snapshot keeps serving the
-  /// old state while the next snapshot() call publishes the new one — the
-  /// hot-swap pattern.  Like finalize(), the lazy build is not safe against
-  /// concurrent *first* calls: batch paths pin one snapshot up front and
-  /// then query it from workers as a pure read.
+  /// trainer/serving split; see core/snapshot.hpp).  Lazily built under a
+  /// lock and cached, so concurrent const calls (predict_encoded from several
+  /// threads) build it once and share it.  Any mutation (fit, fit_stream,
+  /// partial_fit, restore_state) invalidates the cache, so an already-shared
+  /// snapshot keeps serving the old state while the next snapshot() call
+  /// publishes the new one — the hot-swap pattern.  Mutations themselves
+  /// must not run concurrently with any other call.
   [[nodiscard]] std::shared_ptr<const InferenceSnapshot> snapshot() const;
 
   /// Number of training samples folded into each class so far.
@@ -209,11 +194,8 @@ class GraphHdModel {
 
   // ---- persistence hooks (see core/serialize.hpp) ----
 
-  /// Dense training state; throws std::logic_error on the packed backend
-  /// (use packed_memory() there).
-  [[nodiscard]] const hdc::AssociativeMemory& memory() const;
-  /// Packed training state; throws std::logic_error on the dense backend.
-  [[nodiscard]] const hdc::PackedClassMemory& packed_memory() const;
+  /// The class memory: num_classes * vectors_per_class signed-counter slots.
+  [[nodiscard]] const hdc::AssociativeMemory& memory() const noexcept { return memory_; }
   [[nodiscard]] bool fitted() const noexcept { return fitted_; }
   [[nodiscard]] const std::vector<std::size_t>& replica_cursors() const noexcept {
     return next_replica_;
@@ -221,9 +203,7 @@ class GraphHdModel {
 
   /// Deserialization hook: replaces the learned state wholesale.  Sizes must
   /// match the model's slot layout (num_classes * vectors_per_class
-  /// accumulators/sample counts, num_classes cursors).  The accumulators are
-  /// the backend-agnostic signed-counter representation; on the packed
-  /// backend they are converted to packed accumulators (same raw state).
+  /// accumulators/sample counts, num_classes cursors).
   void restore_state(std::vector<hdc::BundleAccumulator> accumulators,
                      std::vector<std::size_t> sample_counts,
                      std::vector<std::size_t> replica_cursors, bool fitted);
@@ -254,11 +234,19 @@ class GraphHdModel {
   /// The perceptron retraining passes over `stream` (config_.retrain_epochs).
   void retrain_stream(data::GraphStream& stream, const StreamOptions& options);
 
+  /// Algorithm 1 for one sample: bundles it into prototype `replica` of its
+  /// class and advances the class's round-robin cursor.
+  void bundle_sample(std::size_t label, std::size_t replica,
+                     const hdc::PackedHypervector& encoded);
+
+  /// One perceptron retraining step (extension VII.1a): a mispredicted
+  /// sample is added to its best true-class prototype and subtracted from
+  /// the winning slot.  Returns whether the sample was mispredicted.
+  bool retrain_sample(std::size_t label, const hdc::PackedHypervector& encoded);
+
   /// Replaces this model's learned state with `source`'s (checkpoint resume).
   /// Configs/class counts must already be verified equal by the caller.
   void adopt_state(const GraphHdModel& source);
-
-  [[nodiscard]] std::size_t slot_count(std::size_t slot) const;
   [[nodiscard]] std::size_t slot_of(std::size_t class_id, std::size_t replica) const noexcept {
     return class_id * config_.vectors_per_class + replica;
   }
@@ -271,16 +259,23 @@ class GraphHdModel {
   /// Drops the cached snapshot; every mutation point calls this.
   void invalidate_snapshot() noexcept { snapshot_.reset(); }
 
+  /// A mutex that keeps its owner movable: a moved-to model gets a fresh one.
+  struct MovableMutex {
+    MovableMutex() = default;
+    MovableMutex(MovableMutex&&) noexcept {}
+    MovableMutex& operator=(MovableMutex&&) noexcept { return *this; }
+    std::mutex mutex;
+  };
+
   GraphHdConfig config_;
   std::size_t num_classes_;
   GraphHdEncoder encoder_;
-  /// Exactly one of the two memories exists, selected by config_.backend;
-  /// both span num_classes * vectors_per_class slots.
-  std::optional<hdc::AssociativeMemory> dense_memory_;
-  std::optional<hdc::PackedClassMemory> packed_memory_;
+  hdc::AssociativeMemory memory_;
   std::vector<std::size_t> next_replica_;  ///< round-robin cursor per class.
   bool fitted_ = false;
-  /// Lazily built inference view of the current state (see snapshot()).
+  /// Guards the lazy build of snapshot_ (see snapshot()).
+  mutable MovableMutex snapshot_mutex_;
+  /// Lazily built inference view of the current state.
   mutable std::shared_ptr<const InferenceSnapshot> snapshot_;
 };
 

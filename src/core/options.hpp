@@ -1,20 +1,17 @@
 /// \file options.hpp
 /// Unified options structs for every streaming entry point.
 ///
-/// Before PR 8 each streaming signature grew its own positional
-/// `chunk_size = 64` default (`fit_stream`, `predict_stream`, `score_stream`,
-/// `cross_validate_stream`'s `CvConfig::stream_chunk`), so adding one knob —
-/// sharding, prefetch, checkpointing — would have meant touching every
-/// signature again.  StreamOptions/TrainOptions centralize the knobs:
+/// Every streaming entry point (`fit_stream`, `predict_stream`,
+/// `score_stream`, `cross_validate_stream` via `CvConfig::stream`) takes its
+/// knobs from one of these structs, so adding a knob — sharding, prefetch,
+/// checkpointing — touches no signature:
 ///
 ///   model.fit_stream(stream, {.chunk = 128, .shards = 8});
 ///   model.predict_stream(stream, {.chunk = 256});
 ///
 /// StreamOptions covers read-only passes (predict/score/CV folds);
 /// TrainOptions extends it with the training-only knobs (shards,
-/// checkpoint/resume).  The old positional signatures survive as thin
-/// deprecated shims that forward here — see docs/training.md for the
-/// migration table.
+/// checkpoint/resume).  docs/training.md has the field tables.
 
 #pragma once
 

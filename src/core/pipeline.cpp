@@ -22,10 +22,6 @@ void GraphHd::fit_stream(data::GraphStream& stream, const TrainOptions& options)
   model_->fit_stream(stream, options);
 }
 
-void GraphHd::fit_stream(data::GraphStream& stream, std::size_t chunk_size) {
-  fit_stream(stream, TrainOptions{.chunk = chunk_size});
-}
-
 std::vector<std::size_t> GraphHd::predict_stream(data::GraphStream& stream,
                                                  const StreamOptions& options) {
   std::vector<std::size_t> labels;
@@ -34,11 +30,6 @@ std::vector<std::size_t> GraphHd::predict_stream(data::GraphStream& stream,
     labels.push_back(prediction.label);
   });
   return labels;
-}
-
-std::vector<std::size_t> GraphHd::predict_stream(data::GraphStream& stream,
-                                                 std::size_t chunk_size) {
-  return predict_stream(stream, StreamOptions{.chunk = chunk_size});
 }
 
 void GraphHd::partial_fit(const graph::Graph& graph, std::size_t label,
@@ -68,10 +59,6 @@ std::vector<std::size_t> GraphHd::predict_batch(const data::GraphDataset& test) 
 }
 
 double GraphHd::score(const data::GraphDataset& test) { return model().evaluate(test); }
-
-double GraphHd::score_stream(data::GraphStream& stream, std::size_t chunk_size) {
-  return score_stream(stream, StreamOptions{.chunk = chunk_size});
-}
 
 double GraphHd::score_stream(data::GraphStream& stream, const StreamOptions& options) {
   const auto labels = data::collect_labels(stream);

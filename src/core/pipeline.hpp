@@ -37,16 +37,9 @@ class GraphHd {
   /// GraphHdModel::fit_stream.
   void fit_stream(data::GraphStream& stream, const TrainOptions& options = {});
 
-  /// Deprecated positional form — forwards to the TrainOptions overload.
-  void fit_stream(data::GraphStream& stream, std::size_t chunk_size);
-
   /// Streaming prediction (class ids in stream order, bounded memory).
   [[nodiscard]] std::vector<std::size_t> predict_stream(data::GraphStream& stream,
                                                         const StreamOptions& options = {});
-
-  /// Deprecated positional form — forwards to the StreamOptions overload.
-  [[nodiscard]] std::vector<std::size_t> predict_stream(data::GraphStream& stream,
-                                                        std::size_t chunk_size);
 
   /// Starts (or continues) an online model covering `num_classes` classes,
   /// feeding one sample.  Interchangeable with fit(): fit() is just the
@@ -75,9 +68,6 @@ class GraphHd {
   /// chunk of graphs).  Scans labels first (cheap for every source with a
   /// label fast path), then replays the stream for prediction.
   [[nodiscard]] double score_stream(data::GraphStream& stream, const StreamOptions& options = {});
-
-  /// Deprecated positional form — forwards to the StreamOptions overload.
-  [[nodiscard]] double score_stream(data::GraphStream& stream, std::size_t chunk_size);
 
   /// Access to the underlying model (throws before fit/partial_fit).
   [[nodiscard]] GraphHdModel& model();

@@ -20,8 +20,6 @@ namespace {
 // or the typed accessors refuse it.  The build_time rows are CMake options
 // listed only so an exported one is not flagged as a typo.
 constexpr EnvKnob kKnobs[] = {
-    {"GRAPHHD_BACKEND", KnobKind::kString, "per-config", "core",
-     "numeric backend override: dense|bipolar|packed|binary", false},
     {"GRAPHHD_BENCH_SCALE", KnobKind::kDouble, "1.0", "eval/experiment",
      "fraction of each dataset the paper-table experiments use, in (0, 1]", false},
     {"GRAPHHD_BUILD_BENCH", KnobKind::kString, "ON", "build (cmake)",

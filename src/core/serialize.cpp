@@ -840,27 +840,18 @@ void save_model_text(const GraphHdModel& model, std::ostream& out) {
   for (const std::size_t cursor : model.replica_cursors()) out << ' ' << cursor;
   out << '\n';
 
-  // Both backends keep the same signed-counter slot state; only where it
-  // lives differs.  Writing the shared raw form keeps the file format
-  // backend-portable (a packed model can be reloaded as a dense one by
-  // editing the header, and vice versa — same predictions either way).
-  const auto write_slot = [&out](std::size_t slot, std::size_t samples, const auto& acc) {
-    out << "slot " << slot << ' ' << samples << ' ' << acc.count() << ' '
+  // The slot state is the class memory's signed counters under either
+  // backend tag, so the tag line alone tells the two files apart.
+  const hdc::AssociativeMemory& memory = model.memory();
+  for (std::size_t slot = 0; slot < memory.num_classes(); ++slot) {
+    const hdc::BundleAccumulator& acc = memory.accumulator(slot);
+    out << "slot " << slot << ' ' << memory.class_count(slot) << ' ' << acc.count() << ' '
         << (acc.tie_free() ? 1 : 0) << '\n';
     const auto counts = acc.counts();
     for (std::size_t i = 0; i < counts.size(); ++i) {
       out << counts[i] << (i + 1 == counts.size() ? '\n' : ' ');
     }
     if (counts.empty()) out << '\n';
-  };
-  const std::size_t slots = model.num_classes() * config.vectors_per_class;
-  for (std::size_t slot = 0; slot < slots; ++slot) {
-    if (config.backend == Backend::kPackedBinary) {
-      write_slot(slot, model.packed_memory().class_count(slot),
-                 model.packed_memory().accumulator(slot));
-    } else {
-      write_slot(slot, model.memory().class_count(slot), model.memory().accumulator(slot));
-    }
   }
   if (!out) {
     throw std::runtime_error("save_model: stream failure while writing");

@@ -141,7 +141,7 @@ hdc::QueryResult InferenceSnapshot::query(const hdc::PackedHypervector& query_hv
   if (query_hv.dimension() != config_.dimension) {
     throw std::invalid_argument("InferenceSnapshot::query: dimension mismatch");
   }
-  if (scores_counters()) {
+  if (!scores_packed()) {
     // The non-quantized model scores against raw integer counters; unpacking
     // recovers the exact bipolar components (the packing is a bijection on
     // ±1 data), matching what the trainer does with a packed query.
@@ -169,7 +169,7 @@ hdc::QueryResult InferenceSnapshot::query(const hdc::Hypervector& query_hv) cons
   if (query_hv.dimension() != config_.dimension) {
     throw std::invalid_argument("InferenceSnapshot::query: dimension mismatch");
   }
-  if (scores_counters()) {
+  if (!scores_packed()) {
     return query_counters(query_hv);
   }
   // Quantized scoring reduces every metric to the Hamming distance against
@@ -224,7 +224,7 @@ Prediction InferenceSnapshot::prediction_from(const hdc::QueryResult& result) co
 
 void InferenceSnapshot::predict_encoded_batch(const std::uint64_t* const* query_rows,
                                               std::size_t count, Prediction* out) const {
-  if (scores_counters()) {
+  if (!scores_packed()) {
     throw std::logic_error(
         "InferenceSnapshot::predict_encoded_batch: non-quantized models score raw counters; "
         "packed queries cannot reproduce the counter cosine");
@@ -293,6 +293,18 @@ bool encoder_compatible(const GraphHdConfig& a, const GraphHdConfig& b) noexcept
          a.neighborhood_rounds == b.neighborhood_rounds && a.backend == b.backend;
 }
 
+std::vector<Prediction> predict_dataset(const InferenceSnapshot& snapshot, GraphHdEncoder& encoder,
+                                        const data::GraphDataset& dataset) {
+  // Encode in parallel, then query concurrently: every query is a pure read
+  // on the immutable snapshot.
+  const std::vector<hdc::PackedHypervector> encoded = encode_dataset_packed(encoder, dataset);
+  std::vector<Prediction> predictions(dataset.size());
+  parallel::parallel_for(dataset.size(), [&](std::size_t i) {
+    predictions[i] = snapshot.predict_encoded(encoded[i]);
+  });
+  return predictions;
+}
+
 namespace {
 
 const GraphHdConfig& require_snapshot_config(
@@ -321,28 +333,11 @@ void SnapshotPredictor::swap(std::shared_ptr<const InferenceSnapshot> next) {
 }
 
 Prediction SnapshotPredictor::predict(const graph::Graph& graph) {
-  if (snapshot_->config().backend == Backend::kPackedBinary) {
-    return snapshot_->predict_encoded(encoder_.encode_packed(graph));
-  }
-  return snapshot_->predict_encoded(encoder_.encode(graph));
+  return snapshot_->predict_encoded(encoder_.encode_packed(graph));
 }
 
 std::vector<Prediction> SnapshotPredictor::predict_batch(const data::GraphDataset& test) {
-  // Same shape as GraphHdModel::predict_batch: encode in parallel, then
-  // query concurrently — every query is a pure read on the immutable
-  // snapshot, no finalize step needed.
-  const std::shared_ptr<const InferenceSnapshot> snap = snapshot_;
-  std::vector<Prediction> predictions(test.size());
-  if (snap->config().backend == Backend::kPackedBinary) {
-    const auto encoded = encode_dataset_packed(encoder_, test);
-    parallel::parallel_for(
-        test.size(), [&](std::size_t i) { predictions[i] = snap->predict_encoded(encoded[i]); });
-    return predictions;
-  }
-  const auto encoded = encode_dataset(encoder_, test);
-  parallel::parallel_for(
-      test.size(), [&](std::size_t i) { predictions[i] = snap->predict_encoded(encoded[i]); });
-  return predictions;
+  return predict_dataset(*snapshot_, encoder_, test);
 }
 
 void SnapshotPredictor::predict_stream(
@@ -356,23 +351,10 @@ void SnapshotPredictor::predict_stream(
   const std::shared_ptr<const InferenceSnapshot> snap = snapshot_;
   stream.reset();
   std::size_t index = 0;
-  while (true) {
-    const data::GraphDataset chunk = data::next_chunk(stream, chunk_size);
-    if (chunk.empty()) break;
-    std::vector<Prediction> predictions(chunk.size());
-    if (snap->config().backend == Backend::kPackedBinary) {
-      const auto encoded = encode_dataset_packed(encoder_, chunk);
-      parallel::parallel_for(chunk.size(), [&](std::size_t i) {
-        predictions[i] = snap->predict_encoded(encoded[i]);
-      });
-    } else {
-      const auto encoded = encode_dataset(encoder_, chunk);
-      parallel::parallel_for(chunk.size(), [&](std::size_t i) {
-        predictions[i] = snap->predict_encoded(encoded[i]);
-      });
-    }
-    for (std::size_t i = 0; i < predictions.size(); ++i) {
-      sink(index++, predictions[i]);
+  for (data::GraphDataset chunk = data::next_chunk(stream, chunk_size); !chunk.empty();
+       chunk = data::next_chunk(stream, chunk_size)) {
+    for (const Prediction& prediction : predict_dataset(*snap, encoder_, chunk)) {
+      sink(index++, prediction);
     }
   }
 }

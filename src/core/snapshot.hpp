@@ -18,12 +18,12 @@
 ///    replica cursors, so a snapshot round-trips through the v3 artifact
 ///    without consulting the trainer again.
 ///
-/// Quantized models (both backends) score queries with XOR + popcount
-/// against the packed words and hdc::similarity_from_hamming — bit-identical
-/// doubles to the dense quantized memory (dot == d - 2h on bipolar data).
-/// Non-quantized dense models reproduce BundleAccumulator::cosine over the
-/// counter rows exactly.  Either way a snapshot's QueryResult is
-/// bit-identical to the trainer's.
+/// quantized_model alone picks the scoring (scores_packed()): quantized
+/// models score queries with XOR + popcount against the packed words and
+/// hdc::similarity_from_hamming — bit-identical doubles to the dense
+/// quantized memory (dot == d - 2h on bipolar data); the others reproduce
+/// BundleAccumulator::cosine over the counter rows exactly.  Either way a
+/// snapshot's QueryResult is bit-identical to the trainer's.
 ///
 /// Storage is either owned (built from a trainer or a full artifact read) or
 /// *borrowed* from a memory-mapped v3 artifact, kept alive by a shared
@@ -102,6 +102,12 @@ class InferenceSnapshot {
   }
   [[nodiscard]] const SlotMeta& slot_meta(std::size_t slot) const;
 
+  /// The scoring representation, decided by quantized_model alone: true =
+  /// Hamming distances against the packed class words, false = cosine
+  /// against the raw counters.  The one rule every serving path (this
+  /// snapshot's queries, serve::Server, the TCP handshake) routes by.
+  [[nodiscard]] bool scores_packed() const noexcept { return config_.quantized_model; }
+
   /// Raw signed counters of one slot (dimension int32 values).
   [[nodiscard]] std::span<const std::int32_t> counters(std::size_t slot) const;
   /// Finalized packed class words of one slot (words_per_slot() words).
@@ -151,13 +157,6 @@ class InferenceSnapshot {
 
  private:
   void init_rows_and_validate();
-  /// True when queries score against raw counters (the non-quantized dense
-  /// model).  The packed backend is quantized by construction — binary class
-  /// vectors are majority-thresholded — so it always takes the Hamming path,
-  /// mirroring PackedClassMemory.
-  [[nodiscard]] bool scores_counters() const noexcept {
-    return !config_.quantized_model && config_.backend != Backend::kPackedBinary;
-  }
   [[nodiscard]] hdc::QueryResult query_counters(const hdc::Hypervector& query_hv) const;
 
   GraphHdConfig config_;
@@ -219,5 +218,13 @@ class SnapshotPredictor {
 /// True when `a` and `b` agree on every field the encoder depends on (the
 /// compatibility contract of SnapshotPredictor::swap).
 [[nodiscard]] bool encoder_compatible(const GraphHdConfig& a, const GraphHdConfig& b) noexcept;
+
+/// Encodes every sample of `dataset` (encode_dataset_packed: in parallel,
+/// labels bound as the trainer binds them) and classifies each against
+/// `snapshot` — the shared body of the trainer's and SnapshotPredictor's
+/// batch and stream predict paths.  Bit-identical at any thread count.
+[[nodiscard]] std::vector<Prediction> predict_dataset(const InferenceSnapshot& snapshot,
+                                                      GraphHdEncoder& encoder,
+                                                      const data::GraphDataset& dataset);
 
 }  // namespace graphhd::core

@@ -162,11 +162,7 @@ class GinClassifier final : public GraphClassifier {
 
 }  // namespace
 
-ClassifierFactory make_graphhd_factory(core::GraphHdConfig config, bool honor_backend_env) {
-  // Eval-layer knob: GRAPHHD_BACKEND flips every GraphHD instance built by
-  // this factory (cross_validate folds, fig3/fig4 harnesses) to the chosen
-  // backend without recompiling; the config's own backend is the fallback.
-  if (honor_backend_env) config.backend = core::backend_from_env(config.backend);
+ClassifierFactory make_graphhd_factory(const core::GraphHdConfig& config) {
   return [config](std::uint64_t seed) -> std::unique_ptr<GraphClassifier> {
     core::GraphHdConfig fold_config = config;
     fold_config.seed = hdc::derive_seed(config.seed, seed);
@@ -174,9 +170,7 @@ ClassifierFactory make_graphhd_factory(core::GraphHdConfig config, bool honor_ba
   };
 }
 
-StreamingClassifierFactory make_graphhd_stream_factory(core::GraphHdConfig config,
-                                                       bool honor_backend_env) {
-  if (honor_backend_env) config.backend = core::backend_from_env(config.backend);
+StreamingClassifierFactory make_graphhd_stream_factory(const core::GraphHdConfig& config) {
   return [config](std::uint64_t seed) -> std::unique_ptr<StreamingGraphClassifier> {
     // Same per-fold seed mixing as make_graphhd_factory — a requirement of
     // the streamed-equals-materialized CV guarantee, not a style choice.

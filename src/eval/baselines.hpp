@@ -19,13 +19,8 @@ enum class KernelKind {
 };
 
 /// GraphHD with the given base config (the per-fold seed is mixed into
-/// config.seed).  When `honor_backend_env` is true (default), the
-/// GRAPHHD_BACKEND environment variable overrides config.backend for every
-/// classifier the factory builds — the eval harnesses and CI select the
-/// packed backend this way.  Callers that resolve the backend themselves
-/// (e.g. a CLI flag that must beat the env) pass false.
-[[nodiscard]] ClassifierFactory make_graphhd_factory(core::GraphHdConfig config = {},
-                                                     bool honor_backend_env = true);
+/// config.seed).
+[[nodiscard]] ClassifierFactory make_graphhd_factory(const core::GraphHdConfig& config = {});
 
 /// Streaming GraphHD for cross_validate_stream: identical config/seed
 /// handling to make_graphhd_factory, but each classifier trains and predicts
@@ -33,7 +28,7 @@ enum class KernelKind {
 /// bit-identical to fit/predict_batch, so the two factories produce the same
 /// predictions for the same per-fold seed.
 [[nodiscard]] StreamingClassifierFactory make_graphhd_stream_factory(
-    core::GraphHdConfig config = {}, bool honor_backend_env = true);
+    const core::GraphHdConfig& config = {});
 
 /// Kernel + one-vs-one SVM with the paper's hyperparameter protocol:
 /// WL depth from {0..max_wl_iterations}, C from grid.c_grid, chosen by inner

@@ -195,7 +195,7 @@ CvResult cross_validate_stream(const std::string& method_name,
         "shared stream, so folds must run serially (encoding inside each fold is still "
         "parallel)");
   }
-  const core::StreamOptions stream_options = config.stream_options();
+  const core::StreamOptions& stream_options = config.stream;
   stream_options.validate("cross_validate_stream");
   validate_cv_protocol("cross_validate_stream", config);
 

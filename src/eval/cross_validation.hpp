@@ -42,19 +42,6 @@ struct CvConfig {
   /// — the knobs trade pull overhead against peak memory.
   core::StreamOptions stream{};
 
-  /// Deprecated: pre-PR-8 positional chunk knob.  0 (the default) defers to
-  /// `stream`; a nonzero value overrides stream.chunk so existing callers
-  /// keep their behavior.  See stream_options().
-  std::size_t stream_chunk = 0;
-
-  /// The resolved stream options: `stream`, with the legacy `stream_chunk`
-  /// override applied when set.
-  [[nodiscard]] core::StreamOptions stream_options() const {
-    core::StreamOptions resolved = stream;
-    if (stream_chunk != 0) resolved.chunk = stream_chunk;
-    return resolved;
-  }
-
   /// Record every fold's predicted labels in FoldResult::predictions (test
   /// samples in ascending dataset/stream order).  Off by default: the
   /// paper's protocol only needs accuracies, and figure runs keep results

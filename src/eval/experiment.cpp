@@ -46,14 +46,13 @@ std::vector<CvResult> run_figure3(
 }
 
 CvResult run_graphhd_stream_cv(data::GraphStream& stream, const std::string& dataset_name,
-                               const ExperimentConfig& config, core::GraphHdConfig hd_config,
-                               bool honor_backend_env) {
+                               const ExperimentConfig& config,
+                               const core::GraphHdConfig& hd_config) {
   std::fprintf(stderr, "[eval-stream] %-10s x GraphHD (%zu folds x %zu reps, chunk %zu)...\n",
                dataset_name.c_str(), config.cv.folds, config.cv.repetitions,
-               config.cv.stream_options().chunk);
-  return cross_validate_stream("GraphHD",
-                               make_graphhd_stream_factory(hd_config, honor_backend_env),
-                               stream, dataset_name, config.cv);
+               config.cv.stream.chunk);
+  return cross_validate_stream("GraphHD", make_graphhd_stream_factory(hd_config), stream,
+                               dataset_name, config.cv);
 }
 
 std::vector<ScalabilityPoint> run_figure4(const ExperimentConfig& config,

@@ -45,14 +45,11 @@ struct ExperimentConfig {
 /// Runs the CV protocol for GraphHD over a GraphStream through
 /// cross_validate_stream — the streaming counterpart of one fig-3 cell,
 /// shared by `graphhd_cli eval --stream` and bench/stress_eval.  Uses
-/// config.cv (folds / repetitions / seed / stream_chunk / stratified).
-/// `honor_backend_env` as in make_graphhd_factory: callers that resolved
-/// the backend themselves (CLI --backend flag) pass false.
+/// config.cv (folds / repetitions / seed / stream / stratified).
 [[nodiscard]] CvResult run_graphhd_stream_cv(data::GraphStream& stream,
                                              const std::string& dataset_name,
                                              const ExperimentConfig& config,
-                                             core::GraphHdConfig hd_config = {},
-                                             bool honor_backend_env = true);
+                                             const core::GraphHdConfig& hd_config = {});
 
 /// One point of the Fig. 4 scaling curve.
 struct ScalabilityPoint {

@@ -1,9 +1,28 @@
 #include "hdc/assoc_memory.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace graphhd::hdc {
+
+namespace {
+
+/// Scores every class with `score` and keeps the first maximum.
+template <typename Score>
+QueryResult scan_classes(std::size_t num_classes, Score&& score) {
+  QueryResult result;
+  result.similarities.resize(num_classes);
+  for (std::size_t c = 0; c < num_classes; ++c) {
+    const double s = score(c);
+    result.similarities[c] = s;
+    if (s > result.best_similarity) {
+      result.best_similarity = s;
+      result.best_class = c;
+    }
+  }
+  return result;
+}
+
+}  // namespace
 
 double QueryResult::margin() const noexcept {
   if (similarities.size() < 2) return 0.0;
@@ -32,24 +51,44 @@ AssociativeMemory::AssociativeMemory(std::size_t dimension, std::size_t num_clas
   counts_.assign(num_classes, 0);
 }
 
-void AssociativeMemory::add(std::size_t label, const Hypervector& encoded) {
+template <typename Vector>
+void AssociativeMemory::add_sample(std::size_t label, const Vector& encoded) {
   if (label >= accumulators_.size()) {
     throw std::out_of_range("AssociativeMemory::add: label out of range");
   }
-  accumulators_[label].add(encoded);
+  accumulators_[label].add(encoded, 1);
   ++counts_[label];
-  dirty_ = true;
+  mark_dirty();
 }
 
-void AssociativeMemory::retrain_update(std::size_t true_label, std::size_t predicted_label,
-                                       const Hypervector& encoded) {
+template <typename Vector>
+void AssociativeMemory::retrain(std::size_t true_label, std::size_t predicted_label,
+                                const Vector& encoded) {
   if (true_label >= accumulators_.size() || predicted_label >= accumulators_.size()) {
     throw std::out_of_range("AssociativeMemory::retrain_update: label out of range");
   }
   if (true_label == predicted_label) return;
   accumulators_[true_label].add(encoded, 1);
   accumulators_[predicted_label].add(encoded, -1);
-  dirty_ = true;
+  mark_dirty();
+}
+
+void AssociativeMemory::add(std::size_t label, const Hypervector& encoded) {
+  add_sample(label, encoded);
+}
+
+void AssociativeMemory::add(std::size_t label, const PackedHypervector& encoded) {
+  add_sample(label, encoded);
+}
+
+void AssociativeMemory::retrain_update(std::size_t true_label, std::size_t predicted_label,
+                                       const Hypervector& encoded) {
+  retrain(true_label, predicted_label, encoded);
+}
+
+void AssociativeMemory::retrain_update(std::size_t true_label, std::size_t predicted_label,
+                                       const PackedHypervector& encoded) {
+  retrain(true_label, predicted_label, encoded);
 }
 
 std::size_t AssociativeMemory::class_count(std::size_t label) const {
@@ -63,8 +102,16 @@ Hypervector AssociativeMemory::class_vector(std::size_t label) const {
   if (label >= accumulators_.size()) {
     throw std::out_of_range("AssociativeMemory::class_vector: label out of range");
   }
-  finalize();
+  finalize_bipolar();
   return cached_class_vectors_[label];
+}
+
+const PackedHypervector& AssociativeMemory::packed_class_vector(std::size_t label) const {
+  if (label >= accumulators_.size()) {
+    throw std::out_of_range("AssociativeMemory::packed_class_vector: label out of range");
+  }
+  finalize_packed();
+  return cached_packed_vectors_[label];
 }
 
 const BundleAccumulator& AssociativeMemory::accumulator(std::size_t label) const {
@@ -84,7 +131,7 @@ void AssociativeMemory::restore(std::size_t label, BundleAccumulator accumulator
   }
   accumulators_[label] = std::move(accumulator);
   counts_[label] = sample_count;
-  dirty_ = true;
+  mark_dirty();
 }
 
 void AssociativeMemory::merge(const AssociativeMemory& other) {
@@ -96,10 +143,20 @@ void AssociativeMemory::merge(const AssociativeMemory& other) {
     accumulators_[slot].merge(other.accumulators_[slot]);
     counts_[slot] += other.counts_[slot];
   }
+  mark_dirty();
+}
+
+void AssociativeMemory::mark_dirty() noexcept {
   dirty_ = true;
+  packed_dirty_ = true;
 }
 
 void AssociativeMemory::finalize() const {
+  finalize_bipolar();
+  finalize_packed();
+}
+
+void AssociativeMemory::finalize_bipolar() const {
   if (!dirty_) return;
   cached_class_vectors_.clear();
   cached_class_vectors_.reserve(accumulators_.size());
@@ -111,29 +168,40 @@ void AssociativeMemory::finalize() const {
   dirty_ = false;
 }
 
-double AssociativeMemory::score(std::size_t label, const Hypervector& query) const {
-  if (quantized_) {
-    return similarity(cached_class_vectors_[label], query, metric_);
+void AssociativeMemory::finalize_packed() const {
+  if (!packed_dirty_) return;
+  cached_packed_vectors_.clear();
+  cached_packed_vectors_.reserve(accumulators_.size());
+  for (std::size_t c = 0; c < accumulators_.size(); ++c) {
+    cached_packed_vectors_.push_back(
+        accumulators_[c].threshold_packed(derive_seed(kMajorityTieSeed, c)));
   }
-  return accumulators_[label].cosine(query);
+  packed_dirty_ = false;
 }
 
 QueryResult AssociativeMemory::query(const Hypervector& query_hv) const {
   if (query_hv.dimension() != dimension_) {
     throw std::invalid_argument("AssociativeMemory::query: dimension mismatch");
   }
-  finalize();
-  QueryResult result;
-  result.similarities.resize(accumulators_.size());
-  for (std::size_t c = 0; c < accumulators_.size(); ++c) {
-    const double s = score(c, query_hv);
-    result.similarities[c] = s;
-    if (s > result.best_similarity) {
-      result.best_similarity = s;
-      result.best_class = c;
-    }
+  if (!quantized_) {
+    return scan_classes(accumulators_.size(),
+                        [&](std::size_t c) { return accumulators_[c].cosine(query_hv); });
   }
-  return result;
+  finalize_bipolar();
+  return scan_classes(accumulators_.size(), [&](std::size_t c) {
+    return similarity(cached_class_vectors_[c], query_hv, metric_);
+  });
+}
+
+QueryResult AssociativeMemory::query(const PackedHypervector& query_hv) const {
+  if (query_hv.dimension() != dimension_) {
+    throw std::invalid_argument("AssociativeMemory::query: dimension mismatch");
+  }
+  if (!quantized_) return query(query_hv.to_bipolar());
+  finalize_packed();
+  return scan_classes(accumulators_.size(), [&](std::size_t c) {
+    return similarity(cached_packed_vectors_[c], query_hv, metric_);
+  });
 }
 
 }  // namespace graphhd::hdc

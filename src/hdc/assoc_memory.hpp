@@ -6,15 +6,22 @@
 /// most similar to the query.  This class supports both the paper's
 /// majority-quantized class vectors and the integer-accumulator ("counter")
 /// model that the retraining extension updates in place.
+///
+/// Samples and queries come in either representation.  Bipolar vectors take
+/// the paper-exact reference path; packed vectors (bit set = bipolar -1) take
+/// the packed kernels — accumulate_packed for bundling, popcount Hamming
+/// distances for quantized queries — and produce the same counters and the
+/// same similarity doubles, so the two paths are interchangeable bit for bit
+/// (tests/test_packed_assoc.cpp).
 
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
 #include "hdc/ops.hpp"
+#include "hdc/packed.hpp"
 
 namespace graphhd::hdc {
 
@@ -47,11 +54,14 @@ class AssociativeMemory {
 
   /// Adds an encoded training sample to class `label`.
   void add(std::size_t label, const Hypervector& encoded);
+  void add(std::size_t label, const PackedHypervector& encoded);
 
   /// Signed update used by perceptron-style retraining: adds the sample to
   /// its true class and subtracts it from the class it was mispredicted as.
   void retrain_update(std::size_t true_label, std::size_t predicted_label,
                       const Hypervector& encoded);
+  void retrain_update(std::size_t true_label, std::size_t predicted_label,
+                      const PackedHypervector& encoded);
 
   /// Number of samples added to class `label` so far.
   [[nodiscard]] std::size_t class_count(std::size_t label) const;
@@ -59,12 +69,21 @@ class AssociativeMemory {
   /// The quantized class vector C_i (majority of the accumulator).
   [[nodiscard]] Hypervector class_vector(std::size_t label) const;
 
+  /// C_i in packed form: always the exact packing of class_vector(label).
+  [[nodiscard]] const PackedHypervector& packed_class_vector(std::size_t label) const;
+
   /// Classifies `query`; requires at least one class.
   [[nodiscard]] QueryResult query(const Hypervector& query) const;
 
-  /// Rebuilds the cached quantized class vectors; called automatically by
-  /// query() when the memory is dirty, exposed for benchmarks that want the
-  /// finalization cost outside the timed region.
+  /// Classifies a packed query.  A quantized memory scores Hamming distances
+  /// against the packed class vectors (hdc::similarity_from_hamming, the same
+  /// doubles as the bipolar query); a counter memory unpacks the query, which
+  /// is exact on ±1 data.
+  [[nodiscard]] QueryResult query(const PackedHypervector& query) const;
+
+  /// Rebuilds the cached quantized class vectors of both representations;
+  /// queries rebuild the cache they read when the memory is dirty, so this is
+  /// for benchmarks that want the finalization cost outside the timed region.
   void finalize() const;
 
   /// Raw accumulator of one class slot (serialization / diagnostics).
@@ -82,15 +101,24 @@ class AssociativeMemory {
   void merge(const AssociativeMemory& other);
 
  private:
-  [[nodiscard]] double score(std::size_t label, const Hypervector& query) const;
+  template <typename Vector>
+  void add_sample(std::size_t label, const Vector& encoded);
+  template <typename Vector>
+  void retrain(std::size_t true_label, std::size_t predicted_label, const Vector& encoded);
+  void mark_dirty() noexcept;
+  void finalize_bipolar() const;
+  void finalize_packed() const;
 
   std::size_t dimension_;
   Similarity metric_;
   bool quantized_;
   std::vector<BundleAccumulator> accumulators_;
   std::vector<std::size_t> counts_;
+  /// Quantized class vectors, rebuilt on demand per representation.
   mutable std::vector<Hypervector> cached_class_vectors_;
+  mutable std::vector<PackedHypervector> cached_packed_vectors_;
   mutable bool dirty_ = true;
+  mutable bool packed_dirty_ = true;
 };
 
 }  // namespace graphhd::hdc

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "hdc/kernels/kernels.hpp"
+#include "hdc/packed.hpp"
 
 namespace graphhd::hdc {
 
@@ -113,6 +114,13 @@ void BundleAccumulator::add(const Hypervector& hv, std::int32_t weight) {
   if ((weight & 1) != 0) weight_parity_odd_ = !weight_parity_odd_;
 }
 
+void BundleAccumulator::add(const PackedHypervector& hv, std::int32_t weight) {
+  require_same_dimension(counts_.size(), hv.dimension(), "BundleAccumulator::add");
+  kernels::active().accumulate_packed(counts_.data(), hv.words().data(), counts_.size(), weight);
+  ++count_;
+  if ((weight & 1) != 0) weight_parity_odd_ = !weight_parity_odd_;
+}
+
 void BundleAccumulator::merge(const BundleAccumulator& other) {
   require_same_dimension(counts_.size(), other.counts_.size(), "BundleAccumulator::merge");
   for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
@@ -155,6 +163,25 @@ Hypervector BundleAccumulator::threshold(std::uint64_t tie_break_seed) const {
     }
   }
   return Hypervector(std::move(out));
+}
+
+PackedHypervector BundleAccumulator::threshold_packed(std::uint64_t tie_break_seed) const {
+  const std::size_t dimension = counts_.size();
+  const std::size_t num_words = (dimension + 63) / 64;
+  std::vector<std::uint64_t> negative(num_words, 0);
+  std::vector<std::uint64_t> zero(num_words, 0);
+  kernels::active().threshold_counters(counts_.data(), dimension, negative.data(), zero.data());
+  if (weight_parity_odd_) {
+    // Odd total weight leaves no zero counter, so threshold() skips the tie
+    // stream; a zero restored through from_raw maps to -1 there, and here.
+    for (std::size_t w = 0; w < num_words; ++w) negative[w] |= zero[w];
+  } else {
+    // Zero counters are ties, resolved by the seeded stream with one sign
+    // per component, as in threshold().
+    const std::vector<std::uint64_t> tie = tie_sign_words(tie_break_seed, dimension);
+    for (std::size_t w = 0; w < num_words; ++w) negative[w] |= zero[w] & tie[w];
+  }
+  return PackedHypervector::from_words(std::move(negative), dimension);
 }
 
 double BundleAccumulator::cosine(const Hypervector& hv) const {

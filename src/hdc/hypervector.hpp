@@ -18,11 +18,13 @@
 namespace graphhd::hdc {
 
 /// Default seed of the majority tie-break stream used when thresholding
-/// bundles.  Every consumer of the convention — BundleAccumulator,
-/// PackedBundleAccumulator, the class memories and the inference snapshot —
-/// must derive its per-slot streams from this one constant, or quantized
-/// class vectors stop being reproducible across representations.
+/// bundles.  Every consumer of the convention — BundleAccumulator (dense and
+/// packed thresholds), the class memory and the inference snapshot — must
+/// derive its per-slot streams from this one constant, or quantized class
+/// vectors stop being reproducible across representations.
 inline constexpr std::uint64_t kMajorityTieSeed = 0x7fb5d329728ea185ULL;
+
+class PackedHypervector;
 
 /// Dense bipolar hypervector with components in {-1, +1}.
 ///
@@ -114,6 +116,11 @@ class BundleAccumulator {
   /// from the mispredicted one).
   void add(const Hypervector& hv, std::int32_t weight);
 
+  /// Adds a packed vector (bit set = bipolar -1) with an integer weight:
+  /// the same counters as add(hv.to_bipolar(), weight), through the
+  /// accumulate_packed kernel.
+  void add(const PackedHypervector& hv, std::int32_t weight = 1);
+
   /// Removes one previously added hypervector (weight -1 shortcut).
   void subtract(const Hypervector& hv) { add(hv, -1); }
 
@@ -136,6 +143,11 @@ class BundleAccumulator {
   /// When the accumulated weight parity is odd no component can be zero and
   /// the tie stream is skipped entirely (identical output, faster).
   [[nodiscard]] Hypervector threshold(std::uint64_t tie_break_seed = kMajorityTieSeed) const;
+
+  /// threshold() in packed form, computed on counter words without a
+  /// bipolar round trip: always the exact packing of threshold(seed).
+  [[nodiscard]] PackedHypervector threshold_packed(
+      std::uint64_t tie_break_seed = kMajorityTieSeed) const;
 
   /// True when ties are impossible (odd total absolute weight).
   [[nodiscard]] bool tie_free() const noexcept { return weight_parity_odd_; }

@@ -59,7 +59,7 @@ struct KernelOps {
 
   // --- signed per-component counters (bundling) ---------------------------
   /// counts[i] += bit_i(bits) ? -weight : +weight for i < dimension — the
-  /// PackedBundleAccumulator weighted add.
+  /// packed BundleAccumulator weighted add.
   void (*accumulate_packed)(std::int32_t* counts, const std::uint64_t* bits,
                             std::size_t dimension, std::int32_t weight);
   /// Majority threshold masks: sets bit i of `negative` iff counts[i] < 0

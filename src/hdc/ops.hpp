@@ -41,7 +41,7 @@ enum class Similarity {
 
 /// Maps one Hamming distance to the metric's similarity double — the
 /// post-processing step after a batched one-vs-all distance kernel.  This is
-/// *the* conversion site shared by every packed scorer (PackedClassMemory,
+/// *the* conversion site shared by every packed scorer (AssociativeMemory,
 /// core::InferenceSnapshot): on bipolar data dot == d - 2h, so cosine and
 /// the 1/d-scaled dot are the same division the dense quantized path
 /// performs, and inverse Hamming shares its expression with similarity().

@@ -1,6 +1,5 @@
 #include "hdc/packed.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -114,62 +113,6 @@ void PackedHypervector::mask_tail() noexcept {
   if (tail_bits != 0 && !words_.empty()) {
     words_.back() &= (std::uint64_t{1} << tail_bits) - 1;
   }
-}
-
-PackedBundleAccumulator::PackedBundleAccumulator(std::size_t dimension)
-    : counts_(dimension, 0) {}
-
-PackedBundleAccumulator PackedBundleAccumulator::from_raw(std::vector<std::int32_t> counts,
-                                                          std::size_t count,
-                                                          bool weight_parity_odd) {
-  PackedBundleAccumulator acc;
-  acc.counts_ = std::move(counts);
-  acc.count_ = count;
-  acc.weight_parity_odd_ = weight_parity_odd;
-  return acc;
-}
-
-void PackedBundleAccumulator::add(const PackedHypervector& hv, std::int32_t weight) {
-  require_same_dimension(counts_.size(), hv.dimension(), "PackedBundleAccumulator::add");
-  kernels::active().accumulate_packed(counts_.data(), hv.words().data(), counts_.size(), weight);
-  ++count_;
-  // Every component moves by ±weight, so all counters share one parity.
-  if ((weight & 1) != 0) weight_parity_odd_ = !weight_parity_odd_;
-}
-
-void PackedBundleAccumulator::merge(const PackedBundleAccumulator& other) {
-  require_same_dimension(counts_.size(), other.counts_.size(),
-                         "PackedBundleAccumulator::merge");
-  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
-  count_ += other.count_;
-  weight_parity_odd_ = weight_parity_odd_ != other.weight_parity_odd_;
-}
-
-PackedHypervector PackedBundleAccumulator::threshold(std::uint64_t tie_break_seed) const {
-  const std::size_t dimension = counts_.size();
-  const std::size_t num_words = (dimension + 63) / 64;
-  std::vector<std::uint64_t> negative(num_words, 0);
-  if (weight_parity_odd_) {
-    // Odd total weight: no counter can be zero, the tie stream is never
-    // consulted — skip generating it (identical result, faster).
-    kernels::active().threshold_counters(counts_.data(), dimension, negative.data(), nullptr);
-    return PackedHypervector::from_words(std::move(negative), dimension);
-  }
-  // Even weight: the zero counters are ties, resolved by the seeded stream
-  // with one sign per component (not per tie) so that the result for a given
-  // counter vector does not depend on *which* components are tied — the
-  // BundleAccumulator convention (bit set corresponds to bipolar -1).
-  std::vector<std::uint64_t> zero(num_words, 0);
-  kernels::active().threshold_counters(counts_.data(), dimension, negative.data(), zero.data());
-  const std::vector<std::uint64_t> tie = tie_sign_words(tie_break_seed, dimension);
-  for (std::size_t w = 0; w < num_words; ++w) negative[w] |= zero[w] & tie[w];
-  return PackedHypervector::from_words(std::move(negative), dimension);
-}
-
-void PackedBundleAccumulator::clear() noexcept {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  weight_parity_odd_ = false;
 }
 
 }  // namespace graphhd::hdc

@@ -96,60 +96,4 @@ class PackedHypervector {
   std::size_t dimension_ = 0;
 };
 
-/// Majority bundling of packed vectors via per-component signed counters.
-/// Mirrors BundleAccumulator exactly — same counter convention (+weight for
-/// a clear bit / bipolar +1, -weight for a set bit / bipolar -1), same
-/// seeded tie-break, same serialized raw state — so a packed class memory
-/// trained through this accumulator is bit-identical to the dense quantized
-/// model (property-tested in tests/test_packed.cpp).
-class PackedBundleAccumulator {
- public:
-  PackedBundleAccumulator() = default;
-  explicit PackedBundleAccumulator(std::size_t dimension);
-
-  /// Reconstructs an accumulator from its serialized state (see
-  /// BundleAccumulator::from_raw — the raw representation is shared).
-  [[nodiscard]] static PackedBundleAccumulator from_raw(std::vector<std::int32_t> counts,
-                                                        std::size_t count,
-                                                        bool weight_parity_odd);
-
-  [[nodiscard]] std::size_t dimension() const noexcept { return counts_.size(); }
-  [[nodiscard]] std::size_t count() const noexcept { return count_; }
-  [[nodiscard]] std::span<const std::int32_t> counts() const noexcept { return counts_; }
-
-  /// Adds one packed vector to the bundle.
-  void add(const PackedHypervector& hv) { add(hv, 1); }
-
-  /// Adds a packed vector with an integer weight (perceptron-style
-  /// retraining adds the sample to the true class and subtracts it from the
-  /// mispredicted one).
-  void add(const PackedHypervector& hv, std::int32_t weight);
-
-  /// Removes one previously added vector (weight -1 shortcut).
-  void subtract(const PackedHypervector& hv) { add(hv, -1); }
-
-  /// Folds another accumulator in — exact counter addition, the same
-  /// operation as BundleAccumulator::merge (the raw state is shared, so the
-  /// two representations merge identically).  Dimensions must match.
-  void merge(const PackedBundleAccumulator& other);
-
-  /// Majority threshold: bit set iff the signed counter is negative (the
-  /// bipolar sign convention); zero counters resolved by the seeded ±1
-  /// stream with one draw per component.  Identical output to
-  /// BundleAccumulator::threshold followed by from_bipolar.
-  [[nodiscard]] PackedHypervector threshold(
-      std::uint64_t tie_break_seed = kMajorityTieSeed) const;
-
-  /// True when ties are impossible (odd total absolute weight).
-  [[nodiscard]] bool tie_free() const noexcept { return weight_parity_odd_; }
-
-  /// Resets to all-zero counters (dimension preserved).
-  void clear() noexcept;
-
- private:
-  std::vector<std::int32_t> counts_;  ///< signed per-component counters.
-  std::size_t count_ = 0;
-  bool weight_parity_odd_ = false;  ///< parity of the total absolute weight.
-};
-
 }  // namespace graphhd::hdc

@@ -108,9 +108,9 @@ class Rng {
 /// draw of Rng(seed).next_sign() is negative, for i < dimension; bits at and
 /// beyond `dimension` are zero.  This is the word-level form of the
 /// "one draw per component" bundling tie-break convention shared by
-/// BundleAccumulator, PackedBundleAccumulator and BitsliceBundler — the
-/// callers OR it into their majority masks instead of re-implementing the
-/// per-bit loop (see hdc/packed.cpp and hdc/bitslice.cpp).
+/// BundleAccumulator::threshold_packed and BitsliceBundler — the callers OR
+/// it into their majority masks instead of re-implementing the per-bit loop
+/// (see hdc/hypervector.cpp and hdc/bitslice.cpp).
 [[nodiscard]] std::vector<std::uint64_t> tie_sign_words(std::uint64_t seed,
                                                         std::size_t dimension);
 

@@ -4,29 +4,18 @@
 
 namespace graphhd::serve {
 
-Client::Client(Server& server)
-    : server_(server),
-      encoder_(server.snapshot()->config()),
-      packed_backend_(server.snapshot()->config().backend == core::Backend::kPackedBinary) {}
+Client::Client(Server& server) : server_(server), encoder_(server.snapshot()->config()) {}
 
 core::Prediction Client::predict(const graph::Graph& graph) { return submit(graph).get(); }
 
 std::future<core::Prediction> Client::submit(const graph::Graph& graph) {
-  // Mirror SnapshotPredictor::predict: the packed backend encodes straight
-  // into packed words, the dense backend encodes bipolar components (the
-  // server converts to its scoring representation if needed).
-  if (packed_backend_) {
-    return server_.submit(encoder_.encode_packed(graph));
-  }
-  return server_.submit(encoder_.encode(graph));
+  // Packed, as SnapshotPredictor::predict encodes; the server converts to
+  // its scoring representation exactly.
+  return server_.submit(encoder_.encode_packed(graph));
 }
 
 void Client::submit(const graph::Graph& graph, Server::Callback callback) {
-  if (packed_backend_) {
-    server_.submit(encoder_.encode_packed(graph), std::move(callback));
-    return;
-  }
-  server_.submit(encoder_.encode(graph), std::move(callback));
+  server_.submit(encoder_.encode_packed(graph), std::move(callback));
 }
 
 }  // namespace graphhd::serve

@@ -46,7 +46,6 @@ class Client {
  private:
   Server& server_;
   core::GraphHdEncoder encoder_;
-  bool packed_backend_ = false;
 };
 
 }  // namespace graphhd::serve

@@ -70,7 +70,7 @@ struct TcpClientConfig {
   std::uint32_t max_frame_bytes = kMaxFrameBytes;
   /// When set, the handshake fails with kHandshakeMismatch unless the
   /// server's config hash equals this (pin a client to one exact model).
-  std::optional<std::uint64_t> expect_config_hash;
+  std::optional<std::uint64_t> expect_config_hash{};
 };
 
 /// One connection to a TcpServer.

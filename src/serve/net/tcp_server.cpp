@@ -95,7 +95,13 @@ TcpServer::TcpServer(Server& server, TcpServerConfig config)
   io_thread_ = std::thread([this] { io_loop(); });
 }
 
-TcpServer::~TcpServer() { stop(); }
+TcpServer::~TcpServer() {
+  stop();
+  // Closed only now: every completion has made its last wake() (see
+  // finish_request), so no write can hit a closed, reused or readerless fd.
+  close_quietly(wake_read_fd_);
+  close_quietly(wake_write_fd_);
+}
 
 TcpServerStats TcpServer::stats() const noexcept {
   return {
@@ -113,16 +119,20 @@ void TcpServer::stop() {
     // Every submitted request's callback deposits its response frame (or
     // gives up on a dead connection) before decrementing — once the counter
     // hits zero the IO thread only has flushing left to do.
+    const auto drained = [this] { return outstanding_.load(std::memory_order_acquire) == 0; };
     {
       std::unique_lock<std::mutex> lock(outstanding_mutex_);
-      outstanding_cv_.wait(lock, [this] {
-        return outstanding_.load(std::memory_order_acquire) == 0;
-      });
+      outstanding_cv_.wait(lock, drained);
     }
     wake();
     if (io_thread_.joinable()) {
       io_thread_.join();
     }
+    // Requests the IO thread read after the wait above have completed too
+    // (the loop exits only at zero); waiting once more under the mutex means
+    // no completion is still inside finish_request when the destructor runs.
+    std::unique_lock<std::mutex> lock(outstanding_mutex_);
+    outstanding_cv_.wait(lock, drained);
   });
 }
 
@@ -143,6 +153,16 @@ void TcpServer::io_loop() {
     const bool stopping = stopping_.load(std::memory_order_acquire);
     if (stopping && !drain_deadline) {
       drain_deadline = Clock::now() + std::chrono::milliseconds(config_.drain_timeout_ms);
+      // POLLIN stays unarmed from here on.  Requests already in the socket
+      // buffers were sent before the stop: read them once and answer them,
+      // because closing a socket with unread bytes resets the connection and
+      // loses the responses queued for it.
+      for (const auto& conn : connections_) {
+        if (!conn->dead.load(std::memory_order_acquire) && !conn->draining &&
+            !read_ready(conn)) {
+          conn->dead.store(true, std::memory_order_release);
+        }
+      }
     }
 
     pollfds.clear();
@@ -250,8 +270,6 @@ void TcpServer::io_loop() {
   }
   connections_.clear();
   close_quietly(listen_fd_);
-  close_quietly(wake_read_fd_);
-  close_quietly(wake_write_fd_);
 }
 
 void TcpServer::accept_ready() {
@@ -327,10 +345,8 @@ bool TcpServer::drain_inbox(const std::shared_ptr<Connection>& conn) {
       consumed += kClientHelloBytes;
       conn->handshaken = true;
       const auto snapshot = server_.snapshot();
-      const auto& config = snapshot->config();
-      const bool packed_mode = config.quantized_model ||
-                               config.backend == core::Backend::kPackedBinary;
-      enqueue_bytes(conn, encode_server_hello(config, snapshot->num_classes(), packed_mode));
+      enqueue_bytes(conn, encode_server_hello(snapshot->config(), snapshot->num_classes(),
+                                              snapshot->scores_packed()));
       continue;
     }
     if (available() < sizeof(std::uint32_t)) {
@@ -393,12 +409,7 @@ void TcpServer::submit_request(const std::shared_ptr<Connection>& conn,
       // Encoding/allocation failure: the client times out on this id, the
       // serving loop keeps running.
     }
-    conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(outstanding_mutex_);
-      outstanding_cv_.notify_all();
-    }
-    wake();
+    finish_request(*conn);
   };
 
   try {
@@ -415,14 +426,21 @@ void TcpServer::submit_request(const std::shared_ptr<Connection>& conn,
     }
     stat_requests_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& error) {
-    conn->in_flight.fetch_sub(1, std::memory_order_acq_rel);
-    if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(outstanding_mutex_);
-      outstanding_cv_.notify_all();
-    }
+    finish_request(*conn);
     const ErrorCode code =
         server_.stopped() ? ErrorCode::kShuttingDown : ErrorCode::kInternal;
     send_error(conn, request_id, code, error.what());
+  }
+}
+
+void TcpServer::finish_request(Connection& conn) noexcept {
+  // Wake before the counters drop: once outstanding_ reads zero, stop() may
+  // return and the destructor may close the wake pipe.
+  wake();
+  conn.in_flight.fetch_sub(1, std::memory_order_acq_rel);
+  const std::lock_guard<std::mutex> lock(outstanding_mutex_);
+  if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    outstanding_cv_.notify_all();
   }
 }
 

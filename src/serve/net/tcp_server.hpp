@@ -27,10 +27,12 @@
 /// connection keep serving.  Fuzzed by tests/test_net.cpp and the
 /// >=256-case malformed-frame pass in bench/stress_net.
 ///
-/// stop() is graceful: stop accepting and reading, wait until every
+/// stop() is graceful: stop accepting, read what the sockets already hold
+/// once (those requests were sent before the stop), wait until every
 /// submitted request's callback has deposited its response, flush the
 /// outboxes (bounded by drain_timeout_ms), then close and join.  The
-/// destructor calls stop(), so no callback can outlive the object.
+/// destructor calls stop() and closes the wake pipe last, so no callback can
+/// outlive the object or write to a closed descriptor.
 
 #pragma once
 
@@ -120,6 +122,9 @@ class TcpServer {
   void handle_frame(const std::shared_ptr<Connection>& conn,
                     std::span<const std::uint8_t> body);
   void submit_request(const std::shared_ptr<Connection>& conn, RequestFrame&& request);
+  /// Releases one submitted request's hold on `conn` and on stop() — the
+  /// last thing a completion does with this object.
+  void finish_request(Connection& conn) noexcept;
   void send_error(const std::shared_ptr<Connection>& conn, std::uint64_t request_id,
                   ErrorCode code, std::string_view message);
   void enqueue_bytes(const std::shared_ptr<Connection>& conn,

@@ -36,8 +36,10 @@ class Writer {
   void put(const void* data, std::size_t size) {
     static_assert(std::endian::native == std::endian::little,
                   "wire format assumes a little-endian host");
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    out_.insert(out_.end(), p, p + size);
+    if (size == 0) return;
+    const std::size_t offset = out_.size();
+    out_.resize(offset + size);
+    std::memcpy(out_.data() + offset, data, size);
   }
 
   std::vector<std::uint8_t>& out_;

@@ -16,13 +16,6 @@ const core::InferenceSnapshot& require_snapshot(
   return *snapshot;
 }
 
-/// Counter-scoring servers carry dense payloads; everything else (both
-/// backends with quantized_model, which kPackedBinary implies) scores packed
-/// words — mirroring InferenceSnapshot's own query routing.
-bool scores_packed(const core::GraphHdConfig& config) noexcept {
-  return config.quantized_model || config.backend == core::Backend::kPackedBinary;
-}
-
 /// Decrements the submitter count on scope exit (exception-safe gate release).
 class GateRelease {
  public:
@@ -39,7 +32,7 @@ class GateRelease {
 
 Server::Server(std::shared_ptr<const core::InferenceSnapshot> snapshot, ServerConfig config)
     : config_(config),
-      packed_mode_(scores_packed(require_snapshot(snapshot).config())),
+      packed_mode_(require_snapshot(snapshot).scores_packed()),
       dimension_(snapshot->dimension()),
       snapshot_(std::move(snapshot)),
       queue_(config.queue_capacity) {
@@ -75,7 +68,7 @@ void Server::swap(std::shared_ptr<const core::InferenceSnapshot> next) {
         "Server::swap: replacement snapshot is encoder-incompatible "
         "(dimension/seed/identifier/pagerank/labels/rounds/bitslice/backend must match)");
   }
-  if (current->config().quantized_model != next->config().quantized_model) {
+  if (current->scores_packed() != next->scores_packed()) {
     throw std::invalid_argument(
         "Server::swap: quantized_model is pinned for the server's lifetime "
         "(it selects the queued query representation)");

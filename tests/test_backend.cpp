@@ -1,17 +1,20 @@
-/// Tests of the kPackedBinary backend: the packed pipeline must be a
-/// *faithful* fast path — bit-identical predictions (labels and similarity
-/// doubles) to the dense quantized model, on synthetic and TUDataset-format
-/// fixtures, at any thread count, through every extension that composes
-/// with it, and across serialization.  The equivalence matrix is
-/// property-based (tests/support/proptest.hpp): the leading cases pin the
-/// historical config sweep deterministically, the tail randomizes config
-/// combinations and datasets, and failures replay/shrink by seed.
+/// Tests of the `backend` config field, which is a recorded tag: models fit
+/// under the dense and the packed tag must predict bit-identically (labels
+/// and similarity doubles), on synthetic and TUDataset-format fixtures, at
+/// any thread count and through every extension, and must hold the same
+/// counters and class words.  The equivalence matrix is property-based
+/// (tests/support/proptest.hpp): the leading cases pin the historical config
+/// sweep deterministically, the tail randomizes config combinations and
+/// datasets, and failures replay/shrink by seed.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <sstream>
+#include <string>
 
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
@@ -331,14 +334,16 @@ TEST(PackedBackend, RejectsNonQuantizedModel) {
 }
 
 TEST(PackedBackend, MemoryAccessorsMatchBackend) {
-  GraphHdConfig config = base_config();
-  GraphHdModel dense(config, 2);
-  EXPECT_NO_THROW((void)dense.memory());
-  EXPECT_THROW((void)dense.packed_memory(), std::logic_error);
-  config.backend = Backend::kPackedBinary;
-  GraphHdModel packed(config, 2);
-  EXPECT_NO_THROW((void)packed.packed_memory());
-  EXPECT_THROW((void)packed.memory(), std::logic_error);
+  // memory() is the one class memory under either tag, shaped by the config.
+  for (const Backend backend : {Backend::kDenseBipolar, Backend::kPackedBinary}) {
+    GraphHdConfig config = base_config();
+    config.backend = backend;
+    config.vectors_per_class = 2;
+    GraphHdModel model(config, 3);
+    EXPECT_EQ(model.memory().num_classes(), 6u) << to_string(backend);
+    EXPECT_EQ(model.memory().dimension(), config.dimension) << to_string(backend);
+    EXPECT_TRUE(model.memory().quantized()) << to_string(backend);
+  }
 }
 
 TEST(PackedBackend, GraphHdFacadeRunsPacked) {
@@ -361,16 +366,69 @@ TEST(BackendConfig, ParseAndToString) {
   EXPECT_EQ(parse_backend(""), std::nullopt);
 }
 
-TEST(BackendConfig, EnvSelectionAndErrors) {
-  // Single-threaded test process: setenv is safe here.
-  ASSERT_EQ(setenv("GRAPHHD_BACKEND", "packed", 1), 0);
-  EXPECT_EQ(backend_from_env(Backend::kDenseBipolar), Backend::kPackedBinary);
-  ASSERT_EQ(setenv("GRAPHHD_BACKEND", "dense", 1), 0);
-  EXPECT_EQ(backend_from_env(Backend::kPackedBinary), Backend::kDenseBipolar);
-  ASSERT_EQ(setenv("GRAPHHD_BACKEND", "typo", 1), 0);
-  EXPECT_THROW((void)backend_from_env(Backend::kDenseBipolar), std::runtime_error);
-  ASSERT_EQ(unsetenv("GRAPHHD_BACKEND"), 0);
-  EXPECT_EQ(backend_from_env(Backend::kPackedBinary), Backend::kPackedBinary);
+/// Checks that two v3 artifacts differ only where the backend tag lives: the
+/// config section's backend field and that section's checksum in the
+/// section table (byte layout: docs/formats.md).
+void expect_only_backend_tag_differs(const std::string& dense, const std::string& packed) {
+  ASSERT_EQ(dense.size(), packed.size());
+  // 16-byte header, then 32-byte table entries {id u32, reserved u32,
+  // offset u64, length u64, checksum u64}; the config section comes first.
+  constexpr std::size_t kConfigEntry = 16;
+  std::uint32_t first_id = 0;
+  std::uint64_t config_offset = 0;
+  std::memcpy(&first_id, dense.data() + kConfigEntry, sizeof first_id);
+  std::memcpy(&config_offset, dense.data() + kConfigEntry + 8, sizeof config_offset);
+  ASSERT_EQ(first_id, 1u);
+  const std::size_t checksum_at = kConfigEntry + 24;
+  // dimension, pagerank_iterations, damping (u64) + identifier, metric (u32).
+  const std::size_t backend_at = static_cast<std::size_t>(config_offset) + 32;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    const bool tag_bytes = (i >= checksum_at && i < checksum_at + 8) ||
+                           (i >= backend_at && i < backend_at + 4);
+    if (!tag_bytes) {
+      ASSERT_EQ(dense[i], packed[i]) << "byte " << i;
+    }
+  }
+  EXPECT_NE(dense.substr(backend_at, 4), packed.substr(backend_at, 4));
+}
+
+TEST(BackendTag, FitIsIdenticalUnderEveryTag) {
+  // The same data fitted under each tag: identical counters, packed class
+  // words and predictions, and artifacts that differ only in the tag.
+  for (std::size_t index = 0; index < kPinnedBackendCases; ++index) {
+    const BackendCase c = pinned_backend_case(index);
+    std::ostringstream label;
+    label << c;
+    SCOPED_TRACE(label.str());
+    const auto dataset = case_dataset(c);
+    GraphHdConfig config = case_config(c);
+    GraphHdModel dense(config, dataset.num_classes());
+    config.backend = Backend::kPackedBinary;
+    GraphHdModel packed(config, dataset.num_classes());
+    dense.fit(dataset);
+    packed.fit(dataset);
+
+    const auto a = dense.snapshot();
+    const auto b = packed.snapshot();
+    ASSERT_EQ(a->slots(), b->slots());
+    for (std::size_t slot = 0; slot < a->slots(); ++slot) {
+      EXPECT_TRUE(std::ranges::equal(a->counters(slot), b->counters(slot))) << "slot " << slot;
+      EXPECT_TRUE(std::ranges::equal(a->packed_words(slot), b->packed_words(slot)))
+          << "slot " << slot;
+    }
+    const auto expected = dense.predict_batch(dataset);
+    const auto actual = packed.predict_batch(dataset);
+    ASSERT_EQ(actual.size(), expected.size());
+    for (std::size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(actual[i].label, expected[i].label) << "sample " << i;
+      EXPECT_EQ(actual[i].score, expected[i].score) << "sample " << i;
+      EXPECT_EQ(actual[i].class_scores, expected[i].class_scores) << "sample " << i;
+    }
+    std::ostringstream dense_artifact, packed_artifact;
+    save_model(dense, dense_artifact);
+    save_model(packed, packed_artifact);
+    expect_only_backend_tag_differs(dense_artifact.str(), packed_artifact.str());
+  }
 }
 
 }  // namespace

@@ -88,18 +88,16 @@ void expect_identical_results(const CvResult& materialized, const CvResult& stre
 [[nodiscard]] CvResult run_materialized(const GraphDataset& dataset, core::Backend backend,
                                         const CvConfig& cv) {
   return cross_validate("GraphHD",
-                        eval::make_graphhd_factory(fast_config(backend),
-                                                   /*honor_backend_env=*/false),
+                        eval::make_graphhd_factory(fast_config(backend)),
                         dataset, cv);
 }
 
 [[nodiscard]] CvResult run_streamed(const GraphDataset& dataset, core::Backend backend,
                                     CvConfig cv, std::size_t chunk) {
-  cv.stream_chunk = chunk;
+  cv.stream.chunk = chunk;
   DatasetStream stream(dataset);
   return cross_validate_stream("GraphHD",
-                               eval::make_graphhd_stream_factory(fast_config(backend),
-                                                                 /*honor_backend_env=*/false),
+                               eval::make_graphhd_stream_factory(fast_config(backend)),
                                stream, dataset.name(), cv);
 }
 
@@ -277,8 +275,7 @@ TEST(ReplayableStreamTest, ComposesWithTheStreamingPipeline) {
   const auto materialized = run_materialized(dataset, core::Backend::kDenseBipolar, cv);
   const auto streamed = cross_validate_stream(
       "GraphHD",
-      eval::make_graphhd_stream_factory(fast_config(core::Backend::kDenseBipolar),
-                                        /*honor_backend_env=*/false),
+      eval::make_graphhd_stream_factory(fast_config(core::Backend::kDenseBipolar)),
       stream, dataset.name(), cv);
   expect_identical_results(materialized, streamed, "replayable");
 }
@@ -346,11 +343,11 @@ TEST(CrossValidateStream, ExtensionsComposeBitIdentically) {
   config.retrain_epochs = 2;
   config.vectors_per_class = 2;
   const auto materialized = cross_validate(
-      "GraphHD", eval::make_graphhd_factory(config, false), dataset, cv);
+      "GraphHD", eval::make_graphhd_factory(config), dataset, cv);
   DatasetStream stream(dataset);
-  cv.stream_chunk = 5;
+  cv.stream.chunk = 5;
   const auto streamed = cross_validate_stream(
-      "GraphHD", eval::make_graphhd_stream_factory(config, false), stream, dataset.name(), cv);
+      "GraphHD", eval::make_graphhd_stream_factory(config), stream, dataset.name(), cv);
   expect_identical_results(materialized, streamed, "retrain+prototypes");
 }
 
@@ -374,13 +371,13 @@ TEST(CrossValidateStream, WorksOnGeneratorStreamsWithoutMaterializing) {
   };
   data::GeneratorStream stream(18, 2, /*seed=*/0xfeedULL, factory);
   auto cv = cv_config(3, 1);
-  cv.stream_chunk = 4;
+  cv.stream.chunk = 4;
   const auto config = fast_config(core::Backend::kPackedBinary);
   const auto streamed = cross_validate_stream(
-      "GraphHD", eval::make_graphhd_stream_factory(config, false), stream, "er-gen", cv);
+      "GraphHD", eval::make_graphhd_stream_factory(config), stream, "er-gen", cv);
   const auto dataset = data::materialize(stream, "er-gen");
   const auto materialized =
-      cross_validate("GraphHD", eval::make_graphhd_factory(config, false), dataset, cv);
+      cross_validate("GraphHD", eval::make_graphhd_factory(config), dataset, cv);
   expect_identical_results(materialized, streamed, "generator");
   EXPECT_EQ(streamed.dataset, "er-gen");
   EXPECT_EQ(streamed.method, "GraphHD");
@@ -476,7 +473,7 @@ TEST(CrossValidateStream, PropertyStreamedEqualsMaterialized) {
         cv.repetitions = 1;
         cv.stratified = c.stratified;
         cv.record_predictions = true;
-        cv.stream_chunk = c.chunk;
+        cv.stream.chunk = c.chunk;
         core::GraphHdConfig config;
         config.dimension = 256;
         config.backend = c.backend;
@@ -487,14 +484,14 @@ TEST(CrossValidateStream, PropertyStreamedEqualsMaterialized) {
         std::string materialized_error, streamed_error;
         try {
           materialized = cross_validate(
-              "GraphHD", eval::make_graphhd_factory(config, false), dataset, cv);
+              "GraphHD", eval::make_graphhd_factory(config), dataset, cv);
         } catch (const std::exception& error) {
           materialized_error = error.what();
         }
         try {
           DatasetStream stream(dataset);
           streamed = cross_validate_stream(
-              "GraphHD", eval::make_graphhd_stream_factory(config, false), stream,
+              "GraphHD", eval::make_graphhd_stream_factory(config), stream,
               dataset.name(), cv);
         } catch (const std::exception& error) {
           streamed_error = error.what();
@@ -561,7 +558,7 @@ class FailingStream final : public data::GraphStream {
 TEST(CrossValidateStream, MidStreamErrorPropagatesCleanly) {
   const auto dataset = learnable_dataset(12);
   const auto factory =
-      eval::make_graphhd_stream_factory(fast_config(core::Backend::kPackedBinary), false);
+      eval::make_graphhd_stream_factory(fast_config(core::Backend::kPackedBinary));
   // Fail at every possible point, including during the label scan (no
   // label_scan fast path here, so pass 1 replays the graphs).
   for (const std::size_t fail_after : {0u, 1u, 5u, 11u}) {
@@ -578,7 +575,7 @@ TEST(CrossValidateStream, SingleClassStreamErrorsCleanly) {
   for (std::size_t i = 0; i < 8; ++i) dataset.add(star_graph(6 + i), 0);
   DatasetStream stream(dataset);
   const auto factory =
-      eval::make_graphhd_stream_factory(fast_config(core::Backend::kDenseBipolar), false);
+      eval::make_graphhd_stream_factory(fast_config(core::Backend::kDenseBipolar));
   EXPECT_THROW(
       (void)cross_validate_stream("GraphHD", factory, stream, "mono", cv_config(2, 1)),
       std::invalid_argument);
@@ -588,7 +585,7 @@ TEST(CrossValidateStream, RejectsParallelFoldsAndZeroChunk) {
   const auto dataset = learnable_dataset(8);
   DatasetStream stream(dataset);
   const auto factory =
-      eval::make_graphhd_stream_factory(fast_config(core::Backend::kDenseBipolar), false);
+      eval::make_graphhd_stream_factory(fast_config(core::Backend::kDenseBipolar));
   auto cv = cv_config(2, 1);
   cv.parallel_folds = true;
   EXPECT_THROW((void)cross_validate_stream("GraphHD", factory, stream, "x", cv),
@@ -597,19 +594,6 @@ TEST(CrossValidateStream, RejectsParallelFoldsAndZeroChunk) {
   cv.stream.chunk = 0;
   EXPECT_THROW((void)cross_validate_stream("GraphHD", factory, stream, "x", cv),
                std::invalid_argument);
-}
-
-TEST(CrossValidateStream, DeprecatedStreamChunkOverridesStreamOptions) {
-  // Compat contract of the pre-PR-8 positional knob: a nonzero stream_chunk
-  // overrides stream.chunk; 0 (the new default) defers to stream.
-  eval::CvConfig cv;
-  cv.stream.chunk = 16;
-  EXPECT_EQ(cv.stream_options().chunk, 16u);
-  cv.stream_chunk = 7;
-  EXPECT_EQ(cv.stream_options().chunk, 7u);
-  EXPECT_TRUE(cv.stream_options().prefetch);
-  cv.stream.prefetch = false;
-  EXPECT_FALSE(cv.stream_options().prefetch);
 }
 
 TEST(CrossValidate, RejectsMoreFoldsThanGraphsWithClearError) {
@@ -624,8 +608,7 @@ TEST(CrossValidate, RejectsMoreFoldsThanGraphsWithClearError) {
   };
   try {
     (void)cross_validate("GraphHD",
-                         eval::make_graphhd_factory(fast_config(core::Backend::kDenseBipolar),
-                                                    false),
+                         eval::make_graphhd_factory(fast_config(core::Backend::kDenseBipolar)),
                          dataset, cv_config(7, 1));
     FAIL() << "cross_validate accepted folds > num_graphs";
   } catch (const std::invalid_argument& error) {
@@ -635,7 +618,7 @@ TEST(CrossValidate, RejectsMoreFoldsThanGraphsWithClearError) {
   try {
     (void)cross_validate_stream(
         "GraphHD",
-        eval::make_graphhd_stream_factory(fast_config(core::Backend::kDenseBipolar), false),
+        eval::make_graphhd_stream_factory(fast_config(core::Backend::kDenseBipolar)),
         stream, "x", cv_config(7, 1));
     FAIL() << "cross_validate_stream accepted folds > num_graphs";
   } catch (const std::invalid_argument& error) {
@@ -659,8 +642,8 @@ TEST(ScoreStream, MatchesMaterializedScore) {
   core::GraphHd streamed(fast_config(core::Backend::kPackedBinary));
   materialized.fit(dataset);
   DatasetStream stream(dataset);
-  streamed.fit_stream(stream, 5);
-  EXPECT_EQ(materialized.score(dataset), streamed.score_stream(stream, 5));
+  streamed.fit_stream(stream, {.chunk = 5});
+  EXPECT_EQ(materialized.score(dataset), streamed.score_stream(stream, {.chunk = 5}));
 }
 
 }  // namespace

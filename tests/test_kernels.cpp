@@ -29,7 +29,6 @@ namespace kernels = graphhd::hdc::kernels;
 using graphhd::hdc::BitsliceBundler;
 using graphhd::hdc::BundleAccumulator;
 using graphhd::hdc::Hypervector;
-using graphhd::hdc::PackedBundleAccumulator;
 using graphhd::hdc::PackedHypervector;
 using graphhd::hdc::Rng;
 using kernels::KernelOps;
@@ -423,7 +422,7 @@ TEST(KernelEquivalence, DenseBipolarKernelsMatchScalar) {
 
 // ---------------------------------------------------------------------------
 // End-to-end equivalence through the consolidated accumulator/bundler paths
-// (the PackedBundleAccumulator / threshold_packed fix): random weighted adds,
+// (packed BundleAccumulator adds and threshold_packed): random weighted adds,
 // odd dimensions, forced ties — every variant's pipeline output must equal
 // the scalar pipeline's bit for bit.
 // ---------------------------------------------------------------------------
@@ -440,9 +439,9 @@ TEST(KernelEquivalence, WeightedPackedBundlePipelineMatchesScalarVariant) {
       weights.push_back(static_cast<std::int32_t>(rng.next_int(-2, 2)));
     }
     auto run = [&] {
-      PackedBundleAccumulator acc(d);
+      BundleAccumulator acc(d);
       for (std::size_t i = 0; i < inputs.size(); ++i) acc.add(inputs[i], weights[i]);
-      return acc.threshold();
+      return acc.threshold_packed();
     };
     KernelGuard guard;
     kernels::set_active(kernels::scalar());

@@ -374,27 +374,8 @@ TEST(MergeProperty, ShardedOpenerFormMatchesBorrowingForm) {
 }
 
 // ---------------------------------------------------------------------------
-// Options plumbing: deprecated shims == options overloads
+// Options plumbing
 // ---------------------------------------------------------------------------
-
-TEST(OptionsShims, PositionalFitStreamEqualsOptionsOverload) {
-  const auto dataset = random_dataset(31, 14, 2);
-  const auto config = merge_config(core::Backend::kDenseBipolar);
-
-  core::GraphHdModel via_options(config, dataset.num_classes());
-  DatasetStream a(dataset);
-  via_options.fit_stream(a, core::TrainOptions{.chunk = 6});
-
-  core::GraphHdModel via_shim(config, dataset.num_classes());
-  DatasetStream b(dataset);
-  via_shim.fit_stream(b, std::size_t{6});
-  EXPECT_EQ(artifact_of(via_shim), artifact_of(via_options));
-
-  DatasetStream c(dataset);
-  DatasetStream d(dataset);
-  EXPECT_EQ(via_shim.predict_stream(c, std::size_t{5}).size(),
-            via_options.predict_stream(d, core::StreamOptions{.chunk = 5}).size());
-}
 
 TEST(OptionsShims, FitStreamValidatesOptions) {
   const auto dataset = random_dataset(37, 8, 2);

@@ -13,7 +13,6 @@ namespace {
 
 using graphhd::hdc::BundleAccumulator;
 using graphhd::hdc::Hypervector;
-using graphhd::hdc::PackedBundleAccumulator;
 using graphhd::hdc::PackedHypervector;
 using graphhd::hdc::Rng;
 namespace proptest = graphhd::proptest;
@@ -115,7 +114,7 @@ std::ostream& operator<<(std::ostream& out, const BundleCase& c) {
 
 TEST(PackedBundle, PropertyMatchesBipolarAccumulator) {
   proptest::check<BundleCase>(
-      "packed accumulator tracks BundleAccumulator through signed histories",
+      "packed adds track bipolar adds through signed histories",
       [](Rng& rng, std::size_t case_index) {
         BundleCase c;
         c.dimension = case_dimension(rng, case_index);
@@ -147,7 +146,7 @@ TEST(PackedBundle, PropertyMatchesBipolarAccumulator) {
         diag << c;
         Rng rng(c.data_seed);
         BundleAccumulator bipolar_acc(c.dimension);
-        PackedBundleAccumulator packed_acc(c.dimension);
+        BundleAccumulator packed_acc(c.dimension);
         bool ok = true;
         for (std::size_t i = 0; i < c.weights.size(); ++i) {
           const auto hv = Hypervector::random(c.dimension, rng);
@@ -156,7 +155,7 @@ TEST(PackedBundle, PropertyMatchesBipolarAccumulator) {
           if (packed_acc.tie_free() != bipolar_acc.tie_free()) {
             diag << " [tie_free after add " << i << "]", ok = false;
           }
-          if (packed_acc.threshold(c.tie_seed).to_bipolar() !=
+          if (packed_acc.threshold_packed(c.tie_seed).to_bipolar() !=
               bipolar_acc.threshold(c.tie_seed)) {
             diag << " [threshold after add " << i << "]", ok = false;
           }
@@ -218,22 +217,29 @@ TEST(PackedHypervector, BindDimensionMismatchThrows) {
 }
 
 TEST(PackedBundle, OddMajorityExact) {
-  // The no-tie-seed threshold() overload (odd counts cannot tie) — the one
+  // The default-seed threshold_packed() (odd counts cannot tie) — the one
   // path the seeded property above does not touch.
   Rng rng(31);
   std::vector<Hypervector> batch;
   for (int i = 0; i < 5; ++i) batch.push_back(Hypervector::random(512, rng));
   BundleAccumulator bipolar_acc(512);
-  PackedBundleAccumulator packed_acc(512);
+  BundleAccumulator packed_acc(512);
   for (const auto& hv : batch) {
     bipolar_acc.add(hv);
     packed_acc.add(PackedHypervector::from_bipolar(hv));
   }
-  EXPECT_EQ(packed_acc.threshold().to_bipolar(), bipolar_acc.threshold());
+  EXPECT_EQ(packed_acc.threshold_packed().to_bipolar(), bipolar_acc.threshold());
+}
+
+TEST(PackedBundle, RestoredZeroUnderOddParityMatchesBipolarThreshold) {
+  // A raw state with odd parity but a zero counter (only from_raw makes one):
+  // both thresholds map the zero to -1.
+  const auto acc = BundleAccumulator::from_raw({3, 0, -1, 0, 5}, 1, /*weight_parity_odd=*/true);
+  EXPECT_EQ(acc.threshold_packed().to_bipolar(), acc.threshold());
 }
 
 TEST(PackedBundle, CountsAdds) {
-  PackedBundleAccumulator acc(64);
+  BundleAccumulator acc(64);
   Rng rng(37);
   acc.add(PackedHypervector::random(64, rng));
   acc.add(PackedHypervector::random(64, rng));
@@ -241,7 +247,7 @@ TEST(PackedBundle, CountsAdds) {
 }
 
 TEST(PackedBundle, DimensionMismatchThrows) {
-  PackedBundleAccumulator acc(64);
+  BundleAccumulator acc(64);
   Rng rng(41);
   EXPECT_THROW(acc.add(PackedHypervector::random(32, rng)), std::invalid_argument);
 }
@@ -283,28 +289,28 @@ TEST(PackedHypervector, FromWordsRoundTripsAndMasksTail) {
 TEST(PackedBundle, SubtractCancelsAdd) {
   Rng rng(53);
   const auto hv = PackedHypervector::random(128, rng);
-  PackedBundleAccumulator acc(128);
+  BundleAccumulator acc(128);
   acc.add(hv);
-  acc.subtract(hv);
+  acc.add(hv, -1);
   for (const std::int32_t c : acc.counts()) EXPECT_EQ(c, 0);
   EXPECT_FALSE(acc.tie_free());
 }
 
 TEST(PackedBundle, FromRawRestoresState) {
   Rng rng(59);
-  PackedBundleAccumulator acc(96);
+  BundleAccumulator acc(96);
   for (int i = 0; i < 3; ++i) acc.add(PackedHypervector::random(96, rng));
-  const auto restored = PackedBundleAccumulator::from_raw(
+  const auto restored = BundleAccumulator::from_raw(
       std::vector<std::int32_t>(acc.counts().begin(), acc.counts().end()), acc.count(),
       acc.tie_free());
   EXPECT_EQ(restored.count(), acc.count());
   EXPECT_EQ(restored.tie_free(), acc.tie_free());
-  EXPECT_EQ(restored.threshold(), acc.threshold());
+  EXPECT_EQ(restored.threshold_packed(), acc.threshold_packed());
 }
 
 TEST(PackedBundle, ClearResets) {
   Rng rng(61);
-  PackedBundleAccumulator acc(64);
+  BundleAccumulator acc(64);
   acc.add(PackedHypervector::random(64, rng));
   acc.clear();
   EXPECT_EQ(acc.count(), 0u);

@@ -1,10 +1,23 @@
-#include "hdc/packed_assoc.hpp"
+/// Packed-vs-dense equivalence of hdc::AssociativeMemory, the trainer's one
+/// class memory.  The PackedAssociativeMemory suite checks the packed query
+/// path against the bipolar reference query on the same memory, plus the
+/// packed class rows a trained model deploys in its InferenceSnapshot; the
+/// PackedClassMemory suites bundle one memory with packed samples and a twin
+/// with the same samples in bipolar form, and require identical counters,
+/// class vectors and similarity doubles (not just the same argmax) under
+/// every metric.
+
+#include "hdc/assoc_memory.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 #include <vector>
+
+#include "core/model.hpp"
+#include "graph/generators.hpp"
 
 namespace {
 
@@ -29,77 +42,96 @@ AssociativeMemory trained_memory(std::size_t dimension, std::size_t classes,
 TEST(PackedAssociativeMemory, AgreesWithBipolarMemoryOnArgmax) {
   std::vector<Hypervector> prototypes;
   const auto memory = trained_memory(4096, 4, 3, &prototypes);
-  const PackedAssociativeMemory packed(memory);
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const auto query = prototypes[trial % 4].with_noise(800, rng);
-    EXPECT_EQ(packed.query(query).best_class, memory.query(query).best_class)
+    EXPECT_EQ(memory.query(PackedHypervector::from_bipolar(query)).best_class,
+              memory.query(query).best_class)
         << "trial " << trial;
   }
 }
 
 TEST(PackedAssociativeMemory, SimilaritiesEqualBipolarCosine) {
   const auto memory = trained_memory(2048, 3, 5);
-  const PackedAssociativeMemory packed(memory);
   Rng rng(11);
   const auto query = Hypervector::random(2048, rng);
-  const auto bipolar_result = memory.query(query);
-  const auto packed_result = packed.query(query);
-  for (std::size_t c = 0; c < 3; ++c) {
-    EXPECT_NEAR(packed_result.similarities[c], bipolar_result.similarities[c], 1e-12);
-  }
+  // Exact double equality: the packed scorer reproduces the dense arithmetic.
+  EXPECT_EQ(memory.query(PackedHypervector::from_bipolar(query)).similarities,
+            memory.query(query).similarities);
 }
 
 TEST(PackedAssociativeMemory, QueryValidatesDimension) {
   const auto memory = trained_memory(256, 2, 13);
-  const PackedAssociativeMemory packed(memory);
   Rng rng(17);
-  EXPECT_THROW((void)packed.query(PackedHypervector::random(128, rng)),
+  EXPECT_THROW((void)memory.query(PackedHypervector::random(128, rng)),
                std::invalid_argument);
 }
 
 TEST(PackedAssociativeMemory, ClassVectorsMatchSource) {
   const auto memory = trained_memory(512, 2, 19);
-  const PackedAssociativeMemory packed(memory);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(packed.class_vector(c).to_bipolar(), memory.class_vector(c));
+    EXPECT_EQ(memory.packed_class_vector(c).to_bipolar(), memory.class_vector(c));
   }
-  EXPECT_THROW((void)packed.class_vector(2), std::out_of_range);
+  EXPECT_THROW((void)memory.packed_class_vector(2), std::out_of_range);
+}
+
+/// A model with one star graph per class, dimension `dimension`.
+graphhd::core::GraphHdModel star_model(std::size_t dimension, std::size_t classes,
+                                       std::size_t vectors_per_class = 1) {
+  graphhd::core::GraphHdConfig config;
+  config.dimension = dimension;
+  config.vectors_per_class = vectors_per_class;
+  graphhd::core::GraphHdModel model(config, classes);
+  for (std::size_t c = 0; c < classes; ++c) model.partial_fit(graphhd::graph::star_graph(5 + c), c);
+  return model;
 }
 
 TEST(PackedAssociativeMemory, SnapshotIsFrozen) {
-  auto memory = trained_memory(1024, 2, 23);
-  const PackedAssociativeMemory packed(memory);
-  const auto before = packed.class_vector(0);
-  // Mutate the source; the snapshot must not change.
-  Rng rng(29);
-  for (int i = 0; i < 8; ++i) memory.add(0, Hypervector::random(1024, rng));
-  EXPECT_EQ(packed.class_vector(0), before);
+  // The deployed packed rows live in the snapshot: training on does not
+  // reach a snapshot already handed out.
+  auto model = star_model(1024, 2);
+  const auto snapshot = model.snapshot();
+  const std::vector<std::uint64_t> before(snapshot->packed_words(0).begin(),
+                                          snapshot->packed_words(0).end());
+  for (std::size_t n = 6; n < 14; ++n) model.partial_fit(graphhd::graph::cycle_graph(n), 0);
+  EXPECT_TRUE(std::ranges::equal(snapshot->packed_words(0), before));
+  EXPECT_FALSE(std::ranges::equal(model.snapshot()->packed_words(0), before));
 }
 
 TEST(PackedAssociativeMemory, FootprintIsBitsNotBytes) {
-  const auto memory = trained_memory(10000, 6, 31);
-  const PackedAssociativeMemory packed(memory);
   // 6 classes x ceil(10000/8) = 7500 bytes — the deployable-model size the
   // paper's IoT argument relies on.
-  EXPECT_EQ(packed.footprint_bytes(), 6u * 1250u);
+  EXPECT_EQ(star_model(10000, 6).snapshot()->footprint_bytes(), 6u * 1250u);
+}
+
+TEST(PackedAssociativeMemory, CopiesQueryIdentically) {
+  Rng rng(223);
+  AssociativeMemory memory(129, 2);
+  for (std::size_t i = 0; i < 6; ++i) {
+    memory.add(i % 2, Hypervector::random(129, rng));
+  }
+  const auto query = PackedHypervector::random(129, rng);
+  const auto reference = memory.query(query);
+  const AssociativeMemory copied = memory;
+  EXPECT_EQ(copied.query(query).similarities, reference.similarities);
+  AssociativeMemory assigned(129, 2);
+  assigned = memory;
+  EXPECT_EQ(assigned.query(query).similarities, reference.similarities);
 }
 
 // ---------------------------------------------------------------------------
-// PackedClassMemory: the *trainable* packed memory behind the kPackedBinary
-// backend.  Its contract is stronger than the snapshot's: trained side by
-// side with a dense quantized AssociativeMemory it must produce bit-identical
-// similarity doubles (not just the same argmax) under every metric.
+// Packed training: a memory bundled with packed samples must stay
+// bit-identical to its twin bundled with the same samples in bipolar form.
 // ---------------------------------------------------------------------------
 
-/// Trains a dense quantized memory and a packed memory on the same stream.
-std::pair<AssociativeMemory, PackedClassMemory> twin_memories(std::size_t dimension,
+/// Bundles the same random stream into a bipolar-fed and a packed-fed memory.
+std::pair<AssociativeMemory, AssociativeMemory> twin_memories(std::size_t dimension,
                                                               std::size_t classes,
                                                               std::uint64_t seed,
                                                               Similarity metric) {
   Rng rng(seed);
   AssociativeMemory dense(dimension, classes, metric, /*quantized=*/true);
-  PackedClassMemory packed(dimension, classes, metric);
+  AssociativeMemory packed(dimension, classes, metric, /*quantized=*/true);
   for (std::size_t c = 0; c < classes; ++c) {
     for (int s = 0; s < 4; ++s) {  // even count: exercises the tie stream.
       const auto hv = Hypervector::random(dimension, rng);
@@ -137,7 +169,8 @@ INSTANTIATE_TEST_SUITE_P(Metrics, PackedClassMemoryMetric,
 TEST(PackedClassMemory, ClassVectorsAreExactPackingsOfDense) {
   auto [dense, packed] = twin_memories(700, 2, 97, Similarity::kCosine);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(packed.class_vector(c).to_bipolar(), dense.class_vector(c));
+    EXPECT_TRUE(std::ranges::equal(packed.accumulator(c).counts(), dense.accumulator(c).counts()));
+    EXPECT_EQ(packed.packed_class_vector(c).to_bipolar(), dense.class_vector(c));
   }
 }
 
@@ -148,58 +181,56 @@ TEST(PackedClassMemory, RetrainUpdateTracksDense) {
   dense.retrain_update(0, 1, sample);
   packed.retrain_update(0, 1, PackedHypervector::from_bipolar(sample));
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(packed.class_vector(c).to_bipolar(), dense.class_vector(c));
+    EXPECT_EQ(packed.packed_class_vector(c).to_bipolar(), dense.class_vector(c));
   }
   // Self-update is a no-op on both sides.
   dense.retrain_update(1, 1, sample);
   packed.retrain_update(1, 1, PackedHypervector::from_bipolar(sample));
-  EXPECT_EQ(packed.class_vector(1).to_bipolar(), dense.class_vector(1));
+  EXPECT_EQ(packed.packed_class_vector(1).to_bipolar(), dense.class_vector(1));
 }
 
 TEST(PackedClassMemory, RestoreRebuildsClassVectors) {
   auto [dense, packed] = twin_memories(256, 2, 107, Similarity::kCosine);
-  PackedClassMemory restored(256, 2);
+  AssociativeMemory restored(256, 2);
   for (std::size_t c = 0; c < 2; ++c) {
     const auto& acc = packed.accumulator(c);
     restored.restore(c,
-                     PackedBundleAccumulator::from_raw(
+                     BundleAccumulator::from_raw(
                          std::vector<std::int32_t>(acc.counts().begin(), acc.counts().end()),
                          acc.count(), acc.tie_free()),
                      packed.class_count(c));
     EXPECT_EQ(restored.class_count(c), packed.class_count(c));
   }
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(restored.class_vector(c), packed.class_vector(c));
+    EXPECT_EQ(restored.packed_class_vector(c), packed.packed_class_vector(c));
   }
 }
 
 TEST(PackedClassMemory, ValidatesArguments) {
-  EXPECT_THROW(PackedClassMemory(0, 2), std::invalid_argument);
-  EXPECT_THROW(PackedClassMemory(64, 0), std::invalid_argument);
-  PackedClassMemory memory(64, 2);
+  AssociativeMemory memory(64, 2);
   Rng rng(109);
   const auto hv = PackedHypervector::random(64, rng);
   const auto wrong = PackedHypervector::random(32, rng);
   EXPECT_THROW(memory.add(2, hv), std::out_of_range);
   EXPECT_THROW(memory.add(0, wrong), std::invalid_argument);
   EXPECT_THROW((void)memory.query(wrong), std::invalid_argument);
-  EXPECT_THROW((void)memory.class_count(5), std::out_of_range);
-  EXPECT_THROW((void)memory.accumulator(5), std::out_of_range);
+  EXPECT_THROW((void)memory.packed_class_vector(5), std::out_of_range);
   EXPECT_THROW(memory.retrain_update(0, 7, hv), std::out_of_range);
-  EXPECT_THROW(memory.restore(0, PackedBundleAccumulator(32), 1), std::invalid_argument);
+  EXPECT_THROW(memory.retrain_update(0, 1, wrong), std::invalid_argument);
+  EXPECT_THROW(memory.restore(0, BundleAccumulator(32), 1), std::invalid_argument);
 }
 
 TEST(PackedClassMemory, FootprintMatchesSnapshot) {
-  PackedClassMemory memory(10000, 4);
-  EXPECT_EQ(memory.footprint_bytes(), 4u * 1250u);
+  // Every prototype slot deploys one packed row: 2 classes x 2 prototypes.
+  EXPECT_EQ(star_model(10000, 2, /*vectors_per_class=*/2).snapshot()->footprint_bytes(),
+            4u * 1250u);
 }
 
 TEST(PackedClassMemory, CopiesAndMovesQueryIdentically) {
-  // The batched-query row-pointer table must survive copy (rebuilt against
-  // the copy's own class vectors) and move (buffers keep their addresses) —
-  // queries on any fully-finalized memory are pure reads.
+  // Copies and moves carry the cached packed class vectors (or the dirty
+  // flag that rebuilds them), so packed queries on any copy agree.
   Rng rng(211);
-  PackedClassMemory memory(257, 3);
+  AssociativeMemory memory(257, 3);
   for (std::size_t i = 0; i < 9; ++i) {
     memory.add(i % 3, PackedHypervector::random(257, rng));
   }
@@ -207,34 +238,18 @@ TEST(PackedClassMemory, CopiesAndMovesQueryIdentically) {
   memory.finalize();
   const auto reference = memory.query(query);
 
-  PackedClassMemory copied = memory;  // clean (finalized) copy
+  AssociativeMemory copied = memory;  // clean (finalized) copy
   EXPECT_EQ(copied.query(query).similarities, reference.similarities);
-  PackedClassMemory assigned(257, 3);
+  AssociativeMemory assigned(257, 3);
   assigned = memory;
   EXPECT_EQ(assigned.query(query).similarities, reference.similarities);
-  PackedClassMemory moved = std::move(copied);
+  AssociativeMemory moved = std::move(copied);
   EXPECT_EQ(moved.query(query).similarities, reference.similarities);
 
   // Dirty copy: accumulate, copy before finalize, then query both.
   memory.add(1, PackedHypervector::random(257, rng));
-  PackedClassMemory dirty_copy = memory;
+  AssociativeMemory dirty_copy = memory;
   EXPECT_EQ(dirty_copy.query(query).similarities, memory.query(query).similarities);
-}
-
-TEST(PackedAssociativeMemory, CopiesQueryIdentically) {
-  Rng rng(223);
-  AssociativeMemory dense(129, 2);
-  for (std::size_t i = 0; i < 6; ++i) {
-    dense.add(i % 2, Hypervector::random(129, rng));
-  }
-  const PackedAssociativeMemory snapshot(dense);
-  const auto query = PackedHypervector::random(129, rng);
-  const auto reference = snapshot.query(query);
-  const PackedAssociativeMemory copied = snapshot;
-  EXPECT_EQ(copied.query(query).similarities, reference.similarities);
-  PackedAssociativeMemory assigned(dense);
-  assigned = snapshot;
-  EXPECT_EQ(assigned.query(query).similarities, reference.similarities);
 }
 
 }  // namespace

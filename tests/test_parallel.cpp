@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -208,6 +210,42 @@ TEST(ParallelModel, RetrainingExtensionStaysDeterministic) {
   };
   const auto serial = run(1);
   EXPECT_EQ(run(8), serial);
+}
+
+TEST(ParallelModel, ConcurrentFirstPredictionsShareOneSnapshot) {
+  // predict_encoded is const, so threads may race to make the first
+  // snapshot() call on a freshly fitted model: the lazy build must run once,
+  // under the model's lock (the TSan row runs this suite).
+  GraphHdConfig config;
+  config.dimension = 1024;
+  const auto dataset = toy_dataset();
+  graphhd::core::GraphHdModel reference(config, 2);
+  reference.fit(dataset);
+  graphhd::core::GraphHdModel model(config, 2);
+  model.fit(dataset);
+  const auto query = model.encoder().encode_packed(star_graph(9));
+  const auto expected = reference.predict_encoded(query);
+
+  constexpr std::size_t kThreads = 4;
+  std::atomic<std::size_t> arrived{0};
+  std::vector<graphhd::core::Prediction> predictions(kThreads);
+  std::vector<std::shared_ptr<const graphhd::core::InferenceSnapshot>> snapshots(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) std::this_thread::yield();
+      predictions[t] = model.predict_encoded(query);
+      snapshots[t] = model.snapshot();
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(snapshots[t], snapshots[0]) << "thread " << t;
+    EXPECT_EQ(predictions[t].label, expected.label) << "thread " << t;
+    EXPECT_EQ(predictions[t].score, expected.score) << "thread " << t;
+    EXPECT_EQ(predictions[t].class_scores, expected.class_scores) << "thread " << t;
+  }
 }
 
 TEST(ParallelCv, ParallelFoldsMatchSerialAccuracies) {

@@ -95,12 +95,12 @@ TEST(EnvRegistry, EnvDoubleParsesAndFallsBack) {
 }
 
 TEST(EnvRegistry, EnvRawReturnsNullForUnsetOrEmpty) {
-  const char* name = "GRAPHHD_BACKEND";
+  const char* name = "GRAPHHD_SKIP_FIGURE";
   {
-    ScopedEnv guard(name, "packed");
+    ScopedEnv guard(name, "yes");
     const char* raw = runtime::env_raw(name);
     ASSERT_NE(raw, nullptr);
-    EXPECT_EQ(std::string(raw), "packed");
+    EXPECT_EQ(std::string(raw), "yes");
   }
   {
     ScopedEnv guard(name, "");
@@ -117,10 +117,10 @@ TEST(EnvRegistry, AccessorsThrowOnUnregisteredNames) {
 }
 
 TEST(EnvRegistry, AccessorsEnforceTheRegisteredKind) {
-  // GRAPHHD_BACKEND is a string knob; the numeric accessors must refuse it
+  // GRAPHHD_KERNEL is a string knob; the numeric accessors must refuse it
   // rather than parse garbage.
-  EXPECT_THROW((void)runtime::env_size("GRAPHHD_BACKEND", 1), std::logic_error);
-  EXPECT_THROW((void)runtime::env_double("GRAPHHD_BACKEND", 1.0), std::logic_error);
+  EXPECT_THROW((void)runtime::env_size("GRAPHHD_KERNEL", 1), std::logic_error);
+  EXPECT_THROW((void)runtime::env_double("GRAPHHD_KERNEL", 1.0), std::logic_error);
 }
 
 TEST(EnvRegistry, BuildTimeKnobsAreListedButNotReadable) {

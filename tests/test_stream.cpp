@@ -271,7 +271,7 @@ TEST_P(StreamEquivalence, FitStreamMatchesFitAtEveryChunkSize) {
   for (const std::size_t chunk : {1u, 3u, 7u, 64u}) {
     DatasetStream stream(dataset);
     core::GraphHdModel streamed(config(), dataset.num_classes());
-    streamed.fit_stream(stream, chunk);
+    streamed.fit_stream(stream, {.chunk = chunk});
     expect_same_predictions(streamed.predict_batch(dataset), expected,
                             "chunk " + std::to_string(chunk));
   }
@@ -283,7 +283,7 @@ TEST_P(StreamEquivalence, FitStreamMatchesFitWithRetraining) {
   reference.fit(dataset);
   DatasetStream stream(dataset);
   core::GraphHdModel streamed(config(/*retrain=*/3), dataset.num_classes());
-  streamed.fit_stream(stream, 5);
+  streamed.fit_stream(stream, {.chunk = 5});
   expect_same_predictions(streamed.predict_batch(dataset), reference.predict_batch(dataset),
                           "retrained");
 }
@@ -295,18 +295,19 @@ TEST_P(StreamEquivalence, PredictStreamMatchesPredictBatch) {
   const auto expected = model.predict_batch(dataset);
   for (const std::size_t chunk : {1u, 4u, 128u}) {
     DatasetStream stream(dataset);
-    expect_same_predictions(model.predict_stream(stream, chunk), expected,
+    expect_same_predictions(model.predict_stream(stream, {.chunk = chunk}), expected,
                             "chunk " + std::to_string(chunk));
   }
   // Sink overload delivers the same values in order.
   DatasetStream stream(dataset);
   std::size_t delivered = 0;
-  model.predict_stream(stream, 4, [&](std::size_t index, const core::Prediction& prediction) {
+  const auto sink = [&](std::size_t index, const core::Prediction& prediction) {
     ASSERT_EQ(index, delivered);
     EXPECT_EQ(prediction.label, expected[index].label);
     EXPECT_EQ(prediction.score, expected[index].score);
     ++delivered;
-  });
+  };
+  model.predict_stream(stream, {.chunk = 4}, sink);
   EXPECT_EQ(delivered, dataset.size());
 }
 
@@ -325,10 +326,10 @@ TEST_P(StreamEquivalence, InvariantAcrossThreadCountsAndKernels) {
       kernels::set_active(*ops);
       DatasetStream stream(dataset);
       core::GraphHdModel streamed(config(), dataset.num_classes());
-      streamed.fit_stream(stream, 6);
+      streamed.fit_stream(stream, {.chunk = 6});
       DatasetStream predict_source(dataset);
       expect_same_predictions(
-          streamed.predict_stream(predict_source, 5), expected,
+          streamed.predict_stream(predict_source, {.chunk = 5}), expected,
           std::string(ops->name) + " @" + std::to_string(threads) + " threads");
     }
   }
@@ -340,16 +341,16 @@ TEST_P(StreamEquivalence, FitStreamValidatesItsInputs) {
   const auto dataset = small_replica();
   DatasetStream stream(dataset);
   core::GraphHdModel model(config(), dataset.num_classes());
-  EXPECT_THROW(model.fit_stream(stream, 0), std::invalid_argument);
-  model.fit_stream(stream, 4);
+  EXPECT_THROW(model.fit_stream(stream, {.chunk = 0}), std::invalid_argument);
+  model.fit_stream(stream, {.chunk = 4});
   DatasetStream again(dataset);
-  EXPECT_THROW(model.fit_stream(again, 4), std::logic_error);
+  EXPECT_THROW(model.fit_stream(again, {.chunk = 4}), std::logic_error);
 
   core::GraphHdModel tiny(config(), 2);
   GeneratorStream wide(4, 3, 7, [](std::size_t, std::size_t, hdc::Rng& rng) {
     return graph::random_tree(6, rng);
   });
-  EXPECT_THROW(tiny.fit_stream(wide, 2), std::invalid_argument);
+  EXPECT_THROW(tiny.fit_stream(wide, {.chunk = 2}), std::invalid_argument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, StreamEquivalence,
@@ -365,9 +366,9 @@ TEST(PipelineStream, FacadeTrainsAndPredictsOverStreams) {
   config.dimension = 512;
   core::GraphHd classifier(config);
   DatasetStream train(dataset);
-  classifier.fit_stream(train, 4);
+  classifier.fit_stream(train, {.chunk = 4});
   DatasetStream test(dataset);
-  const auto streamed = classifier.predict_stream(test, 4);
+  const auto streamed = classifier.predict_stream(test, {.chunk = 4});
   EXPECT_EQ(streamed, classifier.predict_batch(dataset));
 }
 
@@ -389,14 +390,14 @@ TEST(PipelineStream, EndToEndOverTUDatasetFiles) {
   config.dimension = 512;
   TUDatasetStream stream(dir / "RMAT", "RMAT");
   core::GraphHdModel streamed(config, stream.num_classes());
-  streamed.fit_stream(stream, 4);
+  streamed.fit_stream(stream, {.chunk = 4});
 
   const auto dataset = data::load_tudataset(dir / "RMAT", "RMAT");
   core::GraphHdModel materialized(config, dataset.num_classes());
   materialized.fit(dataset);
 
   TUDatasetStream predict_source(dir / "RMAT", "RMAT");
-  expect_same_predictions(streamed.predict_stream(predict_source, 3),
+  expect_same_predictions(streamed.predict_stream(predict_source, {.chunk = 3}),
                           materialized.predict_batch(dataset), "tudataset e2e");
   fs::remove_all(dir);
 }
