@@ -259,10 +259,13 @@ class GraphHdModel {
   /// Drops the cached snapshot; every mutation point calls this.
   void invalidate_snapshot() noexcept { snapshot_.reset(); }
 
-  /// A mutex that keeps its owner movable: a moved-to model gets a fresh one.
+  /// A mutex that keeps its owner copyable and movable: a copied or moved-to
+  /// model gets a fresh one.
   struct MovableMutex {
     MovableMutex() = default;
+    MovableMutex(const MovableMutex&) noexcept {}
     MovableMutex(MovableMutex&&) noexcept {}
+    MovableMutex& operator=(const MovableMutex&) noexcept { return *this; }
     MovableMutex& operator=(MovableMutex&&) noexcept { return *this; }
     std::mutex mutex;
   };

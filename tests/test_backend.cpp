@@ -1,8 +1,12 @@
-/// Tests of the `backend` config field, which is a recorded tag: models fit
-/// under the dense and the packed tag must predict bit-identically (labels
-/// and similarity doubles), on synthetic and TUDataset-format fixtures, at
-/// any thread count and through every extension, and must hold the same
-/// counters and class words.  The equivalence matrix is property-based
+/// Tests of the trainer against the paper-exact dense reference, and of the
+/// `backend` config field, which is a recorded tag.  A model fitted under
+/// either tag must hold the counters and class words of the dense reference
+/// (tests/support/dense_reference.hpp: bipolar encode + bipolar-fed
+/// AssociativeMemory) and predict bit-identically to it (labels and
+/// similarity doubles), on synthetic and TUDataset-format fixtures, at any
+/// thread count, through every extension and under both scoring rules.
+/// Models fitted under the two tags must also write v3 artifacts that differ
+/// only in the tag.  The equivalence matrix is property-based
 /// (tests/support/proptest.hpp): the leading cases pin the historical config
 /// sweep deterministically, the tail randomizes config combinations and
 /// datasets, and failures replay/shrink by seed.
@@ -24,6 +28,7 @@
 #include "data/tudataset.hpp"
 #include "graph/generators.hpp"
 #include "parallel/thread_pool.hpp"
+#include "support/dense_reference.hpp"
 #include "support/proptest.hpp"
 
 namespace {
@@ -35,6 +40,7 @@ using graphhd::graph::star_graph;
 namespace parallel = graphhd::parallel;
 namespace proptest = graphhd::proptest;
 using graphhd::hdc::Rng;
+using graphhd::testsupport::DenseReference;
 
 /// Restores the process-wide pool so tests don't leak thread settings.
 struct ThreadGuard {
@@ -68,10 +74,11 @@ GraphDataset tudataset_fixture() {
   return loaded;
 }
 
-/// One cell of the dense-vs-packed equivalence matrix: every knob that
-/// composes with the backend choice, plus the dataset shape.  Datasets
-/// regenerate from (tudataset, num_vertices, num_graphs), so a case is fully
-/// described — and replayable / shrinkable — by these scalars.
+/// One cell of the trainer-vs-reference equivalence matrix: every knob that
+/// composes with the encoding and the class memory, plus the dataset shape.
+/// Datasets regenerate from (tudataset, noisy_labels, num_vertices,
+/// num_graphs), so a case is fully described — and replayable / shrinkable —
+/// by these scalars.
 struct BackendCase {
   std::size_t dimension = 2048;
   std::size_t retrain_epochs = 0;
@@ -80,7 +87,9 @@ struct BackendCase {
   bool use_vertex_labels = false;
   bool bitslice = true;
   bool inverse_hamming = false;
-  bool tudataset = false;  ///< MUTAG-replica fixture (carries vertex labels).
+  bool quantized = true;      ///< false = counter-cosine scoring (dense tag only).
+  bool tudataset = false;     ///< MUTAG-replica fixture (carries vertex labels).
+  bool noisy_labels = false;  ///< every third label moved: retraining has work.
   std::size_t num_vertices = 40;
   std::size_t num_graphs = 30;
 };
@@ -89,9 +98,10 @@ std::ostream& operator<<(std::ostream& out, const BackendCase& c) {
   return out << "d=" << c.dimension << " retrain=" << c.retrain_epochs
              << " prototypes=" << c.prototypes << " rounds=" << c.rounds
              << " vertex_labels=" << c.use_vertex_labels << " bitslice=" << c.bitslice
-             << " inverse_hamming=" << c.inverse_hamming
+             << " inverse_hamming=" << c.inverse_hamming << " quantized=" << c.quantized
              << " dataset=" << (c.tudataset ? "tudataset" : "synthetic")
-             << "(v=" << c.num_vertices << ", g=" << c.num_graphs << ")";
+             << (c.noisy_labels ? "+noise" : "") << "(v=" << c.num_vertices
+             << ", g=" << c.num_graphs << ")";
 }
 
 /// The historical fixed-config sweep, pinned onto the leading property
@@ -110,6 +120,7 @@ std::ostream& operator<<(std::ostream& out, const BackendCase& c) {
       break;
     case 3:
       c.retrain_epochs = 3;
+      c.noisy_labels = true;
       break;
     case 4:
       c.prototypes = 3;
@@ -122,19 +133,53 @@ std::ostream& operator<<(std::ostream& out, const BackendCase& c) {
       c.dimension = 512;
       c.num_vertices = 20;
       break;
-    default:
+    case 7:
       c.bitslice = false;
       c.num_vertices = 20;
+      break;
+    case 8:  // counter-cosine scoring.
+      c.quantized = false;
+      break;
+    case 9:  // what the CLI's --retrain selects under the dense tag; a shape
+             // where counter cosine and Hamming pick different mistakes.
+      c.quantized = false;
+      c.retrain_epochs = 3;
+      c.noisy_labels = true;
+      c.dimension = 1190;
+      c.num_vertices = 26;
+      c.num_graphs = 17;
+      break;
+    default:  // counter scoring through prototypes, retraining and labels.
+      c.quantized = false;
+      c.retrain_epochs = 2;
+      c.prototypes = 2;
+      c.tudataset = true;
+      c.use_vertex_labels = true;
+      c.noisy_labels = true;
       break;
   }
   return c;
 }
-constexpr std::size_t kPinnedBackendCases = 8;
+constexpr std::size_t kPinnedBackendCases = 11;
+
+/// Moves every third sample to the next class, so the training set is not
+/// separable and the retraining passes make updates.
+[[nodiscard]] GraphDataset with_label_noise(const GraphDataset& dataset) {
+  GraphDataset noisy(dataset.name(), {}, {});
+  for (std::size_t i = 0; i < dataset.size(); ++i) {
+    const std::size_t label = dataset.label(i);
+    noisy.add(dataset.graph(i), i % 3 == 2 ? (label + 1) % dataset.num_classes() : label);
+  }
+  if (dataset.has_vertex_labels()) noisy.set_vertex_labels(dataset.vertex_labels());
+  return noisy;
+}
 
 [[nodiscard]] GraphDataset case_dataset(const BackendCase& c) {
   // The tudataset fixture is a fixed-shape disk-format roundtrip; the
   // num_vertices/num_graphs knobs shape the synthetic datasets only.
-  return c.tudataset ? tudataset_fixture() : synthetic_dataset(c.num_vertices, c.num_graphs);
+  const GraphDataset dataset =
+      c.tudataset ? tudataset_fixture() : synthetic_dataset(c.num_vertices, c.num_graphs);
+  return c.noisy_labels ? with_label_noise(dataset) : dataset;
 }
 
 [[nodiscard]] GraphHdConfig case_config(const BackendCase& c) {
@@ -145,52 +190,128 @@ constexpr std::size_t kPinnedBackendCases = 8;
   config.neighborhood_rounds = c.rounds;
   config.use_vertex_labels = c.use_vertex_labels;
   config.use_bitslice_bundling = c.bitslice;
+  config.quantized_model = c.quantized;
   if (c.inverse_hamming) config.metric = graphhd::hdc::Similarity::kInverseHamming;
   return config;
 }
 
-/// The equivalence contract: dense and packed models trained identically
-/// produce bit-identical predictions (labels AND similarity doubles) at 1,
-/// 2 and 8 threads.
-[[nodiscard]] bool backends_agree(const BackendCase& c, std::ostream& diag) {
-  diag << c;
-  ThreadGuard guard;
-  const auto dataset = case_dataset(c);
-  GraphHdConfig config = case_config(c);
-  config.backend = Backend::kDenseBipolar;
-  GraphHdModel dense(config, dataset.num_classes());
-  config.backend = Backend::kPackedBinary;
-  GraphHdModel packed(config, dataset.num_classes());
-
-  parallel::set_threads(1);
-  dense.fit(dataset);
-  packed.fit(dataset);
-  const auto reference = dense.predict_batch(dataset);
-
-  bool ok = true;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    parallel::set_threads(threads);
-    const auto predictions = packed.predict_batch(dataset);
-    if (predictions.size() != reference.size()) {
-      diag << " [size mismatch at " << threads << " threads]";
+/// Checks that two v3 artifacts differ only where the backend tag lives: the
+/// config section's backend field and that section's checksum in the
+/// section table (byte layout: docs/formats.md).
+[[nodiscard]] bool only_backend_tag_differs(const std::string& dense, const std::string& packed,
+                                            std::ostream& diag) {
+  if (dense.size() != packed.size()) {
+    diag << " [artifact sizes differ]";
+    return false;
+  }
+  // 16-byte header, then 32-byte table entries {id u32, reserved u32,
+  // offset u64, length u64, checksum u64}; the config section comes first.
+  constexpr std::size_t kConfigEntry = 16;
+  std::uint32_t first_id = 0;
+  std::uint64_t config_offset = 0;
+  std::memcpy(&first_id, dense.data() + kConfigEntry, sizeof first_id);
+  std::memcpy(&config_offset, dense.data() + kConfigEntry + 8, sizeof config_offset);
+  if (first_id != 1u) {
+    diag << " [first section is " << first_id << ", not config]";
+    return false;
+  }
+  const std::size_t checksum_at = kConfigEntry + 24;
+  // dimension, pagerank_iterations, damping (u64) + identifier, metric (u32).
+  const std::size_t backend_at = static_cast<std::size_t>(config_offset) + 32;
+  for (std::size_t i = 0; i < dense.size(); ++i) {
+    const bool tag_bytes = (i >= checksum_at && i < checksum_at + 8) ||
+                           (i >= backend_at && i < backend_at + 4);
+    if (!tag_bytes && dense[i] != packed[i]) {
+      diag << " [artifacts differ at byte " << i << "]";
       return false;
     }
-    for (std::size_t i = 0; i < reference.size(); ++i) {
-      if (predictions[i].label != reference[i].label ||
-          predictions[i].score != reference[i].score ||
-          predictions[i].class_scores != reference[i].class_scores) {
-        diag << " [sample " << i << " diverges at " << threads << " threads]";
-        ok = false;
-        break;
-      }
+  }
+  if (dense.substr(backend_at, 4) == packed.substr(backend_at, 4)) {
+    diag << " [backend field not found]";
+    return false;
+  }
+  return true;
+}
+
+[[nodiscard]] bool same_prediction(const Prediction& a, const Prediction& b) {
+  return a.label == b.label && a.score == b.score && a.class_scores == b.class_scores;
+}
+
+/// The model's learned state equals the reference's, slot by slot: raw
+/// counters, add/sample counts, tie state, and the packed class words it
+/// deploys equal the packing of the reference's quantized class vectors.
+[[nodiscard]] bool same_state(const GraphHdModel& model, const DenseReference& reference,
+                              std::ostream& diag) {
+  const auto& expected = reference.memory();
+  const auto snapshot = model.snapshot();
+  for (std::size_t slot = 0; slot < expected.num_classes(); ++slot) {
+    const auto& want = expected.accumulator(slot);
+    const auto& have = model.memory().accumulator(slot);
+    if (!std::ranges::equal(have.counts(), want.counts()) || have.count() != want.count() ||
+        have.tie_free() != want.tie_free() ||
+        model.memory().class_count(slot) != expected.class_count(slot)) {
+      diag << " [slot " << slot << " counters differ]";
+      return false;
+    }
+    const auto packed = graphhd::hdc::PackedHypervector::from_bipolar(expected.class_vector(slot));
+    if (!std::ranges::equal(snapshot->packed_words(slot), packed.words())) {
+      diag << " [slot " << slot << " class words differ]";
+      return false;
     }
   }
-  return ok;
+  return true;
+}
+
+/// The equivalence contract: a model fitted under the dense tag holds the
+/// dense reference's state and predicts bit-identically to it (labels AND
+/// similarity doubles) at 1, 2 and 8 threads.  A quantized config is fitted
+/// under the packed tag too, which must change nothing but the artifact's
+/// tag bytes.
+[[nodiscard]] bool matches_reference(const BackendCase& c, std::ostream& diag) {
+  diag << c;
+  ThreadGuard guard;
+  parallel::set_threads(1);
+  const auto dataset = case_dataset(c);
+  const GraphHdConfig config = case_config(c);
+  DenseReference reference(config, dataset.num_classes());
+  reference.fit(dataset);
+  const auto expected = reference.predict_batch(dataset);
+
+  std::vector<Backend> tags{Backend::kDenseBipolar};
+  if (c.quantized) tags.push_back(Backend::kPackedBinary);  // validate() rejects the rest.
+  std::vector<std::string> artifacts;
+  for (const Backend tag : tags) {
+    GraphHdConfig tagged = config;
+    tagged.backend = tag;
+    GraphHdModel model(tagged, dataset.num_classes());
+    parallel::set_threads(1);
+    model.fit(dataset);
+    diag << " [" << to_string(tag) << " tag]";
+    if (!same_state(model, reference, diag)) return false;
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+      parallel::set_threads(threads);
+      const auto predictions = model.predict_batch(dataset);
+      if (predictions.size() != expected.size()) {
+        diag << " [size mismatch at " << threads << " threads]";
+        return false;
+      }
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        if (!same_prediction(predictions[i], expected[i])) {
+          diag << " [sample " << i << " diverges at " << threads << " threads]";
+          return false;
+        }
+      }
+    }
+    std::ostringstream artifact;
+    save_model(model, artifact);
+    artifacts.push_back(artifact.str());
+  }
+  return artifacts.size() < 2 || only_backend_tag_differs(artifacts[0], artifacts[1], diag);
 }
 
 TEST(PackedBackend, PropertyMatchesDenseAcrossConfigsAndThreads) {
   proptest::check<BackendCase>(
-      "packed backend bit-identical to dense across configs/threads",
+      "trainer bit-identical to the dense reference under every tag across configs/threads",
       [](Rng& rng, std::size_t case_index) {
         if (case_index < kPinnedBackendCases) return pinned_backend_case(case_index);
         BackendCase c;
@@ -201,6 +322,8 @@ TEST(PackedBackend, PropertyMatchesDenseAcrossConfigsAndThreads) {
         c.use_vertex_labels = c.tudataset && rng.next_bool();
         c.bitslice = rng.next_bool();
         c.inverse_hamming = rng.next_bool();
+        c.quantized = !rng.next_bool(0.25);
+        c.noisy_labels = rng.next_bool();
         c.num_vertices = 16 + rng.next_below(24);
         c.num_graphs = 12 + rng.next_below(18);
         if (rng.next_bool(0.25)) {
@@ -223,12 +346,14 @@ TEST(PackedBackend, PropertyMatchesDenseAcrossConfigsAndThreads) {
         if (failing.use_vertex_labels) with([](BackendCase& c) { c.use_vertex_labels = false; });
         if (!failing.bitslice) with([](BackendCase& c) { c.bitslice = true; });
         if (failing.inverse_hamming) with([](BackendCase& c) { c.inverse_hamming = false; });
+        if (!failing.quantized) with([](BackendCase& c) { c.quantized = true; });
         if (failing.tudataset) with([](BackendCase& c) { c.tudataset = false; });
+        if (failing.noisy_labels) with([](BackendCase& c) { c.noisy_labels = false; });
         if (failing.dimension > 64) with([](BackendCase& c) { c.dimension /= 2; });
         if (failing.num_graphs > 4) with([](BackendCase& c) { c.num_graphs /= 2; });
         return candidates;
       },
-      backends_agree, proptest::Config{.cases = 10, .min_cases = kPinnedBackendCases});
+      matches_reference, proptest::Config{.cases = 13, .min_cases = kPinnedBackendCases});
 }
 
 TEST(PackedBackend, EncoderPackedMatchesPackedDenseEncoding) {
@@ -253,9 +378,12 @@ struct PartialFitCase {
     std::size_t label = 0;
   };
   std::vector<Step> steps;
+  std::size_t prototypes = 1;
+  bool quantized = true;
 };
 
 std::ostream& operator<<(std::ostream& out, const PartialFitCase& c) {
+  out << "prototypes=" << c.prototypes << " quantized=" << c.quantized << ", ";
   out << c.steps.size() << " steps:";
   for (const auto& s : c.steps) {
     out << ' ' << (s.star ? "star" : "cycle") << '(' << s.n << ")->" << s.label;
@@ -265,13 +393,15 @@ std::ostream& operator<<(std::ostream& out, const PartialFitCase& c) {
 
 TEST(PackedBackend, PropertyPartialFitMatchesDense) {
   proptest::check<PartialFitCase>(
-      "online partial_fit keeps packed bit-identical to dense",
+      "online partial_fit keeps the trainer bit-identical to the dense reference",
       [](Rng& rng, std::size_t) {
         PartialFitCase c;
         const std::size_t steps = 2 + rng.next_below(15);
         for (std::size_t i = 0; i < steps; ++i) {
           c.steps.push_back({rng.next_bool(), 4 + rng.next_below(12), rng.next_below(2)});
         }
+        c.prototypes = 1 + rng.next_below(2);
+        c.quantized = !rng.next_bool(0.3);
         return c;
       },
       [](const PartialFitCase& failing) {
@@ -284,26 +414,45 @@ TEST(PackedBackend, PropertyPartialFitMatchesDense) {
           halved.steps.resize(failing.steps.size() / 2);
           candidates.push_back(std::move(halved));
         }
+        if (failing.prototypes > 1) {
+          PartialFitCase single = failing;
+          single.prototypes = 1;
+          candidates.push_back(std::move(single));
+        }
+        if (!failing.quantized) {
+          PartialFitCase quantized = failing;
+          quantized.quantized = true;
+          candidates.push_back(std::move(quantized));
+        }
         return candidates;
       },
       [](const PartialFitCase& c, std::ostream& diag) {
         diag << c;
         GraphHdConfig config = base_config();
         config.dimension = 1024;
-        GraphHdModel dense(config, 2);
-        config.backend = Backend::kPackedBinary;
-        GraphHdModel packed(config, 2);
+        config.vectors_per_class = c.prototypes;
+        config.quantized_model = c.quantized;
+        DenseReference reference(config, 2);
         for (const auto& step : c.steps) {
-          const auto graph = step.star ? star_graph(step.n) : cycle_graph(step.n);
-          dense.partial_fit(graph, step.label);
-          packed.partial_fit(graph, step.label);
+          reference.partial_fit(step.star ? star_graph(step.n) : cycle_graph(step.n), step.label);
         }
-        for (std::size_t n = 5; n < 16; ++n) {
-          const auto d = dense.predict(cycle_graph(n));
-          const auto p = packed.predict(cycle_graph(n));
-          if (d.label != p.label || d.score != p.score) {
-            diag << " [probe cycle(" << n << ") diverges]";
-            return false;
+        std::vector<Backend> tags{Backend::kDenseBipolar};
+        if (c.quantized) tags.push_back(Backend::kPackedBinary);
+        for (const Backend tag : tags) {
+          config.backend = tag;
+          GraphHdModel model(config, 2);
+          for (const auto& step : c.steps) {
+            model.partial_fit(step.star ? star_graph(step.n) : cycle_graph(step.n), step.label);
+          }
+          diag << " [" << to_string(tag) << " tag]";
+          if (!same_state(model, reference, diag)) return false;
+          for (std::size_t n = 5; n < 16; ++n) {
+            for (const auto& probe : {cycle_graph(n), star_graph(n)}) {
+              if (!same_prediction(model.predict(probe), reference.predict(probe))) {
+                diag << " [probe of " << n << " vertices diverges]";
+                return false;
+              }
+            }
           }
         }
         return true;
@@ -364,71 +513,6 @@ TEST(BackendConfig, ParseAndToString) {
   EXPECT_EQ(parse_backend("binary"), Backend::kPackedBinary);
   EXPECT_EQ(parse_backend("simd"), std::nullopt);
   EXPECT_EQ(parse_backend(""), std::nullopt);
-}
-
-/// Checks that two v3 artifacts differ only where the backend tag lives: the
-/// config section's backend field and that section's checksum in the
-/// section table (byte layout: docs/formats.md).
-void expect_only_backend_tag_differs(const std::string& dense, const std::string& packed) {
-  ASSERT_EQ(dense.size(), packed.size());
-  // 16-byte header, then 32-byte table entries {id u32, reserved u32,
-  // offset u64, length u64, checksum u64}; the config section comes first.
-  constexpr std::size_t kConfigEntry = 16;
-  std::uint32_t first_id = 0;
-  std::uint64_t config_offset = 0;
-  std::memcpy(&first_id, dense.data() + kConfigEntry, sizeof first_id);
-  std::memcpy(&config_offset, dense.data() + kConfigEntry + 8, sizeof config_offset);
-  ASSERT_EQ(first_id, 1u);
-  const std::size_t checksum_at = kConfigEntry + 24;
-  // dimension, pagerank_iterations, damping (u64) + identifier, metric (u32).
-  const std::size_t backend_at = static_cast<std::size_t>(config_offset) + 32;
-  for (std::size_t i = 0; i < dense.size(); ++i) {
-    const bool tag_bytes = (i >= checksum_at && i < checksum_at + 8) ||
-                           (i >= backend_at && i < backend_at + 4);
-    if (!tag_bytes) {
-      ASSERT_EQ(dense[i], packed[i]) << "byte " << i;
-    }
-  }
-  EXPECT_NE(dense.substr(backend_at, 4), packed.substr(backend_at, 4));
-}
-
-TEST(BackendTag, FitIsIdenticalUnderEveryTag) {
-  // The same data fitted under each tag: identical counters, packed class
-  // words and predictions, and artifacts that differ only in the tag.
-  for (std::size_t index = 0; index < kPinnedBackendCases; ++index) {
-    const BackendCase c = pinned_backend_case(index);
-    std::ostringstream label;
-    label << c;
-    SCOPED_TRACE(label.str());
-    const auto dataset = case_dataset(c);
-    GraphHdConfig config = case_config(c);
-    GraphHdModel dense(config, dataset.num_classes());
-    config.backend = Backend::kPackedBinary;
-    GraphHdModel packed(config, dataset.num_classes());
-    dense.fit(dataset);
-    packed.fit(dataset);
-
-    const auto a = dense.snapshot();
-    const auto b = packed.snapshot();
-    ASSERT_EQ(a->slots(), b->slots());
-    for (std::size_t slot = 0; slot < a->slots(); ++slot) {
-      EXPECT_TRUE(std::ranges::equal(a->counters(slot), b->counters(slot))) << "slot " << slot;
-      EXPECT_TRUE(std::ranges::equal(a->packed_words(slot), b->packed_words(slot)))
-          << "slot " << slot;
-    }
-    const auto expected = dense.predict_batch(dataset);
-    const auto actual = packed.predict_batch(dataset);
-    ASSERT_EQ(actual.size(), expected.size());
-    for (std::size_t i = 0; i < expected.size(); ++i) {
-      EXPECT_EQ(actual[i].label, expected[i].label) << "sample " << i;
-      EXPECT_EQ(actual[i].score, expected[i].score) << "sample " << i;
-      EXPECT_EQ(actual[i].class_scores, expected[i].class_scores) << "sample " << i;
-    }
-    std::ostringstream dense_artifact, packed_artifact;
-    save_model(dense, dense_artifact);
-    save_model(packed, packed_artifact);
-    expect_only_backend_tag_differs(dense_artifact.str(), packed_artifact.str());
-  }
 }
 
 }  // namespace

@@ -7,7 +7,11 @@
 ///    whose predictions match a freshly trained twin exactly;
 ///  * writer stability: save_model_text of the twin reproduces the golden
 ///    v2 bytes verbatim, so the text format cannot drift silently even if
-///    reader and writer were changed together.
+///    reader and writer were changed together.  The model_v3_* fixtures do
+///    the same for the binary writer: they were written by the trainer that
+///    still ran a separate dense and packed code path, so they also pin the
+///    one trainer path to that trainer's counters, class words and bytes,
+///    under both tags and under counter scoring with retraining.
 ///
 /// The fixtures were generated from the synthetic MUTAG replica (seed 5,
 /// scale 0.05) with dimension 96, seed 0x6f1d — everything deterministic,
@@ -31,12 +35,22 @@ using namespace graphhd;
 
 const fs::path kFixtureDir = fs::path(GRAPHHD_TEST_DIR) / "fixtures";
 
-core::GraphHdModel fixture_twin(core::Backend backend) {
+/// `counter_model` selects the model_v3_dense_counter twin: counter-cosine
+/// scoring, two prototypes per class and two retraining epochs, fitted on a
+/// larger replica (scale 0.25) that the bundling pass alone does not fit, so
+/// retraining changes the counters.
+core::GraphHdModel fixture_twin(core::Backend backend, bool counter_model = false) {
   core::GraphHdConfig config;
   config.dimension = 96;
   config.seed = 0x6f1d;
   config.backend = backend;
-  const auto dataset = data::make_synthetic_replica("MUTAG", /*seed=*/5, /*scale=*/0.05);
+  if (counter_model) {
+    config.quantized_model = false;
+    config.retrain_epochs = 2;
+    config.vectors_per_class = 2;
+  }
+  const auto dataset =
+      data::make_synthetic_replica("MUTAG", /*seed=*/5, /*scale=*/counter_model ? 0.25 : 0.05);
   core::GraphHdModel model(config, dataset.num_classes());
   model.fit(dataset);
   return model;
@@ -97,6 +111,25 @@ TEST(FixtureCompat, TextWriterStillProducesTheGoldenBytes) {
     std::ostringstream out;
     core::save_model_text(twin, out);
     EXPECT_EQ(out.str(), slurp(kFixtureDir / name)) << name;
+  }
+}
+
+TEST(FixtureCompat, BinaryWriterStillProducesTheGoldenBytes) {
+  // Same drift guard for save_model: the retrained twin must serialize to
+  // exactly the golden v3 bytes under each tag and scoring rule.
+  struct Golden {
+    core::Backend backend;
+    bool counter_model;
+    const char* name;
+  };
+  for (const Golden& golden : {Golden{core::Backend::kDenseBipolar, false, "model_v3_dense.ghd"},
+                               Golden{core::Backend::kPackedBinary, false, "model_v3_packed.ghd"},
+                               Golden{core::Backend::kDenseBipolar, true,
+                                      "model_v3_dense_counter.ghd"}}) {
+    auto twin = fixture_twin(golden.backend, golden.counter_model);
+    std::ostringstream out;
+    core::save_model(twin, out);
+    EXPECT_EQ(out.str(), slurp(kFixtureDir / golden.name)) << golden.name;
   }
 }
 

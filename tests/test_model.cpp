@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <type_traits>
+#include <vector>
 
 #include "graph/generators.hpp"
 
@@ -161,6 +163,27 @@ TEST(GraphHdModel, DeterministicAcrossRuns) {
     EXPECT_EQ(a.predict(probe.graph(i)).label, b.predict(probe.graph(i)).label);
     EXPECT_DOUBLE_EQ(a.predict(probe.graph(i)).score, b.predict(probe.graph(i)).score);
   }
+}
+
+TEST(GraphHdModel, CopiesAreIndependentValues) {
+  // A copy carries the trained state and predicts identically; training the
+  // copy on leaves the original and its cached snapshot untouched.
+  static_assert(std::is_copy_constructible_v<GraphHdModel>);
+  static_assert(std::is_copy_assignable_v<GraphHdModel>);
+  GraphHdModel original(fast_config(), 2);
+  original.fit(separable_dataset(8, 23));
+  const auto before = original.predict(star_graph(12));
+
+  GraphHdModel copy = original;
+  EXPECT_EQ(copy.predict(star_graph(12)).class_scores, before.class_scores);
+  GraphHdModel assigned(fast_config(), 2);
+  assigned = original;
+  EXPECT_EQ(assigned.predict(star_graph(12)).class_scores, before.class_scores);
+
+  for (std::size_t n = 6; n < 12; ++n) copy.partial_fit(star_graph(n), 1);
+  EXPECT_NE(copy.predict(star_graph(12)).class_scores, before.class_scores);
+  EXPECT_EQ(original.predict(star_graph(12)).class_scores, before.class_scores);
+  EXPECT_EQ(original.class_counts(), (std::vector<std::size_t>{8, 8}));
 }
 
 TEST(GraphHdModel, LabelAwareExtensionUsesDatasetLabels) {

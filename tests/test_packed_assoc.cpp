@@ -5,7 +5,7 @@
 /// PackedClassMemory suites bundle one memory with packed samples and a twin
 /// with the same samples in bipolar form, and require identical counters,
 /// class vectors and similarity doubles (not just the same argmax) under
-/// every metric.
+/// every metric and under counter-cosine scoring.
 
 #include "hdc/assoc_memory.hpp"
 
@@ -128,10 +128,11 @@ TEST(PackedAssociativeMemory, CopiesQueryIdentically) {
 std::pair<AssociativeMemory, AssociativeMemory> twin_memories(std::size_t dimension,
                                                               std::size_t classes,
                                                               std::uint64_t seed,
-                                                              Similarity metric) {
+                                                              Similarity metric,
+                                                              bool quantized = true) {
   Rng rng(seed);
-  AssociativeMemory dense(dimension, classes, metric, /*quantized=*/true);
-  AssociativeMemory packed(dimension, classes, metric, /*quantized=*/true);
+  AssociativeMemory dense(dimension, classes, metric, quantized);
+  AssociativeMemory packed(dimension, classes, metric, quantized);
   for (std::size_t c = 0; c < classes; ++c) {
     for (int s = 0; s < 4; ++s) {  // even count: exercises the tie stream.
       const auto hv = Hypervector::random(dimension, rng);
@@ -165,6 +166,36 @@ TEST_P(PackedClassMemoryMetric, SimilaritiesBitIdenticalToDense) {
 INSTANTIATE_TEST_SUITE_P(Metrics, PackedClassMemoryMetric,
                          ::testing::Values(Similarity::kCosine, Similarity::kInverseHamming,
                                            Similarity::kDot));
+
+TEST(PackedClassMemory, CounterScoringBitIdenticalToDense) {
+  // The non-quantized memory scores raw counters by cosine (the model the
+  // CLI's --retrain selects under the dense tag).  Packed samples and packed
+  // queries must give the bipolar twin's counters and doubles, through
+  // bundling and through retraining updates.
+  auto [dense, packed] = twin_memories(1030, 3, 113, Similarity::kCosine, /*quantized=*/false);
+  Rng rng(127);
+  const auto expect_same = [&](const char* phase) {
+    for (std::size_t c = 0; c < 3; ++c) {
+      EXPECT_TRUE(std::ranges::equal(packed.accumulator(c).counts(), dense.accumulator(c).counts()))
+          << phase << " class " << c;
+    }
+    for (int trial = 0; trial < 10; ++trial) {
+      const auto query = Hypervector::random(1030, rng);
+      const auto d = dense.query(query);
+      const auto p = packed.query(PackedHypervector::from_bipolar(query));
+      EXPECT_EQ(p.best_class, d.best_class) << phase << " trial " << trial;
+      EXPECT_EQ(p.best_similarity, d.best_similarity) << phase << " trial " << trial;
+      EXPECT_EQ(p.similarities, d.similarities) << phase << " trial " << trial;
+    }
+  };
+  expect_same("bundled");
+  for (std::size_t step = 0; step < 6; ++step) {
+    const auto sample = Hypervector::random(1030, rng);
+    dense.retrain_update(step % 3, (step + 1) % 3, sample);
+    packed.retrain_update(step % 3, (step + 1) % 3, PackedHypervector::from_bipolar(sample));
+  }
+  expect_same("retrained");
+}
 
 TEST(PackedClassMemory, ClassVectorsAreExactPackingsOfDense) {
   auto [dense, packed] = twin_memories(700, 2, 97, Similarity::kCosine);
