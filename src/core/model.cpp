@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <filesystem>
-#include <future>
+#include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <system_error>
@@ -25,65 +27,16 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-/// Double-buffered chunk puller: with prefetch on, chunk N+1 is pulled and
-/// parsed on one background thread while the caller encodes chunk N.  The
-/// stream is only ever touched by the single in-flight task (or, between
-/// tasks, by nobody), so stream access stays strictly serialized and the
-/// produced chunk sequence — and therefore the trained state — is
-/// bit-identical to the synchronous pull.
-class ChunkFetcher {
- public:
-  ChunkFetcher(data::GraphStream& stream, std::size_t chunk, bool prefetch)
-      : stream_(stream), chunk_(chunk), prefetch_(prefetch) {
-    if (prefetch_) pending_ = launch();
-  }
-
-  ChunkFetcher(const ChunkFetcher&) = delete;
-  ChunkFetcher& operator=(const ChunkFetcher&) = delete;
-
-  ~ChunkFetcher() {
-    // Drain the in-flight pull so the stream is never touched after the
-    // fetcher is gone; destruction is abandonment, so its errors are moot.
-    if (pending_.valid()) {
-      try {
-        (void)pending_.get();
-      } catch (...) {  // NOLINT(bugprone-empty-catch)
-      }
-    }
-  }
-
-  /// Next chunk in stream order; empty = exhausted.  Pull errors (parse
-  /// failures, I/O) rethrow here, on the caller's thread.
-  [[nodiscard]] data::GraphDataset next() {
-    if (!prefetch_) return data::next_chunk(stream_, chunk_);
-    data::GraphDataset ready = pending_.get();
-    // Don't speculate past the end: an exhausted stream stays untouched.
-    if (!ready.empty()) pending_ = launch();
-    return ready;
-  }
-
- private:
-  [[nodiscard]] std::future<data::GraphDataset> launch() {
-    return std::async(std::launch::async,
-                      [this] { return data::next_chunk(stream_, chunk_); });
-  }
-
-  data::GraphStream& stream_;
-  std::size_t chunk_;
-  bool prefetch_;
-  std::future<data::GraphDataset> pending_;
-};
-
 using EncodedChunk = std::vector<hdc::PackedHypervector>;
 
 /// The training passes' chunk loop: pulls `stream` chunk by chunk (through a
-/// ChunkFetcher), rejects a label beyond the model's `num_classes`, encodes
+/// data::ChunkFetcher), rejects a label beyond the model's `num_classes`, encodes
 /// the chunk in parallel and hands both to `visit`, in stream order.
 template <typename Visit>
 void for_each_encoded_chunk(GraphHdEncoder& encoder, std::size_t num_classes,
                             data::GraphStream& stream, const StreamOptions& options,
                             Visit&& visit) {
-  ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
+  data::ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
   for (data::GraphDataset chunk = fetcher.next(); !chunk.empty(); chunk = fetcher.next()) {
     if (chunk.num_classes() > num_classes) {
       throw std::invalid_argument(
@@ -130,6 +83,18 @@ void cleanup_shard_checkpoints(const std::filesystem::path& base) {
   }
 }
 
+/// Global sample `global`'s precomputed replica; the bound check catches a
+/// source that grew between the label pass and the bundle pass (the
+/// assignment would no longer be the serial one).
+[[nodiscard]] std::size_t replica_at(const std::vector<std::size_t>& replica_of,
+                                     std::size_t global) {
+  if (global >= replica_of.size()) {
+    throw std::runtime_error(
+        "GraphHdModel::fit_stream: stream grew between the label pass and the bundle pass");
+  }
+  return replica_of[global];
+}
+
 }  // namespace
 
 GraphHdModel::GraphHdModel(const GraphHdConfig& config, std::size_t num_classes)
@@ -169,54 +134,172 @@ void GraphHdModel::fit(const data::GraphDataset& train) {
   fitted_ = true;
 }
 
-void GraphHdModel::fit_stream(data::GraphStream& stream, const TrainOptions& options) {
-  options.validate("GraphHdModel::fit_stream");
-  if (options.shards > 1) {
-    fit_stream_sharded(stream, options);
-    return;
-  }
+template <typename Pass>
+auto GraphHdModel::guarded_pass(const char* who, const data::GraphStream& stream, Pass&& pass) {
   if (fitted_) {
-    throw std::logic_error("GraphHdModel::fit_stream: model already fitted");
+    throw std::logic_error(std::string(who) + ": model already fitted");
   }
   if (stream.num_classes() > num_classes_) {
-    throw std::invalid_argument(
-        "GraphHdModel::fit_stream: stream has more classes than the model");
+    throw std::invalid_argument(std::string(who) + ": stream has more classes than the model");
   }
   invalidate_snapshot();
-
-  // Same schedule as fit(): one bundling pass (checkpointed when asked),
-  // then one stream replay per retraining epoch.  Chunk boundaries are
-  // invisible to the result — encoding is seed-deterministic per sample and
-  // the bundle/retrain updates run in stream order.
-  if (options.stats != nullptr) *options.stats = TrainStats{};
-  const auto bundle_start = Clock::now();
-  const std::size_t samples = bundle_stream(stream, options, nullptr, 1, 0);
-  if (options.stats != nullptr) {
-    options.stats->shards.push_back(
-        {0, samples, seconds_since(bundle_start), runtime::peak_rss_kb()});
+  // One class-memory copy per call: a pass that throws rolls back whatever
+  // it folded in (bundled samples, merged shards, an adopted checkpoint), so
+  // a retry on the same instance equals a clean fit.
+  hdc::AssociativeMemory memory = memory_;
+  std::vector<std::size_t> cursors = next_replica_;
+  try {
+    return pass();
+  } catch (...) {
+    invalidate_snapshot();
+    memory_ = std::move(memory);
+    next_replica_ = std::move(cursors);
+    fitted_ = false;
+    throw;
   }
-  const auto retrain_start = Clock::now();
-  retrain_stream(stream, options.stream());
-  if (options.stats != nullptr) options.stats->retrain_seconds = seconds_since(retrain_start);
-  fitted_ = true;
-  // Success: the checkpoint has served its purpose.
-  remove_if_exists(options.checkpoint);
 }
 
-std::size_t GraphHdModel::bundle_stream(
-    data::GraphStream& stream, const TrainOptions& options,
-    const std::function<std::size_t(std::size_t)>* replica_for, std::size_t shard_count,
-    std::size_t shard_index) {
+void GraphHdModel::fit_stream(data::GraphStream& stream, const TrainOptions& options) {
+  options.validate("GraphHdModel::fit_stream");
+  if (options.shards > 1 && options.workers != 1) {
+    throw std::invalid_argument(
+        "GraphHdModel::fit_stream: options.workers != 1 requires the StreamOpener form of "
+        "fit_stream_sharded — a borrowed stream has a single cursor and cannot be pulled "
+        "concurrently");
+  }
+  fit_shards(stream, nullptr, options, "GraphHdModel::fit_stream");
+}
+
+void GraphHdModel::fit_stream_sharded(const data::StreamOpener& opener,
+                                      const TrainOptions& options) {
+  if (!opener) {
+    throw std::invalid_argument("GraphHdModel::fit_stream_sharded: opener must be callable");
+  }
+  options.validate("GraphHdModel::fit_stream_sharded");
+  // ReplayableStream turns the opener into a rewindable source for the
+  // label pass, inline shard views and the retrain replays.
+  data::ReplayableStream stream(opener);
+  fit_shards(stream, &opener, options, "GraphHdModel::fit_stream_sharded");
+}
+
+void GraphHdModel::fit_shards(data::GraphStream& stream, const data::StreamOpener* opener,
+                              const TrainOptions& options, const char* who) {
+  // Same schedule as fit(): one bundling pass (checkpointed when asked),
+  // then one stream replay per retraining epoch.  Chunk boundaries and shard
+  // boundaries are invisible to the result — encoding is seed-deterministic
+  // per sample, the merged counters equal the serial bundle counters
+  // exactly, and the retrain updates run in stream order.
+  guarded_pass(who, stream, [&] {
+    (void)bundle_shards(stream, opener, options, std::nullopt);
+    const auto retrain_start = Clock::now();
+    retrain_stream(stream, options.stream());
+    if (options.stats != nullptr) options.stats->retrain_seconds = seconds_since(retrain_start);
+    fitted_ = true;
+  });
+  // Success: the checkpoints have served their purpose.
+  if (options.shards == 1) {
+    remove_if_exists(options.checkpoint);
+  } else {
+    cleanup_shard_checkpoints(options.checkpoint);
+  }
+}
+
+std::size_t GraphHdModel::bundle_shards(data::GraphStream& stream,
+                                        const data::StreamOpener* opener,
+                                        const TrainOptions& options,
+                                        std::optional<std::size_t> only) {
+  const std::size_t shards = options.shards;
+  const std::size_t first = only.value_or(0);
+  const std::size_t count = only.has_value() ? 1 : shards;
+  std::size_t workers = 1;
+  if (opener != nullptr) {
+    workers = std::min(count, options.workers == 0 ? parallel::configured_threads()
+                                                   : options.workers);
+  }
+  if (options.stats != nullptr) {
+    *options.stats = TrainStats{};
+    options.stats->shards.resize(count);
+    options.stats->workers_used = workers;
+  }
+  const std::vector<std::size_t> replica_of =
+      shards > 1 ? global_replica_assignment(stream) : std::vector<std::size_t>{};
+
+  // Workers claim shards off an atomic counter; the calling thread is worker
+  // 0, so a single worker runs the shards inline in index order.  A lone
+  // shard bundles straight into *this (its encoder stays warm); otherwise
+  // each shard bundles into a private model that merges into *this as soon
+  // as it finishes.  merge() sums counters, counts and cursors and XORs
+  // parities, so completion order cannot change a bit.  The encode passes go
+  // through the process-wide pool, which runs one top-level batch at a time:
+  // concurrent workers overlap stream pull/parse with each other's encodes
+  // instead of oversubscribing the cores.
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next_slot{0};
+  std::atomic<bool> abort{false};
+  std::mutex merge_mutex;
+  std::size_t samples = 0;  // guarded by merge_mutex.
+  const auto worker_loop = [&] {
+    while (!abort.load(std::memory_order_relaxed)) {
+      const std::size_t slot = next_slot.fetch_add(1, std::memory_order_relaxed);
+      if (slot >= count) return;
+      const std::size_t shard = first + slot;
+      try {
+        // The stream itself when unsharded; on worker threads a private
+        // owning view (its own cursor from `opener`), else a view borrowing
+        // the one cursor.
+        std::optional<data::ShardedStream> view;
+        if (shards > 1 && workers > 1) view.emplace(*opener, shard, shards);
+        if (shards > 1 && workers == 1) view.emplace(stream, shard, shards);
+        std::optional<GraphHdModel> shard_model;
+        GraphHdModel& target = count == 1 ? *this : shard_model.emplace(config_, num_classes_);
+        const auto start = Clock::now();
+        const std::size_t bundled = target.bundle_stream(
+            view.has_value() ? *view : stream, options,
+            count == 1 ? options.checkpoint : shard_checkpoint_path(options.checkpoint, shard),
+            replica_of, shards, shard);
+        if (options.stats != nullptr) {
+          options.stats->shards[slot] =
+              ShardProgress{shard, bundled, seconds_since(start), runtime::peak_rss_kb()};
+        }
+        const std::lock_guard<std::mutex> lock(merge_mutex);
+        samples += bundled;
+        if (shard_model.has_value()) {
+          const auto merge_start = Clock::now();
+          merge(std::move(*shard_model));
+          if (options.stats != nullptr) options.stats->merge_seconds += seconds_since(merge_start);
+        }
+      } catch (...) {
+        errors[slot] = std::current_exception();
+        abort.store(true, std::memory_order_relaxed);
+      }
+    }
+  };
+  {
+    std::vector<std::jthread> helpers;
+    for (std::size_t w = 1; w < workers; ++w) helpers.emplace_back(worker_loop);
+    worker_loop();
+  }  // joins the helpers.
+
+  // Deterministic error propagation: the lowest failed shard's exception
+  // wins, whatever order the workers actually hit their errors in.
+  for (const std::exception_ptr& error : errors) {
+    if (error != nullptr) std::rethrow_exception(error);
+  }
+  return samples;
+}
+
+std::size_t GraphHdModel::bundle_stream(data::GraphStream& stream, const TrainOptions& options,
+                                        const std::filesystem::path& checkpoint,
+                                        const std::vector<std::size_t>& replica_of,
+                                        std::size_t shard_count, std::size_t shard_index) {
   // Resume: adopt the persisted counters and skip the already-consumed
   // prefix.  A missing file simply starts fresh (first run of a resumable
   // job); a corrupt file throws in resume_checkpoint.
   std::size_t start_index = 0;
-  if (options.resume && !options.checkpoint.empty() &&
-      std::filesystem::exists(options.checkpoint)) {
-    ResumedCheckpoint resumed = resume_checkpoint(options.checkpoint);
+  if (options.resume && !checkpoint.empty() && std::filesystem::exists(checkpoint)) {
+    ResumedCheckpoint resumed = resume_checkpoint(checkpoint);
     if (!(resumed.model.config() == config_) || resumed.model.num_classes() != num_classes_) {
-      throw std::runtime_error("GraphHdModel::fit_stream: checkpoint " +
-                               options.checkpoint.string() +
+      throw std::runtime_error("GraphHdModel::fit_stream: checkpoint " + checkpoint.string() +
                                " was written by a model with a different configuration");
     }
     // samples_consumed indexes into the checkpoint's round-robin shard view;
@@ -224,14 +307,13 @@ std::size_t GraphHdModel::bundle_stream(
     // samples, so a mismatched resume would silently skip or duplicate data.
     const CheckpointProgress& progress = resumed.progress;
     if (progress.shard_count == 0) {
-      throw std::runtime_error("GraphHdModel::fit_stream: checkpoint " +
-                               options.checkpoint.string() +
+      throw std::runtime_error("GraphHdModel::fit_stream: checkpoint " + checkpoint.string() +
                                " predates shard-topology progress (v1) — its shard "
                                "assignment is unknown; delete it and restart the fit");
     }
     if (progress.shard_count != shard_count || progress.shard_index != shard_index) {
       throw std::runtime_error(
-          "GraphHdModel::fit_stream: checkpoint " + options.checkpoint.string() +
+          "GraphHdModel::fit_stream: checkpoint " + checkpoint.string() +
           " was written as shard " + std::to_string(progress.shard_index) + " of " +
           std::to_string(progress.shard_count) + " but this fit runs shard " +
           std::to_string(shard_index) + " of " + std::to_string(shard_count) +
@@ -255,21 +337,24 @@ std::size_t GraphHdModel::bundle_stream(
 
   std::size_t last_saved = index;
   const auto maybe_checkpoint = [&](bool bundle_complete) {
-    if (options.checkpoint.empty()) return;
+    if (checkpoint.empty()) return;
     if (!bundle_complete && index - last_saved < options.checkpoint_interval) return;
-    save_checkpoint(*this, {index, bundle_complete, shard_count, shard_index},
-                    options.checkpoint);
+    save_checkpoint(*this, {index, bundle_complete, shard_count, shard_index}, checkpoint);
     // save_checkpoint builds (and caches) a snapshot of the mid-fit state;
     // drop it so later snapshot() calls never serve stale counters.
     invalidate_snapshot();
     last_saved = index;
   };
 
-  // Algorithm 1: bundle every sample into (a prototype of) its class.
+  // Algorithm 1: bundle every sample into (a prototype of) its class.  The
+  // stream's local sample k is global sample shard_index + k * shard_count.
   const auto bundle_chunk = [&](const data::GraphDataset& chunk, const EncodedChunk& encoded) {
     for (std::size_t i = 0; i < chunk.size(); ++i, ++index) {
       const std::size_t label = chunk.label(i);
-      bundle_sample(label, replica_for != nullptr ? (*replica_for)(index) : next_replica_[label],
+      bundle_sample(label,
+                    replica_of.empty()
+                        ? next_replica_[label]
+                        : replica_at(replica_of, shard_index + index * shard_count),
                     encoded[i]);
     }
     maybe_checkpoint(false);
@@ -324,214 +409,11 @@ std::vector<std::size_t> GraphHdModel::global_replica_assignment(data::GraphStre
   for (std::size_t i = 0; i < labels.size(); ++i) {
     if (labels[i] >= num_classes_) {
       throw std::invalid_argument(
-          "GraphHdModel::fit_stream_sharded: stream label exceeds the model's class count");
+          "GraphHdModel::fit_stream: stream label exceeds the model's class count");
     }
     replica_of[i] = seen[labels[i]]++ % config_.vectors_per_class;
   }
   return replica_of;
-}
-
-namespace {
-
-/// Shard `shard`'s local sample k is global sample shard + k * W; the bound
-/// check catches a source that grew between the label pass and the bundle
-/// pass (the assignment would no longer be the serial one).
-[[nodiscard]] std::function<std::size_t(std::size_t)> shard_replica_map(
-    const std::vector<std::size_t>& replica_of, std::size_t shard, std::size_t shards) {
-  if (replica_of.empty()) return {};
-  return [&replica_of, shard, shards](std::size_t local) {
-    const std::size_t global = shard + local * shards;
-    if (global >= replica_of.size()) {
-      throw std::runtime_error(
-          "GraphHdModel::fit_stream_sharded: stream grew between the label pass and "
-          "the bundle pass");
-    }
-    return replica_of[global];
-  };
-}
-
-}  // namespace
-
-void GraphHdModel::fit_stream_sharded(data::GraphStream& stream, const TrainOptions& options) {
-  options.validate("GraphHdModel::fit_stream_sharded");
-  if (options.workers != 1) {
-    throw std::invalid_argument(
-        "GraphHdModel::fit_stream_sharded: options.workers != 1 requires the StreamOpener "
-        "form — a borrowed stream has a single cursor and cannot be pulled concurrently");
-  }
-  if (fitted_) {
-    throw std::logic_error("GraphHdModel::fit_stream_sharded: model already fitted");
-  }
-  if (stream.num_classes() > num_classes_) {
-    throw std::invalid_argument(
-        "GraphHdModel::fit_stream_sharded: stream has more classes than the model");
-  }
-  invalidate_snapshot();
-  const std::size_t shards = options.shards;
-  if (options.stats != nullptr) {
-    *options.stats = TrainStats{};
-    options.stats->shards.assign(shards, ShardProgress{});
-  }
-
-  const std::vector<std::size_t> replica_of = global_replica_assignment(stream);
-
-  // Map: bundle each shard into a private model, then reduce by merge().
-  // Shards run one after another — the parallelism inside each shard's
-  // encode (process-wide pool) already saturates the cores, and sequential
-  // shard fits keep stream access single-cursor safe in borrowing mode.
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    data::ShardedStream shard_view(stream, shard, shards);
-    GraphHdModel shard_model(config_, num_classes_);
-    TrainOptions shard_options = options;
-    shard_options.shards = 1;
-    shard_options.workers = 1;
-    shard_options.stats = nullptr;
-    shard_options.checkpoint = shard_checkpoint_path(options.checkpoint, shard);
-
-    const std::function<std::size_t(std::size_t)> shard_replica =
-        shard_replica_map(replica_of, shard, shards);
-    const auto shard_start = Clock::now();
-    const std::size_t samples = shard_model.bundle_stream(
-        shard_view, shard_options, shard_replica ? &shard_replica : nullptr, shards, shard);
-    if (options.stats != nullptr) {
-      options.stats->shards[shard] =
-          ShardProgress{shard, samples, seconds_since(shard_start), runtime::peak_rss_kb()};
-    }
-    const auto merge_start = Clock::now();
-    merge(std::move(shard_model));
-    if (options.stats != nullptr) options.stats->merge_seconds += seconds_since(merge_start);
-  }
-
-  // Reduce done; retraining is sequential by nature and runs on the merged
-  // counters — which equal the serial bundle counters exactly, so the
-  // retrained model is bit-identical to serial fit_stream.
-  const auto retrain_start = Clock::now();
-  retrain_stream(stream, options.stream());
-  if (options.stats != nullptr) options.stats->retrain_seconds = seconds_since(retrain_start);
-  fitted_ = true;
-  cleanup_shard_checkpoints(options.checkpoint);
-}
-
-void GraphHdModel::fit_stream_sharded(const data::StreamOpener& opener,
-                                      const TrainOptions& options) {
-  if (!opener) {
-    throw std::invalid_argument("GraphHdModel::fit_stream_sharded: opener must be callable");
-  }
-  options.validate("GraphHdModel::fit_stream_sharded");
-  const std::size_t workers =
-      options.workers == 0 ? std::min(options.shards, parallel::configured_threads())
-                           : std::min(options.workers, options.shards);
-  if (workers <= 1) {
-    // ReplayableStream turns the opener into a rewindable source; the shard
-    // views and retrain replays rewind it by re-opening.
-    TrainOptions serial = options;
-    serial.workers = 1;
-    data::ReplayableStream stream(opener);
-    fit_stream_sharded(stream, serial);
-    if (options.stats != nullptr) options.stats->workers_used = 1;
-    return;
-  }
-
-  if (fitted_) {
-    throw std::logic_error("GraphHdModel::fit_stream_sharded: model already fitted");
-  }
-  invalidate_snapshot();
-  if (options.stats != nullptr) *options.stats = TrainStats{};
-
-  std::vector<std::size_t> replica_of;
-  {
-    data::ReplayableStream probe(opener);
-    if (probe.num_classes() > num_classes_) {
-      throw std::invalid_argument(
-          "GraphHdModel::fit_stream_sharded: stream has more classes than the model");
-    }
-    replica_of = global_replica_assignment(probe);
-  }
-
-  bundle_shards_parallel(opener, options, replica_of, workers);
-
-  const auto retrain_start = Clock::now();
-  data::ReplayableStream retrain_source(opener);
-  retrain_stream(retrain_source, options.stream());
-  if (options.stats != nullptr) options.stats->retrain_seconds = seconds_since(retrain_start);
-  fitted_ = true;
-  cleanup_shard_checkpoints(options.checkpoint);
-}
-
-void GraphHdModel::bundle_shards_parallel(const data::StreamOpener& opener,
-                                          const TrainOptions& options,
-                                          const std::vector<std::size_t>& replica_of,
-                                          std::size_t workers) {
-  const std::size_t shards = options.shards;
-  if (options.stats != nullptr) {
-    options.stats->shards.assign(shards, ShardProgress{});
-    options.stats->workers_used = workers;
-  }
-
-  // Each worker claims shards off an atomic counter and bundles them into
-  // private models over private owning shard views — no shared mutable
-  // state beyond the counter, the per-shard result/error slots (each written
-  // by exactly one worker, read only after the joins) and whatever the
-  // opener shares internally.  The encode passes inside bundle_stream go
-  // through the process-wide pool, whose one-batch-at-a-time discipline
-  // keeps concurrent shard encodes from oversubscribing the cores: workers
-  // overlap stream pull/parse/prefetch with each other's encode batches.
-  std::vector<std::unique_ptr<GraphHdModel>> shard_models(shards);
-  std::vector<std::exception_ptr> shard_errors(shards);
-  std::atomic<std::size_t> next_shard{0};
-  std::atomic<bool> abort{false};
-
-  const auto worker_loop = [&] {
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) return;
-      const std::size_t shard = next_shard.fetch_add(1, std::memory_order_relaxed);
-      if (shard >= shards) return;
-      try {
-        data::ShardedStream shard_view(opener, shard, shards);
-        auto shard_model = std::make_unique<GraphHdModel>(config_, num_classes_);
-        TrainOptions shard_options = options;
-        shard_options.shards = 1;
-        shard_options.workers = 1;
-        shard_options.stats = nullptr;
-        shard_options.checkpoint = shard_checkpoint_path(options.checkpoint, shard);
-
-        const std::function<std::size_t(std::size_t)> shard_replica =
-            shard_replica_map(replica_of, shard, shards);
-        const auto shard_start = Clock::now();
-        const std::size_t samples = shard_model->bundle_stream(
-            shard_view, shard_options, shard_replica ? &shard_replica : nullptr, shards,
-            shard);
-        if (options.stats != nullptr) {
-          options.stats->shards[shard] =
-              ShardProgress{shard, samples, seconds_since(shard_start), runtime::peak_rss_kb()};
-        }
-        shard_models[shard] = std::move(shard_model);
-      } catch (...) {
-        shard_errors[shard] = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
-    }
-  };
-
-  std::vector<std::thread> threads;
-  threads.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) threads.emplace_back(worker_loop);
-  for (std::thread& thread : threads) thread.join();
-
-  // Deterministic error propagation: the lowest failed shard's exception
-  // wins, whatever order the workers actually hit their errors in.
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    if (shard_errors[shard] != nullptr) std::rethrow_exception(shard_errors[shard]);
-  }
-
-  // Reduce on the calling thread, in shard order.  merge() is commutative,
-  // so any order would produce the same counters — index order just makes
-  // the equivalence to the serial loop obvious.
-  const auto merge_start = Clock::now();
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    merge(std::move(*shard_models[shard]));
-  }
-  if (options.stats != nullptr) options.stats->merge_seconds = seconds_since(merge_start);
 }
 
 CheckpointProgress GraphHdModel::fit_stream_shard(data::GraphStream& stream,
@@ -543,52 +425,23 @@ CheckpointProgress GraphHdModel::fit_stream_shard(data::GraphStream& stream,
                                 std::to_string(shard_index) + " out of range for " +
                                 std::to_string(options.shards) + " shards");
   }
-  if (fitted_) {
-    throw std::logic_error("GraphHdModel::fit_stream_shard: model already fitted");
-  }
-  if (stream.num_classes() > num_classes_) {
-    throw std::invalid_argument(
-        "GraphHdModel::fit_stream_shard: stream has more classes than the model");
-  }
-  invalidate_snapshot();
-  if (options.stats != nullptr) *options.stats = TrainStats{};
-
   // The replica assignment comes from the GLOBAL label order — every machine
   // computes the same one from the same full stream, so the union of the
-  // per-machine bundles lands in exactly the serial fit's slots.
-  const std::vector<std::size_t> replica_of = global_replica_assignment(stream);
-  data::ShardedStream shard_view(stream, shard_index, options.shards);
-  TrainOptions shard_options = options;
-  shard_options.shards = 1;
-  shard_options.workers = 1;
-  shard_options.stats = nullptr;
-  // options.checkpoint is used as-is: this process owns exactly one shard,
-  // so there is no sibling to disambiguate from.
-  const std::function<std::size_t(std::size_t)> shard_replica =
-      shard_replica_map(replica_of, shard_index, options.shards);
-  const auto shard_start = Clock::now();
-  const std::size_t samples =
-      bundle_stream(shard_view, shard_options, shard_replica ? &shard_replica : nullptr,
-                    options.shards, shard_index);
-  if (options.stats != nullptr) {
-    options.stats->shards.push_back(
-        {shard_index, samples, seconds_since(shard_start), runtime::peak_rss_kb()});
-  }
+  // per-machine bundles lands in exactly the serial fit's slots.  A lone
+  // shard checkpoints to options.checkpoint as-is: this process owns exactly
+  // one shard, so there is no sibling to disambiguate from.
+  const std::size_t samples = guarded_pass("GraphHdModel::fit_stream_shard", stream, [&] {
+    return bundle_shards(stream, nullptr, options, shard_index);
+  });
   return CheckpointProgress{samples, true, options.shards, shard_index};
 }
 
 void GraphHdModel::finish_training(data::GraphStream& stream, const StreamOptions& options) {
   options.validate("GraphHdModel::finish_training");
-  if (fitted_) {
-    throw std::logic_error("GraphHdModel::finish_training: model already fitted");
-  }
-  if (stream.num_classes() > num_classes_) {
-    throw std::invalid_argument(
-        "GraphHdModel::finish_training: stream has more classes than the model");
-  }
-  invalidate_snapshot();
-  retrain_stream(stream, options);
-  fitted_ = true;
+  guarded_pass("GraphHdModel::finish_training", stream, [&] {
+    retrain_stream(stream, options);
+    fitted_ = true;
+  });
 }
 
 void GraphHdModel::merge(GraphHdModel&& other) {
@@ -656,31 +509,12 @@ std::vector<Prediction> GraphHdModel::predict_batch(const data::GraphDataset& te
 
 void GraphHdModel::predict_stream(data::GraphStream& stream, const StreamOptions& options,
                                   const std::function<void(std::size_t, const Prediction&)>& sink) {
-  options.validate("GraphHdModel::predict_stream");
-  // One snapshot pinned up front (as in predict_batch) so the chunked
-  // parallel queries below are pure reads.
-  const std::shared_ptr<const InferenceSnapshot> snap = snapshot();
-  stream.reset();
-  std::size_t index = 0;
-  ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
-  for (data::GraphDataset chunk = fetcher.next(); !chunk.empty(); chunk = fetcher.next()) {
-    for (const Prediction& prediction : predict_dataset(*snap, encoder_, chunk)) {
-      sink(index++, prediction);
-    }
-  }
+  predict_stream_chunks(snapshot(), encoder_, stream, options, sink);
 }
 
 std::vector<Prediction> GraphHdModel::predict_stream(data::GraphStream& stream,
                                                      const StreamOptions& options) {
-  std::vector<Prediction> predictions;
-  if (const auto hint = stream.size_hint(); hint.has_value()) predictions.reserve(*hint);
-  predict_stream(stream, options, [&](std::size_t index, const Prediction& prediction) {
-    if (index != predictions.size()) {
-      throw std::logic_error("GraphHdModel::predict_stream: out-of-order sink index");
-    }
-    predictions.push_back(prediction);
-  });
-  return predictions;
+  return collect_stream_predictions(snapshot(), encoder_, stream, options);
 }
 
 double GraphHdModel::evaluate(const data::GraphDataset& test) {

@@ -5,9 +5,11 @@
 #pragma once
 
 #include <cstddef>
+#include <filesystem>
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 #include "core/config.hpp"
@@ -70,38 +72,41 @@ class GraphHdModel {
   /// Beyond the chunk size, TrainOptions adds:
   ///  - options.prefetch: pull/parse chunk N+1 on a background thread while
   ///    chunk N encodes (bit-identical either way);
-  ///  - options.shards > 1: delegates to fit_stream_sharded;
+  ///  - options.shards > 1: the sharded map-reduce fit of fit_stream_sharded,
+  ///    one shard view at a time — a borrowed stream has a single cursor,
+  ///    so options.workers must then be 1 (std::invalid_argument otherwise);
   ///  - options.checkpoint / checkpoint_interval / resume: periodically
   ///    persist the counter state during the bundling pass and resume a
   ///    killed ingest from the last checkpoint — the resumed model is
   ///    bit-identical to an uninterrupted fit (core/serialize.hpp,
   ///    tests/test_checkpoint.cpp).  The checkpoint file is removed on
   ///    successful completion.
+  /// A fit that throws leaves the model as it found it (counters, replica
+  /// cursors, fitted flag), so a retry on the same instance equals a clean
+  /// fit.  The same holds for fit_stream_sharded, fit_stream_shard and
+  /// finish_training.
   void fit_stream(data::GraphStream& stream, const TrainOptions& options = {});
 
-  /// Sharded map-reduce training: partitions the stream round-robin into
-  /// `options.shards` disjoint shard views (data::ShardedStream — sample i
-  /// belongs to shard i % W), bundles each shard into a private model, and
-  /// merge()s the shard models into *this.  Because bundling is counter
-  /// addition — commutative and associative — the merged counters are
-  /// *exactly* the serial fit_stream counters at any shard count; replica
+  /// Sharded map-reduce training over a re-openable source: partitions the
+  /// stream round-robin into `options.shards` disjoint shard views
+  /// (data::ShardedStream — sample i belongs to shard i % W), bundles each
+  /// shard into a private model and merge()s it into *this as soon as it
+  /// finishes.  Because bundling is counter addition — commutative and
+  /// associative — the merged counters are *exactly* the serial fit_stream
+  /// counters at any shard count and in any completion order; replica
   /// assignment (vectors_per_class > 1) is kept serial-identical by
   /// precomputing each sample's replica from the global label order.
   /// Retraining (inherently sequential) then runs serially on the merged
   /// model, so the final model is bit-identical to serial fit_stream end to
   /// end.  With options.checkpoint set, each shard checkpoints to
-  /// `<checkpoint>.shard<k>` and a killed run resumes shard by shard.
-  /// Borrowing form: the single stream cursor forces sequential shard fits,
-  /// so options.workers must be 1.
-  void fit_stream_sharded(data::GraphStream& stream, const TrainOptions& options);
-
-  /// Opener form for sources that cannot rewind in place: every replay
-  /// (shard views, retrain epochs) re-opens the source through `opener`.
-  /// This form also unlocks options.workers != 1 — dedicated shard-worker
-  /// threads each pull a private owning ShardedStream and bundle
-  /// concurrently, then the shard models merge in index order on the calling
-  /// thread (bit-identical to serial at any worker count).  With workers
-  /// != 1 the opener is invoked concurrently and must be thread-safe.
+  /// `<checkpoint>.shard<k>` and a killed run resumes shard by shard (a
+  /// one-shard fit checkpoints to `<checkpoint>` itself).
+  ///
+  /// Every replay re-opens the source through `opener`, which also unlocks
+  /// options.workers != 1: up to that many shard workers (0 = auto) each
+  /// pull a private owning ShardedStream, so at most `workers` shard models
+  /// are alive at once, and the opener must be thread-safe.  fit_stream with
+  /// options.shards > 1 runs the same loop over a borrowed stream.
   void fit_stream_sharded(const data::StreamOpener& opener, const TrainOptions& options);
 
   /// Distributed building block: bundles ONLY shard `shard_index` of the
@@ -161,7 +166,8 @@ class GraphHdModel {
   /// `sink` in stream order (`index` counts samples from 0).  Bounded
   /// memory — graphs and encodings are dropped after their chunk; with
   /// options.prefetch the next chunk is pulled while the current one
-  /// encodes.  Bit-identical to predict_batch on the materialized stream.
+  /// encodes.  Bit-identical to predict_batch on the materialized stream;
+  /// the loop (core::predict_stream_chunks) is SnapshotPredictor's too.
   void predict_stream(data::GraphStream& stream, const StreamOptions& options,
                       const std::function<void(std::size_t, const Prediction&)>& sink);
 
@@ -209,23 +215,41 @@ class GraphHdModel {
                      std::vector<std::size_t> replica_cursors, bool fitted);
 
  private:
-  /// The bundling pass over `stream` with checkpoint/resume handling.
-  /// `replica_for`, when non-null, overrides the round-robin cursor with a
-  /// precomputed replica per stream-local sample index (the sharded fit's
-  /// serial-identical replica assignment); the cursors still advance so
-  /// merge() arithmetic stays exact.  `shard_count`/`shard_index` name the
+  /// Shared guard of every streaming training entry: rejects a fitted model
+  /// or a stream with more classes than the model, then runs `pass`, and if
+  /// it throws restores the class memory, replica cursors and fitted flag.
+  template <typename Pass>
+  auto guarded_pass(const char* who, const data::GraphStream& stream, Pass&& pass);
+
+  /// fit_stream and fit_stream_sharded: every shard through bundle_shards,
+  /// the retraining epochs over `stream`, then the checkpoint cleanup.
+  void fit_shards(data::GraphStream& stream, const data::StreamOpener* opener,
+                  const TrainOptions& options, const char* who);
+
+  /// The one shard loop: bundles shard `only` (default: every shard) of the
+  /// options.shards-way round-robin partition of `stream`.  A lone shard
+  /// bundles into *this under options.checkpoint; otherwise each shard
+  /// bundles into a private model under `<checkpoint>.shard<k>` and merges
+  /// into *this as it finishes.  Shards run inline unless `opener` is set
+  /// and options.workers != 1.  Rethrows the lowest failed shard's
+  /// exception; returns the samples bundled.
+  std::size_t bundle_shards(data::GraphStream& stream, const data::StreamOpener* opener,
+                            const TrainOptions& options, std::optional<std::size_t> only);
+
+  /// The bundling pass over `stream` with checkpoint/resume handling
+  /// (`checkpoint`; empty = off).  `shard_count`/`shard_index` name the
   /// round-robin topology `stream` represents ({1, 0} for a plain fit):
   /// checkpoints record it, and resume rejects a checkpoint written under a
   /// different topology — its consumed-sample prefix indexes a different
-  /// view.  Returns the stream-local samples consumed (the resumed prefix
-  /// included).
+  /// view.  `replica_of`, when non-empty, is the serial-identical replica of
+  /// every sample of the full stream (global_replica_assignment) and
+  /// overrides the round-robin cursor; the cursors still advance so merge()
+  /// arithmetic stays exact.  Returns the stream-local samples consumed (the
+  /// resumed prefix included).
   std::size_t bundle_stream(data::GraphStream& stream, const TrainOptions& options,
-                            const std::function<std::size_t(std::size_t)>* replica_for,
-                            std::size_t shard_count, std::size_t shard_index);
-
-  /// The worker-threaded shard loop of the opener fit_stream_sharded form.
-  void bundle_shards_parallel(const data::StreamOpener& opener, const TrainOptions& options,
-                              const std::vector<std::size_t>& replica_of, std::size_t workers);
+                            const std::filesystem::path& checkpoint,
+                            const std::vector<std::size_t>& replica_of, std::size_t shard_count,
+                            std::size_t shard_index);
 
   /// The serial-identical replica assignment of every stream sample (empty
   /// when vectors_per_class == 1 — the cursor path is already exact).

@@ -83,8 +83,8 @@ struct ShardProgress {
 /// the trained state is bit-identical whether or not stats are collected.
 struct TrainStats {
   std::vector<ShardProgress> shards;  ///< one entry per shard, index order.
-  std::size_t workers_used = 1;       ///< shard-worker threads actually spawned.
-  double merge_seconds = 0.0;         ///< reduce phase (counter merges).
+  std::size_t workers_used = 1;       ///< shard workers that ran (the caller is one).
+  double merge_seconds = 0.0;         ///< reduce phase (counter merges, summed).
   double retrain_seconds = 0.0;       ///< sequential retraining epochs.
 };
 
@@ -101,8 +101,9 @@ struct TrainOptions {
 
   /// Number of training shards W.  1 = plain serial fit_stream; W > 1
   /// partitions the stream round-robin by sample index (sample i goes to
-  /// shard i % W), fits a private model per shard and merges — bit-identical
-  /// to the serial fit at any W (see GraphHdModel::fit_stream_sharded).
+  /// shard i % W), fits a private model per shard and merges each as it
+  /// finishes — bit-identical to the serial fit at any W (see
+  /// GraphHdModel::fit_stream_sharded).
   std::size_t shards = 1;
 
   /// Checkpoint artifact path; empty = checkpointing off.  During the
@@ -124,16 +125,18 @@ struct TrainOptions {
   /// to an uninterrupted fit over the same stream.
   bool resume = false;
 
-  /// Shard-worker threads of a sharded fit: 1 (default) bundles the shards
-  /// sequentially; N > 1 runs up to N shard fits on dedicated threads, each
-  /// pulling a private owning ShardedStream; 0 = auto
-  /// (min(shards, parallel::configured_threads())).  Any value other than 1
-  /// requires the StreamOpener form of fit_stream_sharded — a borrowed
-  /// stream has one cursor and cannot be pulled concurrently.  The encode
-  /// passes still go through the process-wide thread pool, which serializes
-  /// concurrent top-level batches, so shard workers overlap stream
-  /// pull/parse with encode instead of oversubscribing cores.  Bit-identical
-  /// to serial at any worker count (merge order is fixed by shard index).
+  /// Shard workers of a sharded fit: 1 (default) bundles the shards
+  /// sequentially on the calling thread; N > 1 runs up to N shard fits at
+  /// once (the calling thread plus N - 1 more), each pulling a private owning
+  /// ShardedStream; 0 = auto (min(shards, parallel::configured_threads())).
+  /// Any value other than 1 requires the StreamOpener form of
+  /// fit_stream_sharded — a borrowed stream has one cursor and cannot be
+  /// pulled concurrently, so fit_stream with shards > 1 rejects it.  The
+  /// encode passes still go through the process-wide thread pool, which
+  /// serializes concurrent top-level batches, so shard workers overlap
+  /// stream pull/parse with encode instead of oversubscribing cores.
+  /// Bit-identical to serial at any worker count: shards merge in completion
+  /// order, and the merge is exact.
   std::size_t workers = 1;
 
   /// When non-null, per-shard progress/RSS and phase timings of the fit are

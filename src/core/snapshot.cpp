@@ -305,6 +305,33 @@ std::vector<Prediction> predict_dataset(const InferenceSnapshot& snapshot, Graph
   return predictions;
 }
 
+void predict_stream_chunks(std::shared_ptr<const InferenceSnapshot> snapshot,
+                           GraphHdEncoder& encoder, data::GraphStream& stream,
+                           const StreamOptions& options,
+                           const std::function<void(std::size_t, const Prediction&)>& sink) {
+  options.validate("predict_stream");
+  stream.reset();
+  std::size_t index = 0;
+  data::ChunkFetcher fetcher(stream, options.chunk, options.prefetch);
+  for (data::GraphDataset chunk = fetcher.next(); !chunk.empty(); chunk = fetcher.next()) {
+    for (const Prediction& prediction : predict_dataset(*snapshot, encoder, chunk)) {
+      sink(index++, prediction);
+    }
+  }
+}
+
+std::vector<Prediction> collect_stream_predictions(
+    std::shared_ptr<const InferenceSnapshot> snapshot, GraphHdEncoder& encoder,
+    data::GraphStream& stream, const StreamOptions& options) {
+  std::vector<Prediction> predictions;
+  if (const auto hint = stream.size_hint(); hint.has_value()) predictions.reserve(*hint);
+  predict_stream_chunks(std::move(snapshot), encoder, stream, options,
+                        [&](std::size_t, const Prediction& prediction) {
+                          predictions.push_back(prediction);
+                        });
+  return predictions;
+}
+
 namespace {
 
 const GraphHdConfig& require_snapshot_config(
@@ -341,35 +368,14 @@ std::vector<Prediction> SnapshotPredictor::predict_batch(const data::GraphDatase
 }
 
 void SnapshotPredictor::predict_stream(
-    data::GraphStream& stream, std::size_t chunk_size,
+    data::GraphStream& stream, const StreamOptions& options,
     const std::function<void(std::size_t, const Prediction&)>& sink) {
-  if (chunk_size == 0) {
-    throw std::invalid_argument("SnapshotPredictor::predict_stream: chunk_size must be positive");
-  }
-  // Pin one snapshot for the whole pass so a concurrent swap() cannot mix
-  // models within a stream.
-  const std::shared_ptr<const InferenceSnapshot> snap = snapshot_;
-  stream.reset();
-  std::size_t index = 0;
-  for (data::GraphDataset chunk = data::next_chunk(stream, chunk_size); !chunk.empty();
-       chunk = data::next_chunk(stream, chunk_size)) {
-    for (const Prediction& prediction : predict_dataset(*snap, encoder_, chunk)) {
-      sink(index++, prediction);
-    }
-  }
+  predict_stream_chunks(snapshot_, encoder_, stream, options, sink);
 }
 
 std::vector<Prediction> SnapshotPredictor::predict_stream(data::GraphStream& stream,
-                                                          std::size_t chunk_size) {
-  std::vector<Prediction> predictions;
-  if (const auto hint = stream.size_hint(); hint.has_value()) predictions.reserve(*hint);
-  predict_stream(stream, chunk_size, [&](std::size_t index, const Prediction& prediction) {
-    if (index != predictions.size()) {
-      throw std::logic_error("SnapshotPredictor::predict_stream: out-of-order sink index");
-    }
-    predictions.push_back(prediction);
-  });
-  return predictions;
+                                                          const StreamOptions& options) {
+  return collect_stream_predictions(snapshot_, encoder_, stream, options);
 }
 
 }  // namespace graphhd::core

@@ -42,6 +42,7 @@
 
 #include "core/config.hpp"
 #include "core/encoder.hpp"
+#include "core/options.hpp"
 #include "data/dataset.hpp"
 #include "data/stream.hpp"
 #include "hdc/assoc_memory.hpp"
@@ -205,10 +206,13 @@ class SnapshotPredictor {
 
   [[nodiscard]] Prediction predict(const graph::Graph& graph);
   [[nodiscard]] std::vector<Prediction> predict_batch(const data::GraphDataset& test);
-  void predict_stream(data::GraphStream& stream, std::size_t chunk_size,
+  /// Streams `stream` through the current snapshot (held for the whole
+  /// pass) — the same chunked, prefetching loop as
+  /// GraphHdModel::predict_stream (core::predict_stream_chunks).
+  void predict_stream(data::GraphStream& stream, const StreamOptions& options,
                       const std::function<void(std::size_t, const Prediction&)>& sink);
   [[nodiscard]] std::vector<Prediction> predict_stream(data::GraphStream& stream,
-                                                       std::size_t chunk_size = 64);
+                                                       const StreamOptions& options = {});
 
  private:
   std::shared_ptr<const InferenceSnapshot> snapshot_;
@@ -226,5 +230,24 @@ class SnapshotPredictor {
 [[nodiscard]] std::vector<Prediction> predict_dataset(const InferenceSnapshot& snapshot,
                                                       GraphHdEncoder& encoder,
                                                       const data::GraphDataset& dataset);
+
+/// Streaming counterpart of predict_dataset and the shared body of both
+/// predict_stream paths: resets `stream`, pulls options.chunk graphs at a
+/// time through a data::ChunkFetcher (prefetching the next chunk when
+/// options.prefetch is set), predicts each chunk with predict_dataset and
+/// hands every prediction to `sink` in stream order (`index` counts samples
+/// from 0).  `snapshot` is held for the whole pass, so a concurrent swap of
+/// the caller's pointer cannot mix models within a stream.  Bit-identical to
+/// predict_dataset on the materialized stream.
+void predict_stream_chunks(std::shared_ptr<const InferenceSnapshot> snapshot,
+                           GraphHdEncoder& encoder, data::GraphStream& stream,
+                           const StreamOptions& options,
+                           const std::function<void(std::size_t, const Prediction&)>& sink);
+
+/// predict_stream_chunks collected into one vector (the per-sample
+/// Prediction is a few doubles — the graphs are still streamed).
+[[nodiscard]] std::vector<Prediction> collect_stream_predictions(
+    std::shared_ptr<const InferenceSnapshot> snapshot, GraphHdEncoder& encoder,
+    data::GraphStream& stream, const StreamOptions& options);
 
 }  // namespace graphhd::core

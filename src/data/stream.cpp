@@ -45,6 +45,32 @@ GraphDataset next_chunk(GraphStream& stream, std::size_t max_graphs, const std::
   return chunk;
 }
 
+ChunkFetcher::ChunkFetcher(GraphStream& stream, std::size_t chunk, bool prefetch)
+    : stream_(stream), chunk_(chunk), prefetch_(prefetch) {
+  if (prefetch_) pending_ = launch();
+}
+
+ChunkFetcher::~ChunkFetcher() {
+  if (pending_.valid()) {
+    try {
+      (void)pending_.get();
+    } catch (...) {  // NOLINT(bugprone-empty-catch)
+    }
+  }
+}
+
+GraphDataset ChunkFetcher::next() {
+  if (!prefetch_) return next_chunk(stream_, chunk_);
+  GraphDataset ready = pending_.get();
+  // Don't speculate past the end: an exhausted stream stays untouched.
+  if (!ready.empty()) pending_ = launch();
+  return ready;
+}
+
+std::future<GraphDataset> ChunkFetcher::launch() {
+  return std::async(std::launch::async, [this] { return next_chunk(stream_, chunk_); });
+}
+
 GraphDataset materialize(GraphStream& stream, const std::string& name) {
   stream.reset();
   std::vector<Graph> graphs;
@@ -636,11 +662,13 @@ void TUDatasetWriter::append(const Graph& graph, std::size_t label,
   if (closed_) {
     throw std::logic_error("TUDatasetWriter::append: writer is closed");
   }
-  // A zero-vertex graph carries no label rows either way; follow the mode
-  // the first real append fixed.
-  const bool labeled = graph.num_vertices() == 0 ? writes_vertex_labels_.value_or(false)
-                                                 : !vertex_labels.empty();
-  if (!writes_vertex_labels_.has_value()) {
+  const bool labeled = !vertex_labels.empty();
+  if (labeled && vertex_labels.size() != graph.num_vertices()) {
+    throw std::invalid_argument("TUDatasetWriter::append: vertex label count mismatch");
+  }
+  // A zero-vertex graph carries no label rows either way, so only a graph
+  // with vertices fixes the labeled mode (or must follow it).
+  if (graph.num_vertices() > 0 && !writes_vertex_labels_.has_value()) {
     writes_vertex_labels_ = labeled;
     if (labeled) {
       node_labels_out_.open(directory_ / (name_ + "_node_labels.txt"));
@@ -648,12 +676,9 @@ void TUDatasetWriter::append(const Graph& graph, std::size_t label,
         throw std::runtime_error("TUDatasetWriter: cannot create node labels file");
       }
     }
-  } else if (*writes_vertex_labels_ != labeled) {
+  } else if (graph.num_vertices() > 0 && *writes_vertex_labels_ != labeled) {
     throw std::invalid_argument(
         "TUDatasetWriter::append: vertex labels must come with every graph or none");
-  }
-  if (labeled && vertex_labels.size() != graph.num_vertices()) {
-    throw std::invalid_argument("TUDatasetWriter::append: vertex label count mismatch");
   }
 
   for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
@@ -666,10 +691,8 @@ void TUDatasetWriter::append(const Graph& graph, std::size_t label,
     adjacency_out_ << v << ", " << u << '\n';
   }
   labels_out_ << label << '\n';
-  if (labeled) {
-    for (const std::size_t vertex_label : vertex_labels) {
-      node_labels_out_ << vertex_label << '\n';
-    }
+  for (const std::size_t vertex_label : vertex_labels) {
+    node_labels_out_ << vertex_label << '\n';
   }
   global_vertex_base_ += graph.num_vertices();
   ++graphs_written_;

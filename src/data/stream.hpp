@@ -26,12 +26,12 @@
 ///   ReplayableStream re-opens a non-rewindable source through a caller
 ///                    factory on every reset();
 ///   ShardedStream    round-robin index partition of another stream — the
-///                    shard decomposition of fit_stream_sharded's map-reduce
-///                    training (core/model.hpp).
+///                    shard decomposition of sharded map-reduce training
+///                    (core/model.hpp).
 ///
 /// TUDatasetWriter is the write-side counterpart: it appends one graph at a
-/// time to a TUDataset directory, producing byte-identical files to
-/// save_tudataset without ever holding the dataset.
+/// time to a TUDataset directory without ever holding the dataset
+/// (save_tudataset is a loop over it).
 
 #pragma once
 
@@ -40,6 +40,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <memory>
 #include <optional>
 #include <span>
@@ -101,6 +102,34 @@ class GraphStream {
 /// unlabeled samples within one chunk throws std::runtime_error).
 [[nodiscard]] GraphDataset next_chunk(GraphStream& stream, std::size_t max_graphs,
                                       const std::string& name = "chunk");
+
+/// Double-buffered next_chunk puller, the chunk source of every streaming
+/// fit and predict pass: with prefetch on, chunk N+1 is pulled and parsed on
+/// one background thread while the caller encodes chunk N.  The stream is
+/// only ever touched by the single in-flight task (or, between tasks, by
+/// nobody), so stream access stays strictly serialized and the produced
+/// chunk sequence is identical to the synchronous pull.
+class ChunkFetcher {
+ public:
+  ChunkFetcher(GraphStream& stream, std::size_t chunk, bool prefetch);
+  ChunkFetcher(const ChunkFetcher&) = delete;
+  ChunkFetcher& operator=(const ChunkFetcher&) = delete;
+  /// Drains the in-flight pull so the stream is never touched after the
+  /// fetcher is gone; destruction is abandonment, so its errors are moot.
+  ~ChunkFetcher();
+
+  /// Next chunk in stream order; empty = exhausted.  Pull errors (parse
+  /// failures, I/O) rethrow here, on the caller's thread.
+  [[nodiscard]] GraphDataset next();
+
+ private:
+  [[nodiscard]] std::future<GraphDataset> launch();
+
+  GraphStream& stream_;
+  std::size_t chunk_;
+  bool prefetch_;
+  std::future<GraphDataset> pending_;
+};
 
 /// Drains the whole stream into one dataset (reset first, then pull to the
 /// end) — the materialization used by equivalence tests and small callers.
@@ -295,8 +324,8 @@ class ReplayableStream final : public GraphStream {
 
 /// Round-robin index partition of another stream: shard s of W yields
 /// exactly the source samples whose index (position in source order)
-/// satisfies index % W == s, in source order.  The partitioner of
-/// fit_stream_sharded (core/model.hpp): the W shards are disjoint, cover
+/// satisfies index % W == s, in source order.  The partitioner of sharded
+/// fits (core/model.hpp): the W shards are disjoint, cover
 /// the source, and each is itself an ordinary GraphStream, so a per-shard
 /// model fit over shard s sees a deterministic sample subsequence no matter
 /// how the other shards are scheduled.
@@ -339,10 +368,10 @@ void save_edge_list(const GraphDataset& dataset, const std::filesystem::path& pa
 /// Appends one graph record in the edge-list format.
 void append_edge_list(std::ostream& out, const Graph& graph, std::size_t label);
 
-/// Append-only TUDataset-directory writer: the streaming counterpart of
-/// save_tudataset.  Graphs written through append() produce byte-identical
-/// files to a save_tudataset call over the materialized dataset (including
-/// the node-labels file when every append carries vertex labels).
+/// Append-only TUDataset-directory writer, and the one writer of the format:
+/// save_tudataset appends every graph of a dataset through it.  The
+/// node-labels file is written when every graph with vertices carries vertex
+/// labels.
 class TUDatasetWriter {
  public:
   TUDatasetWriter(const std::filesystem::path& directory, const std::string& name);

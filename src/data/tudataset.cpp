@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <fstream>
 #include <map>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
+#include "data/stream.hpp"
 #include "data/text_io.hpp"
 
 namespace graphhd::data {
@@ -146,42 +148,13 @@ GraphDataset load_tudataset(const fs::path& directory, const std::string& name) 
 }
 
 void save_tudataset(const GraphDataset& dataset, const fs::path& directory) {
-  fs::create_directories(directory);
-  const std::string& name = dataset.name();
-  std::ofstream adjacency_out(directory / (name + "_A.txt"));
-  std::ofstream indicator_out(directory / (name + "_graph_indicator.txt"));
-  std::ofstream labels_out(directory / (name + "_graph_labels.txt"));
-  if (!adjacency_out || !indicator_out || !labels_out) {
-    throw std::runtime_error("tudataset: cannot create files under " + directory.string());
-  }
-
-  std::size_t global_base = 0;
+  TUDatasetWriter writer(directory, dataset.name());
   for (std::size_t g = 0; g < dataset.size(); ++g) {
-    const Graph& graph = dataset.graph(g);
-    for (std::size_t v = 0; v < graph.num_vertices(); ++v) {
-      indicator_out << (g + 1) << '\n';
-    }
-    for (const auto& e : graph.edges()) {
-      const std::size_t u = global_base + e.u + 1;
-      const std::size_t v = global_base + e.v + 1;
-      adjacency_out << u << ", " << v << '\n';
-      adjacency_out << v << ", " << u << '\n';
-    }
-    labels_out << dataset.label(g) << '\n';
-    global_base += graph.num_vertices();
+    std::span<const std::size_t> vertex_labels;
+    if (dataset.has_vertex_labels()) vertex_labels = dataset.vertex_labels()[g];
+    writer.append(dataset.graph(g), dataset.label(g), vertex_labels);
   }
-
-  if (dataset.has_vertex_labels()) {
-    std::ofstream node_labels_out(directory / (name + "_node_labels.txt"));
-    if (!node_labels_out) {
-      throw std::runtime_error("tudataset: cannot create node labels file");
-    }
-    for (std::size_t g = 0; g < dataset.size(); ++g) {
-      for (const std::size_t label : dataset.vertex_labels()[g]) {
-        node_labels_out << label << '\n';
-      }
-    }
-  }
+  writer.close();
 }
 
 }  // namespace graphhd::data

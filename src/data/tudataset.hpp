@@ -42,7 +42,9 @@ namespace graphhd::data {
                                     const std::string& name);
 
 /// Writes `dataset` to `directory` in TUDataset format (creates the
-/// directory).  Vertex labels are written when present.
+/// directory) by appending every graph through data::TUDatasetWriter.
+/// Vertex labels are written when present.  Throws std::runtime_error when
+/// a file cannot be created or a write fails.
 void save_tudataset(const GraphDataset& dataset, const std::filesystem::path& directory);
 
 }  // namespace graphhd::data

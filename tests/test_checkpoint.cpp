@@ -337,14 +337,14 @@ TEST(ShardedCheckpoint, MidShardCrashResumesBitIdentical) {
   core::GraphHdModel crashed(config, dataset.num_classes());
   DatasetStream source(dataset);
   FailAfter failing(source, 40);
-  EXPECT_THROW(crashed.fit_stream_sharded(failing, options), std::runtime_error);
+  EXPECT_THROW(crashed.fit_stream(failing, options), std::runtime_error);
   EXPECT_TRUE(fs::exists(dir / "ckpt.ghd.shard0"))
       << "completed shard 0 left no bundle_complete checkpoint";
 
   options.resume = true;
   core::GraphHdModel resumed(config, dataset.num_classes());
   DatasetStream fresh(dataset);
-  resumed.fit_stream_sharded(fresh, options);
+  resumed.fit_stream(fresh, options);
   EXPECT_EQ(artifact_of(resumed), artifact_of(reference));
   EXPECT_FALSE(fs::exists(dir / "ckpt.ghd.shard0")) << "shard checkpoints not cleaned up";
   EXPECT_FALSE(fs::exists(dir / "ckpt.ghd.shard1"));
@@ -399,7 +399,7 @@ TEST(CheckpointTopology, ResumeUnderDifferentShardTopologyIsRejected) {
     core::GraphHdModel crashed(config, dataset.num_classes());
     DatasetStream source(dataset);
     FailAfter failing(source, 40);  // inside shard 1's bundling pass.
-    EXPECT_THROW(crashed.fit_stream_sharded(failing, options), std::runtime_error);
+    EXPECT_THROW(crashed.fit_stream(failing, options), std::runtime_error);
     ASSERT_TRUE(fs::exists(dir / "ckpt.ghd.shard0"));
   }
 
@@ -408,7 +408,7 @@ TEST(CheckpointTopology, ResumeUnderDifferentShardTopologyIsRejected) {
   core::GraphHdModel resumed(config, dataset.num_classes());
   DatasetStream stream(dataset);
   try {
-    resumed.fit_stream_sharded(stream, options);
+    resumed.fit_stream(stream, options);
     FAIL() << "resume adopted a shard checkpoint written under a different topology";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("shard"), std::string::npos) << error.what();
@@ -433,7 +433,7 @@ TEST(CheckpointTopology, ShrinkingShardsAfterACrashIsRejectedNotSilentlyWrong) {
     core::GraphHdModel crashed(config, dataset.num_classes());
     DatasetStream source(dataset);
     FailAfter failing(source, 100);  // inside shard 3 (4 shards x 28 pulls).
-    EXPECT_THROW(crashed.fit_stream_sharded(failing, options), std::runtime_error);
+    EXPECT_THROW(crashed.fit_stream(failing, options), std::runtime_error);
     ASSERT_TRUE(fs::exists(dir / "ckpt.ghd.shard0"));
     ASSERT_TRUE(fs::exists(dir / "ckpt.ghd.shard2"));
   }
@@ -443,7 +443,7 @@ TEST(CheckpointTopology, ShrinkingShardsAfterACrashIsRejectedNotSilentlyWrong) {
   narrower.shards = 2;
   core::GraphHdModel resumed(config, dataset.num_classes());
   DatasetStream stream(dataset);
-  EXPECT_THROW(resumed.fit_stream_sharded(stream, narrower), std::runtime_error);
+  EXPECT_THROW(resumed.fit_stream(stream, narrower), std::runtime_error);
   fs::remove_all(dir);
 }
 
@@ -464,7 +464,7 @@ TEST(CheckpointTopology, SuccessfulRunSweepsStaleShardFilesFromAWiderRun) {
     core::GraphHdModel crashed(config, dataset.num_classes());
     DatasetStream source(dataset);
     FailAfter failing(source, 100);
-    EXPECT_THROW(crashed.fit_stream_sharded(failing, options), std::runtime_error);
+    EXPECT_THROW(crashed.fit_stream(failing, options), std::runtime_error);
     ASSERT_TRUE(fs::exists(dir / "ckpt.ghd.shard2"));
   }
 
@@ -476,7 +476,7 @@ TEST(CheckpointTopology, SuccessfulRunSweepsStaleShardFilesFromAWiderRun) {
   narrower.shards = 2;  // fresh run (no resume) — overwrites shard0/shard1.
   core::GraphHdModel rerun(config, dataset.num_classes());
   DatasetStream stream(dataset);
-  rerun.fit_stream_sharded(stream, narrower);
+  rerun.fit_stream(stream, narrower);
   EXPECT_EQ(artifact_of(rerun), artifact_of(reference));
   for (int k = 0; k < 4; ++k) {
     fs::path shard_file = narrower.checkpoint;

@@ -1,9 +1,10 @@
 /// \file test_merge.cpp
 /// The merge layer of PR 8's sharded map-reduce training: accumulator-level
 /// merges are exactly equivalent to interleaved adds, GraphHdModel::merge is
-/// commutative and associative on serialized state, and fit_stream_sharded
-/// is bit-identical to the serial fit at any shard count, chunk size,
-/// backend, kernel variant, prototype count and retrain depth.
+/// commutative and associative on serialized state, and the sharded fit
+/// (fit_stream with shards > 1, and the opener form fit_stream_sharded) is
+/// bit-identical to the serial fit at any shard count, chunk size, backend,
+/// kernel variant, prototype count and retrain depth.
 
 #include <gtest/gtest.h>
 
@@ -284,7 +285,7 @@ TEST(MergeProperty, ShardedFitIsBitIdenticalToSerial) {
   const auto kernels = supported_kernels();
   const auto* startup = &hdc::kernels::active();
   proptest::check<ShardedCase>(
-      "fit_stream_sharded == fit_stream",
+      "sharded fit_stream == serial fit_stream",
       [&](hdc::Rng& rng, std::size_t i) {
         ShardedCase c;
         // Leading deterministic sweep: every shard count 1..4 on both
@@ -342,7 +343,7 @@ TEST(MergeProperty, ShardedFitIsBitIdenticalToSerial) {
         sharded_options.shards = c.shards;
         core::GraphHdModel sharded(config, dataset.num_classes());
         DatasetStream sharded_stream(dataset);
-        sharded.fit_stream_sharded(sharded_stream, sharded_options);
+        sharded.fit_stream(sharded_stream, sharded_options);
 
         const bool identical = artifact_of(sharded) == artifact_of(serial);
         if (!identical) diag << " — sharded artifact diverged from serial";
@@ -362,7 +363,7 @@ TEST(MergeProperty, ShardedOpenerFormMatchesBorrowingForm) {
 
   core::GraphHdModel borrowing(config, dataset.num_classes());
   DatasetStream stream(dataset);
-  borrowing.fit_stream_sharded(stream, options);
+  borrowing.fit_stream(stream, options);
 
   core::GraphHdModel opener_based(config, dataset.num_classes());
   opener_based.fit_stream_sharded(

@@ -162,9 +162,39 @@ TEST(ParallelShard, BitIdenticalToSerialAcrossWorkerCounts) {
         config.retrain_epochs = c.retrain;
         config.vectors_per_class = c.prototypes;
 
+        // The reference is a one-shard fit, which bypasses the shard loop;
+        // both sharded forms — the borrowed stream (fit_stream) and the
+        // opener on worker threads — must land on its artifact.
         core::GraphHdModel serial(config, dataset.num_classes());
         DatasetStream stream(dataset);
-        serial.fit_stream(stream, core::TrainOptions{.chunk = c.chunk, .shards = c.shards});
+        serial.fit_stream(stream, core::TrainOptions{.chunk = c.chunk});
+        const std::string expected = artifact_of(serial);
+        const auto stats_cover_every_shard = [&](const core::TrainStats& stats,
+                                                 const char* form) {
+          std::size_t samples = 0;
+          for (const auto& shard : stats.shards) samples += shard.samples;
+          if (stats.shards.size() == c.shards && samples == dataset.size()) return true;
+          diag << " — " << form << " stats cover " << samples << " samples over "
+               << stats.shards.size() << " shards (want " << dataset.size() << " over "
+               << c.shards << ")";
+          return false;
+        };
+
+        core::TrainStats borrowed_stats;
+        core::GraphHdModel borrowed(config, dataset.num_classes());
+        DatasetStream borrowed_stream(dataset);
+        borrowed.fit_stream(borrowed_stream, core::TrainOptions{.chunk = c.chunk,
+                                                                .shards = c.shards,
+                                                                .stats = &borrowed_stats});
+        if (artifact_of(borrowed) != expected) {
+          diag << " — borrowed sharded artifact diverges from serial";
+          return false;
+        }
+        if (!stats_cover_every_shard(borrowed_stats, "borrowed")) return false;
+        if (borrowed_stats.workers_used != 1) {
+          diag << " — borrowed form reports " << borrowed_stats.workers_used << " workers";
+          return false;
+        }
 
         core::TrainStats stats;
         core::TrainOptions options;
@@ -174,19 +204,11 @@ TEST(ParallelShard, BitIdenticalToSerialAcrossWorkerCounts) {
         options.stats = &stats;
         core::GraphHdModel parallel(config, dataset.num_classes());
         parallel.fit_stream_sharded(opener_of(dataset), options);
-
-        if (artifact_of(parallel) != artifact_of(serial)) {
+        if (artifact_of(parallel) != expected) {
           diag << " — parallel artifact diverges from serial";
           return false;
         }
-        std::size_t samples = 0;
-        for (const auto& shard : stats.shards) samples += shard.samples;
-        if (stats.shards.size() != c.shards || samples != dataset.size()) {
-          diag << " — stats cover " << samples << " samples over " << stats.shards.size()
-               << " shards (want " << dataset.size() << " over " << c.shards << ")";
-          return false;
-        }
-        return true;
+        return stats_cover_every_shard(stats, "opener");
       },
       {.cases = 24, .min_cases = 4});
 }
@@ -205,7 +227,7 @@ TEST(ParallelShard, BorrowingFormRejectsWorkerThreads) {
   for (const std::size_t workers : {std::size_t{0}, std::size_t{2}}) {
     options.workers = workers;
     DatasetStream stream(dataset);
-    EXPECT_THROW(model.fit_stream_sharded(stream, options), std::invalid_argument)
+    EXPECT_THROW(model.fit_stream(stream, options), std::invalid_argument)
         << "borrowed single-cursor stream accepted workers=" << workers;
   }
 }
@@ -214,30 +236,51 @@ TEST(ParallelShard, WorkerFailuresPropagateAndLeaveTheModelUnfitted) {
   const auto dataset = parallel_dataset(71);
   core::GraphHdConfig config;
   config.dimension = 128;
-  core::TrainOptions options;
-  options.chunk = 4;
-  options.shards = 4;
-  options.workers = 4;
 
   core::GraphHdModel serial(config, dataset.num_classes());
   DatasetStream stream(dataset);
-  serial.fit_stream(stream, core::TrainOptions{.chunk = 4, .shards = 4});
+  serial.fit_stream(stream, core::TrainOptions{.chunk = 4});
+  const std::string expected = artifact_of(serial);
 
-  core::GraphHdModel model(config, dataset.num_classes());
-  // 4 shard views pull 4 x 26 samples in total; a budget of 40 crashes at
-  // least one racing worker mid-fit.
-  auto budget = std::make_shared<std::atomic<long long>>(40);
-  try {
-    model.fit_stream_sharded(failing_opener_of(dataset, budget), options);
-    FAIL() << "injected worker failure never surfaced";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("injected"), std::string::npos) << error.what();
+  struct FailureCase {
+    std::size_t shards;
+    std::size_t workers;
+    bool opener;
+    long long budget;  ///< source samples pulled before the injected failure.
+  };
+  // A one-shard fit pulls the 26 samples once, so a budget of 12 fails it
+  // after three 4-sample chunks.  4 shard views pull 4 x 26 samples; a
+  // budget of 40 fails the second shard after the first one merged (or, on 4
+  // workers, at least one racing worker mid-fit).
+  for (const FailureCase& c : {FailureCase{4, 4, true, 40}, FailureCase{1, 1, false, 12},
+                               FailureCase{4, 1, false, 40}, FailureCase{4, 1, true, 40}}) {
+    SCOPED_TRACE(std::string(c.opener ? "opener" : "borrowed") + " shards " +
+                 std::to_string(c.shards) + " workers " + std::to_string(c.workers));
+    const core::TrainOptions options{.chunk = 4, .shards = c.shards, .workers = c.workers};
+    core::GraphHdModel model(config, dataset.num_classes());
+    auto budget = std::make_shared<std::atomic<long long>>(c.budget);
+    try {
+      if (c.opener) {
+        model.fit_stream_sharded(failing_opener_of(dataset, budget), options);
+      } else {
+        SharedBudgetStream failing(dataset, budget);
+        model.fit_stream(failing, options);
+      }
+      ADD_FAILURE() << "injected failure never surfaced";
+    } catch (const std::runtime_error& error) {
+      EXPECT_NE(std::string(error.what()).find("injected"), std::string::npos) << error.what();
+    }
+
+    // The failed fit must not leave the model half-trained: a clean rerun on
+    // the same instance still produces the serial artifact.
+    if (c.opener) {
+      model.fit_stream_sharded(opener_of(dataset), options);
+    } else {
+      DatasetStream clean(dataset);
+      model.fit_stream(clean, options);
+    }
+    EXPECT_EQ(artifact_of(model), expected);
   }
-
-  // The failed fit must not leave the model half-trained: a clean rerun on
-  // the same instance still produces the serial artifact.
-  model.fit_stream_sharded(opener_of(dataset), options);
-  EXPECT_EQ(artifact_of(model), artifact_of(serial));
 }
 
 TEST(ParallelShard, CrashAndResumeStayBitIdenticalUnderWorkers) {
@@ -248,7 +291,7 @@ TEST(ParallelShard, CrashAndResumeStayBitIdenticalUnderWorkers) {
 
   core::GraphHdModel reference(config, dataset.num_classes());
   DatasetStream reference_stream(dataset);
-  reference.fit_stream(reference_stream, core::TrainOptions{.chunk = 4, .shards = 3});
+  reference.fit_stream(reference_stream, core::TrainOptions{.chunk = 4});
 
   core::TrainOptions options;
   options.chunk = 4;

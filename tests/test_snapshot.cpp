@@ -109,7 +109,7 @@ TEST(Snapshot, MatchesModelAcrossTheConfigMatrix) {
       expect_predictions_equal(batch_model[i], batch_snapshot[i], "predict_batch");
     }
     DatasetStream stream(probes);
-    const auto streamed = predictor.predict_stream(stream, /*chunk_size=*/5);
+    const auto streamed = predictor.predict_stream(stream, {.chunk = 5});
     ASSERT_EQ(streamed.size(), batch_model.size());
     for (std::size_t i = 0; i < streamed.size(); ++i) {
       expect_predictions_equal(batch_model[i], streamed[i], "predict_stream");

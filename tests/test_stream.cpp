@@ -15,6 +15,7 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "core/model.hpp"
 #include "core/pipeline.hpp"
@@ -177,7 +178,12 @@ TEST(TUDatasetStreamTest, RejectsNonMonotoneIndicator) {
 }
 
 TEST(TUDatasetWriterTest, ProducesByteIdenticalFilesToSaveTudataset) {
-  const auto dataset = small_replica();
+  // save_tudataset is a loop over the writer, so both are pinned against the
+  // expected bytes.  The vertex-free first graph writes no indicator or
+  // node-label rows and must not fix the writer's labeled mode.
+  GraphDataset dataset("DS", {graph::Graph{}, graph::path_graph(2), graph::path_graph(3)},
+                       {2, 1, 0});
+  dataset.set_vertex_labels({{}, {4, 5}, {6, 4, 7}});
   const fs::path bulk_dir = fresh_temp_dir("writer_bulk");
   const fs::path stream_dir = fresh_temp_dir("writer_stream");
   data::save_tudataset(dataset, bulk_dir);
@@ -195,11 +201,15 @@ TEST(TUDatasetWriterTest, ProducesByteIdenticalFilesToSaveTudataset) {
     buffer << in.rdbuf();
     return buffer.str();
   };
-  for (const char* suffix :
-       {"_A.txt", "_graph_indicator.txt", "_graph_labels.txt", "_node_labels.txt"}) {
-    const std::string file = dataset.name() + suffix;
-    EXPECT_EQ(read_file(stream_dir / file), read_file(bulk_dir / file)) << file;
-    EXPECT_FALSE(read_file(stream_dir / file).empty()) << file;
+  const std::pair<const char*, const char*> expected[] = {
+      {"DS_A.txt", "1, 2\n2, 1\n3, 4\n4, 3\n4, 5\n5, 4\n"},
+      {"DS_graph_indicator.txt", "2\n2\n3\n3\n3\n"},
+      {"DS_graph_labels.txt", "2\n1\n0\n"},
+      {"DS_node_labels.txt", "4\n5\n6\n4\n7\n"},
+  };
+  for (const auto& [file, bytes] : expected) {
+    EXPECT_EQ(read_file(stream_dir / file), bytes) << file;
+    EXPECT_EQ(read_file(bulk_dir / file), bytes) << file;
   }
   fs::remove_all(bulk_dir);
   fs::remove_all(stream_dir);
@@ -403,7 +413,7 @@ TEST(PipelineStream, EndToEndOverTUDatasetFiles) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedStream: the round-robin partitioner of fit_stream_sharded
+// ShardedStream: the round-robin partitioner of sharded fits
 // ---------------------------------------------------------------------------
 
 TEST(ShardedStreamTest, ShardsAreDisjointAndCoverTheSourceInOrder) {

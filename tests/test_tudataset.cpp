@@ -172,4 +172,13 @@ TEST_F(TudatasetTest, RejectsWrongNodeLabelCount) {
   EXPECT_THROW((void)load_tudataset(dir_, "DS"), std::runtime_error);
 }
 
+TEST_F(TudatasetTest, SaveReportsWriteErrors) {
+  // Regression: save_tudataset never checked its streams, so a full disk
+  // left a truncated dataset behind without an error.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "/dev/full is not available";
+  fs::create_symlink("/dev/full", dir_ / "TOY_A.txt");
+  GraphDataset original("TOY", {path_graph(3), cycle_graph(4)}, {0, 1});
+  EXPECT_THROW(save_tudataset(original, dir_), std::runtime_error);
+}
+
 }  // namespace
