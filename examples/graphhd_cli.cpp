@@ -414,8 +414,8 @@ int cmd_predict_remote(const Args& args) {
                static_cast<std::uintmax_t>(client.config_hash()));
 
   const auto dataset = load_dataset(args);
-  // Encode packed, like serve::Client: the server converts to its scoring
-  // representation exactly.
+  // Encode packed: the server converts to its scoring representation
+  // exactly.
   core::GraphHdEncoder encoder(client.config());
   const std::size_t window =
       std::max<std::size_t>(1, parse_u64("window", args.get("window", "64")));

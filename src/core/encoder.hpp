@@ -118,7 +118,7 @@ class GraphHdEncoder {
 /// thread count.  Vertex labels are bound in exactly when
 /// config.use_vertex_labels is set *and* the dataset carries labels —
 /// the shared contract of fit/predict_batch/evaluate (GraphHdModel) and
-/// SnapshotPredictor.
+/// core::predict_dataset.
 [[nodiscard]] std::vector<hdc::Hypervector> encode_dataset(GraphHdEncoder& primary,
                                                            const data::GraphDataset& dataset);
 

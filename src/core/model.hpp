@@ -166,8 +166,8 @@ class GraphHdModel {
   /// `sink` in stream order (`index` counts samples from 0).  Bounded
   /// memory — graphs and encodings are dropped after their chunk; with
   /// options.prefetch the next chunk is pulled while the current one
-  /// encodes.  Bit-identical to predict_batch on the materialized stream;
-  /// the loop (core::predict_stream_chunks) is SnapshotPredictor's too.
+  /// encodes.  Bit-identical to predict_batch on the materialized stream
+  /// (the loop is core::predict_stream_chunks).
   void predict_stream(data::GraphStream& stream, const StreamOptions& options,
                       const std::function<void(std::size_t, const Prediction&)>& sink);
 

@@ -2,14 +2,14 @@
 /// Unified options structs for every streaming entry point.
 ///
 /// Every streaming entry point (`fit_stream`, `predict_stream`,
-/// `score_stream`, `cross_validate_stream` via `CvConfig::stream`) takes its
-/// knobs from one of these structs, so adding a knob — sharding, prefetch,
+/// `cross_validate_stream` via `CvConfig::stream`) takes its knobs from one
+/// of these structs, so adding a knob — sharding, prefetch,
 /// checkpointing — touches no signature:
 ///
 ///   model.fit_stream(stream, {.chunk = 128, .shards = 8});
 ///   model.predict_stream(stream, {.chunk = 256});
 ///
-/// StreamOptions covers read-only passes (predict/score/CV folds);
+/// StreamOptions covers read-only passes (predict/CV folds);
 /// TrainOptions extends it with the training-only knobs (shards,
 /// checkpoint/resume).  docs/training.md has the field tables.
 
@@ -44,8 +44,8 @@ struct CheckpointProgress {
   std::uint64_t shard_index = 0;  ///< this checkpoint's shard k (samples i with i % W == k).
 };
 
-/// Knobs of a read-only streaming pass (predict_stream, score_stream, the
-/// per-fold streams of cross_validate_stream).
+/// Knobs of a read-only streaming pass (predict_stream, the per-fold
+/// streams of cross_validate_stream).
 struct StreamOptions {
   /// Graphs pulled/encoded per chunk — the memory/parallelism granularity.
   /// Results are bit-identical at any chunk size; larger chunks amortize

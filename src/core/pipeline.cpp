@@ -60,30 +60,6 @@ std::vector<std::size_t> GraphHd::predict_batch(const data::GraphDataset& test) 
 
 double GraphHd::score(const data::GraphDataset& test) { return model().evaluate(test); }
 
-double GraphHd::score_stream(data::GraphStream& stream, const StreamOptions& options) {
-  const auto labels = data::collect_labels(stream);
-  if (labels.empty()) return 0.0;
-  std::size_t hits = 0;
-  std::size_t predicted = 0;
-  model().predict_stream(stream, options, [&](std::size_t i, const Prediction& prediction) {
-    if (i >= labels.size()) {
-      throw std::runtime_error("GraphHd::score_stream: stream grew between the label scan and "
-                               "the prediction pass");
-    }
-    ++predicted;
-    hits += prediction.label == labels[i] ? 1 : 0;
-  });
-  // A shrunken replay must error just like a grown one — otherwise missing
-  // tail samples would silently score as misses.
-  if (predicted != labels.size()) {
-    throw std::runtime_error("GraphHd::score_stream: stream yielded " +
-                             std::to_string(predicted) + " samples for " +
-                             std::to_string(labels.size()) +
-                             " scanned labels — the stream shrank between passes");
-  }
-  return static_cast<double>(hits) / static_cast<double>(labels.size());
-}
-
 GraphHdModel& GraphHd::model() {
   if (!model_.has_value()) {
     throw std::logic_error("GraphHd: call fit() or partial_fit() first");

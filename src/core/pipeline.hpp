@@ -63,12 +63,6 @@ class GraphHd {
   /// Mean accuracy on a labeled dataset.
   [[nodiscard]] double score(const data::GraphDataset& test);
 
-  /// Streaming counterpart of score(): accuracy of predict_stream against
-  /// the stream's own labels, in bounded memory (one label column + one
-  /// chunk of graphs).  Scans labels first (cheap for every source with a
-  /// label fast path), then replays the stream for prediction.
-  [[nodiscard]] double score_stream(data::GraphStream& stream, const StreamOptions& options = {});
-
   /// Access to the underlying model (throws before fit/partial_fit).
   [[nodiscard]] GraphHdModel& model();
 

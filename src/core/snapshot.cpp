@@ -332,50 +332,4 @@ std::vector<Prediction> collect_stream_predictions(
   return predictions;
 }
 
-namespace {
-
-const GraphHdConfig& require_snapshot_config(
-    const std::shared_ptr<const InferenceSnapshot>& snapshot) {
-  if (snapshot == nullptr) {
-    throw std::invalid_argument("SnapshotPredictor: null snapshot");
-  }
-  return snapshot->config();
-}
-
-}  // namespace
-
-SnapshotPredictor::SnapshotPredictor(std::shared_ptr<const InferenceSnapshot> snapshot)
-    : snapshot_(std::move(snapshot)), encoder_(require_snapshot_config(snapshot_)) {}
-
-void SnapshotPredictor::swap(std::shared_ptr<const InferenceSnapshot> next) {
-  if (next == nullptr) {
-    throw std::invalid_argument("SnapshotPredictor::swap: null snapshot");
-  }
-  if (!encoder_compatible(snapshot_->config(), next->config())) {
-    throw std::invalid_argument(
-        "SnapshotPredictor::swap: replacement snapshot is encoder-incompatible "
-        "(dimension/seed/identifier/pagerank/labels/rounds/bitslice/backend must match)");
-  }
-  snapshot_ = std::move(next);
-}
-
-Prediction SnapshotPredictor::predict(const graph::Graph& graph) {
-  return snapshot_->predict_encoded(encoder_.encode_packed(graph));
-}
-
-std::vector<Prediction> SnapshotPredictor::predict_batch(const data::GraphDataset& test) {
-  return predict_dataset(*snapshot_, encoder_, test);
-}
-
-void SnapshotPredictor::predict_stream(
-    data::GraphStream& stream, const StreamOptions& options,
-    const std::function<void(std::size_t, const Prediction&)>& sink) {
-  predict_stream_chunks(snapshot_, encoder_, stream, options, sink);
-}
-
-std::vector<Prediction> SnapshotPredictor::predict_stream(data::GraphStream& stream,
-                                                          const StreamOptions& options) {
-  return collect_stream_predictions(snapshot_, encoder_, stream, options);
-}
-
 }  // namespace graphhd::core

@@ -179,59 +179,22 @@ class InferenceSnapshot {
   std::vector<const std::uint64_t*> rows_;
 };
 
-/// Serving front end over a snapshot: owns a GraphHdEncoder built from the
-/// snapshot's config, so a process that never constructed a trainer (e.g.
-/// one that mmap'd a v3 artifact) can answer graph-level predictions.  The
-/// predict paths mirror GraphHdModel's (same chunked parallel encoding, same
-/// determinism guarantees, bit-identical results).
-///
-/// swap() atomically publishes a new snapshot to subsequent predict calls —
-/// the hot-swap primitive.  The replacement must agree with the current
-/// snapshot on every encoding-relevant config field (dimension, seed,
-/// identifier, PageRank knobs, labels, rounds, bitslice, backend), because
-/// the encoder and its lazily grown basis caches are retained; the *class
-/// layout* (num_classes, metric, counters) may change freely.
-class SnapshotPredictor {
- public:
-  explicit SnapshotPredictor(std::shared_ptr<const InferenceSnapshot> snapshot);
-
-  [[nodiscard]] const InferenceSnapshot& snapshot() const noexcept { return *snapshot_; }
-  [[nodiscard]] std::shared_ptr<const InferenceSnapshot> snapshot_ptr() const noexcept {
-    return snapshot_;
-  }
-
-  /// Publishes `next` (throws std::invalid_argument when its config is
-  /// encoder-incompatible with the current snapshot's; see class comment).
-  void swap(std::shared_ptr<const InferenceSnapshot> next);
-
-  [[nodiscard]] Prediction predict(const graph::Graph& graph);
-  [[nodiscard]] std::vector<Prediction> predict_batch(const data::GraphDataset& test);
-  /// Streams `stream` through the current snapshot (held for the whole
-  /// pass) — the same chunked, prefetching loop as
-  /// GraphHdModel::predict_stream (core::predict_stream_chunks).
-  void predict_stream(data::GraphStream& stream, const StreamOptions& options,
-                      const std::function<void(std::size_t, const Prediction&)>& sink);
-  [[nodiscard]] std::vector<Prediction> predict_stream(data::GraphStream& stream,
-                                                       const StreamOptions& options = {});
-
- private:
-  std::shared_ptr<const InferenceSnapshot> snapshot_;
-  GraphHdEncoder encoder_;
-};
-
-/// True when `a` and `b` agree on every field the encoder depends on (the
-/// compatibility contract of SnapshotPredictor::swap).
+/// True when `a` and `b` agree on every field the encoder depends on
+/// (dimension, seed, identifier, PageRank knobs, labels, rounds, bitslice,
+/// backend): a graph encodes to the same bits under either config, so an
+/// encoder built for one serves the other (the contract of
+/// serve::Server::swap).  The class layout may differ.
 [[nodiscard]] bool encoder_compatible(const GraphHdConfig& a, const GraphHdConfig& b) noexcept;
 
 /// Encodes every sample of `dataset` (encode_dataset_packed: in parallel,
 /// labels bound as the trainer binds them) and classifies each against
-/// `snapshot` — the shared body of the trainer's and SnapshotPredictor's
-/// batch and stream predict paths.  Bit-identical at any thread count.
+/// `snapshot` — the shared body of the trainer's batch and stream predict
+/// paths.  Bit-identical at any thread count.
 [[nodiscard]] std::vector<Prediction> predict_dataset(const InferenceSnapshot& snapshot,
                                                       GraphHdEncoder& encoder,
                                                       const data::GraphDataset& dataset);
 
-/// Streaming counterpart of predict_dataset and the shared body of both
+/// Streaming counterpart of predict_dataset and the body of the
 /// predict_stream paths: resets `stream`, pulls options.chunk graphs at a
 /// time through a data::ChunkFetcher (prefetching the next chunk when
 /// options.prefetch is set), predicts each chunk with predict_dataset and

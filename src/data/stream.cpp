@@ -501,147 +501,6 @@ std::optional<StreamSample> TUDatasetStream::next() {
 }
 
 // ---------------------------------------------------------------------------
-// EdgeListStream
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Header sanity bounds, mirroring the tudataset/serialize hardening: a
-/// corrupted header digit must surface as a parse error, not as a
-/// multi-terabyte CSR or class-slot allocation attempt.
-constexpr long long kMaxEdgeListVertices = 1LL << 28;
-constexpr long long kMaxEdgeListLabel = 1'000'000;
-
-/// Parses "graph <num_vertices> <label>"; nullopt when the line is not a
-/// graph header.
-[[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>> parse_graph_header(
-    std::string_view trimmed, const fs::path& file, std::size_t line_no) {
-  if (!trimmed.starts_with("graph")) return std::nullopt;
-  const auto rest = trimmed.substr(5);
-  if (!rest.empty() && rest.front() != ' ' && rest.front() != '\t') return std::nullopt;
-  const auto ints = parse_ints(rest, file, line_no);
-  if (ints.size() != 2 || ints[0] < 0 || ints[1] < 0) {
-    throw std::runtime_error(file.string() + ":" + std::to_string(line_no) +
-                             ": expected 'graph <num_vertices> <label>' with non-negative values");
-  }
-  if (ints[0] > kMaxEdgeListVertices || ints[1] > kMaxEdgeListLabel) {
-    throw std::runtime_error(file.string() + ":" + std::to_string(line_no) +
-                             ": graph header value out of bounds (vertices <= " +
-                             std::to_string(kMaxEdgeListVertices) + ", label <= " +
-                             std::to_string(kMaxEdgeListLabel) + ")");
-  }
-  return std::make_pair(static_cast<std::size_t>(ints[0]), static_cast<std::size_t>(ints[1]));
-}
-
-}  // namespace
-
-EdgeListStream::EdgeListStream(const fs::path& path) : path_(path) {
-  // Construction-time scan: graph count, class count and the label column
-  // must be known before the first pull (label_scan() serves the column to
-  // two-pass protocols without a second disk pass).  Headers are validated
-  // here, edge rows on the fly.
-  std::ifstream scan(path_);
-  if (!scan) {
-    throw std::runtime_error("EdgeListStream: cannot open " + path_.string());
-  }
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(scan, line)) {
-    ++line_no;
-    const auto trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    if (const auto header = parse_graph_header(trimmed, path_, line_no)) {
-      labels_.push_back(header->second);
-      num_classes_ = std::max(num_classes_, header->second + 1);
-    }
-  }
-  reset();
-}
-
-void EdgeListStream::reset() {
-  in_.close();
-  in_.clear();
-  in_.open(path_);
-  if (!in_) {
-    throw std::runtime_error("EdgeListStream: cannot reopen " + path_.string());
-  }
-  pending_header_.clear();
-  line_no_ = 0;
-}
-
-std::optional<StreamSample> EdgeListStream::next() {
-  std::string line;
-  // Find the record header (possibly buffered from the previous pull).
-  std::optional<std::pair<std::size_t, std::size_t>> header;
-  if (!pending_header_.empty()) {
-    header = parse_graph_header(trim(pending_header_), path_, line_no_);
-    if (!header.has_value()) {
-      throw std::runtime_error(path_.string() + ":" + std::to_string(line_no_) +
-                               ": malformed 'graph' header '" + pending_header_ + "'");
-    }
-    pending_header_.clear();
-  }
-  while (!header.has_value() && std::getline(in_, line)) {
-    ++line_no_;
-    const auto trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    header = parse_graph_header(trimmed, path_, line_no_);
-    if (!header.has_value()) {
-      throw std::runtime_error(path_.string() + ":" + std::to_string(line_no_) +
-                               ": expected a 'graph' header, got '" + std::string(trimmed) + "'");
-    }
-  }
-  if (!header.has_value()) return std::nullopt;  // EOF.
-
-  const auto [vertices, label] = *header;
-  graph::GraphBuilder builder(vertices);
-  while (std::getline(in_, line)) {
-    ++line_no_;
-    const auto trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    if (trimmed.starts_with("graph")) {
-      pending_header_ = std::string(trimmed);
-      break;
-    }
-    const auto ints = parse_ints(trimmed, path_, line_no_);
-    if (ints.size() != 2 || ints[0] < 0 || ints[1] < 0 ||
-        static_cast<std::size_t>(ints[0]) >= vertices ||
-        static_cast<std::size_t>(ints[1]) >= vertices) {
-      throw std::runtime_error(path_.string() + ":" + std::to_string(line_no_) +
-                               ": expected an edge '<u> <v>' with ids below " +
-                               std::to_string(vertices));
-    }
-    builder.add_edge(static_cast<graph::VertexId>(ints[0]),
-                     static_cast<graph::VertexId>(ints[1]));
-  }
-  StreamSample sample;
-  builder.ensure_vertices(vertices);
-  sample.graph = builder.build();
-  sample.label = label;
-  return sample;
-}
-
-void append_edge_list(std::ostream& out, const Graph& graph, std::size_t label) {
-  out << "graph " << graph.num_vertices() << ' ' << label << '\n';
-  for (const auto& e : graph.edges()) {
-    out << e.u << ' ' << e.v << '\n';
-  }
-}
-
-void save_edge_list(const GraphDataset& dataset, const fs::path& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("save_edge_list: cannot create " + path.string());
-  }
-  for (std::size_t g = 0; g < dataset.size(); ++g) {
-    append_edge_list(out, dataset.graph(g), dataset.label(g));
-  }
-  if (!out) {
-    throw std::runtime_error("save_edge_list: stream failure while writing " + path.string());
-  }
-}
-
-// ---------------------------------------------------------------------------
 // TUDatasetWriter
 // ---------------------------------------------------------------------------
 

@@ -19,8 +19,6 @@
 ///                    seeds (chunking/order independent);
 ///   TUDatasetStream  incremental TUDataset-directory reader, O(graphs +
 ///                    largest graph) memory instead of O(dataset);
-///   EdgeListStream   incremental reader of the plain edge-list format
-///                    written by save_edge_list / TUDatasetWriter's sibling;
 ///   FilteredStream   replay of an index subset of another stream (the
 ///                    per-fold adapter of the streaming k-fold protocol);
 ///   ReplayableStream re-opens a non-rewindable source through a caller
@@ -223,36 +221,6 @@ class TUDatasetStream final : public GraphStream {
   std::shared_ptr<Cursor> cursor_;
 };
 
-/// Incremental reader of the plain edge-list exchange format:
-///
-///   # comment / blank lines anywhere
-///   graph <num_vertices> <label>
-///   <u> <v>            (0-based local ids, one undirected edge per line)
-///   ...
-///
-/// One cheap construction-time scan counts graphs and classes; samples are
-/// then parsed one record at a time.
-class EdgeListStream final : public GraphStream {
- public:
-  explicit EdgeListStream(const std::filesystem::path& path);
-
-  [[nodiscard]] std::optional<StreamSample> next() override;
-  void reset() override;
-  [[nodiscard]] std::size_t num_classes() const override { return num_classes_; }
-  [[nodiscard]] std::optional<std::size_t> size_hint() const override { return labels_.size(); }
-  [[nodiscard]] std::optional<std::vector<std::size_t>> label_scan() override {
-    return labels_;
-  }
-
- private:
-  std::filesystem::path path_;
-  std::vector<std::size_t> labels_;  ///< header labels from the construction scan.
-  std::size_t num_classes_ = 0;
-  std::ifstream in_;
-  std::string pending_header_;  ///< lookahead: the next record's "graph" line.
-  std::size_t line_no_ = 0;
-};
-
 /// Replay adapter over a subset of another stream: yields exactly the
 /// source samples whose index (position in source order) is set in `keep`,
 /// in source order.  This is the per-fold building block of the streaming
@@ -361,12 +329,6 @@ class ShardedStream final : public GraphStream {
   std::size_t num_shards_;
   std::size_t source_position_ = 0;
 };
-
-/// Writes `dataset` in the edge-list format EdgeListStream reads.
-void save_edge_list(const GraphDataset& dataset, const std::filesystem::path& path);
-
-/// Appends one graph record in the edge-list format.
-void append_edge_list(std::ostream& out, const Graph& graph, std::size_t label);
 
 /// Append-only TUDataset-directory writer, and the one writer of the format:
 /// save_tudataset appends every graph of a dataset through it.  The

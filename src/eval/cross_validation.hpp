@@ -119,9 +119,9 @@ struct FoldPlan {
   [[nodiscard]] std::size_t train_num_classes(std::size_t fold) const;
 };
 
-/// Plans one repetition's folds from a label column.  The stratified
-/// assignment is bit-identical to the one cross_validate derives from
-/// data::stratified_kfold for the same rng state — the cornerstone of the
+/// Plans one repetition's folds from a label column.  Both this and
+/// cross_validate assign folds with data::kfold_assignment, so for the same
+/// rng state the assignment is bit-identical — the cornerstone of the
 /// streamed-equals-materialized guarantee.
 [[nodiscard]] FoldPlan make_fold_plan(std::vector<std::size_t> labels, std::size_t num_classes,
                                       std::size_t folds, bool stratified, hdc::Rng& rng);

@@ -36,112 +36,11 @@ bool is_connected(const Graph& g) {
   return connected_components(g).count == 1;
 }
 
-std::vector<std::size_t> bfs_distances(const Graph& g, VertexId source) {
-  if (source >= g.num_vertices()) {
-    throw std::out_of_range("bfs_distances: source out of range");
-  }
-  std::vector<std::size_t> dist(g.num_vertices(), std::numeric_limits<std::size_t>::max());
-  std::queue<VertexId> frontier;
-  dist[source] = 0;
-  frontier.push(source);
-  while (!frontier.empty()) {
-    const VertexId v = frontier.front();
-    frontier.pop();
-    for (const VertexId u : g.neighbors(v)) {
-      if (dist[u] == std::numeric_limits<std::size_t>::max()) {
-        dist[u] = dist[v] + 1;
-        frontier.push(u);
-      }
-    }
-  }
-  return dist;
-}
-
-std::optional<std::size_t> diameter(const Graph& g) {
-  const std::size_t n = g.num_vertices();
-  if (n == 0) return std::nullopt;
-  std::size_t best = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    const auto dist = bfs_distances(g, v);
-    for (const std::size_t d : dist) {
-      if (d == std::numeric_limits<std::size_t>::max()) return std::nullopt;
-      best = std::max(best, d);
-    }
-  }
-  return best;
-}
-
-std::size_t triangle_count(const Graph& g) {
-  // For each edge (u, v) with u < v, count common neighbors w > v so each
-  // triangle is counted exactly once at its smallest-id pair.
-  std::size_t triangles = 0;
-  for (const Edge& e : g.edges()) {
-    const auto nu = g.neighbors(e.u);
-    const auto nv = g.neighbors(e.v);
-    auto iu = std::lower_bound(nu.begin(), nu.end(), e.v + 1);
-    auto iv = std::lower_bound(nv.begin(), nv.end(), e.v + 1);
-    while (iu != nu.end() && iv != nv.end()) {
-      if (*iu < *iv) {
-        ++iu;
-      } else if (*iv < *iu) {
-        ++iv;
-      } else {
-        ++triangles;
-        ++iu;
-        ++iv;
-      }
-    }
-  }
-  return triangles;
-}
-
-double global_clustering_coefficient(const Graph& g) {
-  std::size_t wedges = 0;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const std::size_t d = g.degree(v);
-    wedges += d * (d >= 1 ? d - 1 : 0) / 2;
-  }
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(triangle_count(g)) / static_cast<double>(wedges);
-}
-
-std::vector<std::size_t> degree_sequence(const Graph& g) {
-  std::vector<std::size_t> degrees(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) degrees[v] = g.degree(v);
-  std::sort(degrees.begin(), degrees.end());
-  return degrees;
-}
-
 bool has_cycle(const Graph& g) {
   // A forest has exactly |V| - #components edges; any extra edge closes a
   // cycle.
   const auto comps = connected_components(g);
   return g.num_edges() > g.num_vertices() - comps.count;
-}
-
-std::uint64_t invariant_fingerprint(const Graph& g) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  const auto mix = [&h](std::uint64_t value) {
-    h ^= value + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  };
-  mix(g.num_vertices());
-  mix(g.num_edges());
-  for (const std::size_t d : degree_sequence(g)) mix(d);
-  mix(triangle_count(g));
-  // Per-vertex sorted multiset of neighbor degrees, then sorted across
-  // vertices: invariant under relabeling and strictly finer than the degree
-  // sequence alone.
-  std::vector<std::vector<std::size_t>> signatures(g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    for (const VertexId u : g.neighbors(v)) signatures[v].push_back(g.degree(u));
-    std::sort(signatures[v].begin(), signatures[v].end());
-  }
-  std::sort(signatures.begin(), signatures.end());
-  for (const auto& sig : signatures) {
-    mix(0xabcdef);
-    for (const std::size_t d : sig) mix(d);
-  }
-  return h;
 }
 
 Graph relabel(const Graph& g, std::span<const VertexId> mapping) {

@@ -1,12 +1,13 @@
 /// \file algorithms.hpp
-/// Classic graph algorithms used by the data generators, the tests (as
-/// isomorphism-invariant oracles) and the statistics module.
+/// Connectivity, cycle detection and vertex relabeling.  The synthetic
+/// dataset generator (data/synthetic.cpp) shuffles vertex ids with
+/// relabel(); the generator property tests check their output with the
+/// connectivity and cycle predicates.
 
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <optional>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -24,33 +25,8 @@ struct Components {
 /// True if the graph is connected (vacuously true for |V| <= 1).
 [[nodiscard]] bool is_connected(const Graph& g);
 
-/// BFS distances from `source`; unreachable vertices get SIZE_MAX.
-[[nodiscard]] std::vector<std::size_t> bfs_distances(const Graph& g, VertexId source);
-
-/// Exact diameter via BFS from every vertex.  Returns nullopt for
-/// disconnected or empty graphs.  O(|V| (|V|+|E|)) — fine for dataset-sized
-/// graphs.
-[[nodiscard]] std::optional<std::size_t> diameter(const Graph& g);
-
-/// Number of triangles (each counted once).
-[[nodiscard]] std::size_t triangle_count(const Graph& g);
-
-/// Global clustering coefficient: 3 * triangles / #open-or-closed wedges
-/// (0 when the graph has no wedges).
-[[nodiscard]] double global_clustering_coefficient(const Graph& g);
-
-/// Sorted degree sequence (ascending) — an isomorphism invariant.
-[[nodiscard]] std::vector<std::size_t> degree_sequence(const Graph& g);
-
 /// True if the graph contains at least one cycle.
 [[nodiscard]] bool has_cycle(const Graph& g);
-
-/// A cheap isomorphism-invariant 64-bit fingerprint built from {|V|, |E|,
-/// degree sequence, triangle count, sorted per-vertex sorted-neighbor-degree
-/// multisets}.  Two isomorphic graphs always collide; non-isomorphic graphs
-/// collide only rarely.  Used by tests to check that encoders treat
-/// isomorphic graphs identically modulo vertex order.
-[[nodiscard]] std::uint64_t invariant_fingerprint(const Graph& g);
 
 /// Relabels the graph by the permutation `mapping` (new_id = mapping[old_id])
 /// producing an isomorphic copy.  `mapping` must be a permutation of

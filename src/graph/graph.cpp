@@ -106,10 +106,4 @@ bool GraphBuilder::add_edge(VertexId u, VertexId v) {
 
 Graph GraphBuilder::build() const { return Graph::from_edges(num_vertices_, edges_); }
 
-std::string to_string(const Graph& g) {
-  return "Graph(|V|=" + std::to_string(g.num_vertices()) +
-         ", |E|=" + std::to_string(g.num_edges()) +
-         ", density=" + std::to_string(g.density()) + ")";
-}
-
 }  // namespace graphhd::graph

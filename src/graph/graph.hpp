@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace graphhd::graph {
@@ -103,8 +102,5 @@ class GraphBuilder {
   std::size_t duplicates_ = 0;
   std::size_t self_loops_ = 0;
 };
-
-/// Human-readable one-line summary, e.g. "Graph(|V|=17, |E|=19, density=0.14)".
-[[nodiscard]] std::string to_string(const Graph& g);
 
 }  // namespace graphhd::graph

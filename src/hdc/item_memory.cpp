@@ -1,6 +1,5 @@
 #include "hdc/item_memory.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 namespace graphhd::hdc {
@@ -19,63 +18,9 @@ const Hypervector& ItemMemory::get(std::size_t index) {
   return vectors_[index];
 }
 
-void ItemMemory::reserve(std::size_t count) {
-  if (count > 0) (void)get(count - 1);
-}
-
 Hypervector ItemMemory::make(std::size_t index) const {
   Rng rng(derive_seed(seed_, static_cast<std::uint64_t>(index)));
   return Hypervector::random(dimension_, rng);
-}
-
-LevelMemory::LevelMemory(std::size_t dimension, std::size_t levels, std::uint64_t seed)
-    : dimension_(dimension) {
-  if (dimension == 0) {
-    throw std::invalid_argument("LevelMemory: dimension must be positive");
-  }
-  if (levels < 2) {
-    throw std::invalid_argument("LevelMemory: need at least 2 levels");
-  }
-  Rng rng(derive_seed(seed, "level-memory"));
-  const Hypervector lo = Hypervector::random(dimension, rng);
-  const Hypervector hi = Hypervector::random(dimension, rng);
-
-  // Classic level-hypervector construction: walk from `lo` to `hi` flipping a
-  // fixed random subset of the disagreeing components per step.  Adjacent
-  // levels then differ in ~d/(2*(levels-1)) components, and the endpoints are
-  // the two random seeds themselves.
-  std::vector<std::size_t> disagree;
-  for (std::size_t i = 0; i < dimension; ++i) {
-    if (lo[i] != hi[i]) disagree.push_back(i);
-  }
-  rng.shuffle(disagree);
-
-  vectors_.reserve(levels);
-  vectors_.push_back(lo);
-  for (std::size_t level = 1; level < levels; ++level) {
-    Hypervector v = vectors_.back();
-    const std::size_t from = disagree.size() * (level - 1) / (levels - 1);
-    const std::size_t to = disagree.size() * level / (levels - 1);
-    for (std::size_t j = from; j < to; ++j) v.flip(disagree[j]);
-    vectors_.push_back(std::move(v));
-  }
-}
-
-const Hypervector& LevelMemory::get(std::size_t index) const {
-  if (index >= vectors_.size()) {
-    throw std::out_of_range("LevelMemory::get: level index out of range");
-  }
-  return vectors_[index];
-}
-
-const Hypervector& LevelMemory::quantize(double value, double lo, double hi) const {
-  if (!(lo < hi)) {
-    throw std::invalid_argument("LevelMemory::quantize: requires lo < hi");
-  }
-  const double clamped = std::clamp(value, lo, hi);
-  const double t = (clamped - lo) / (hi - lo);
-  const auto idx = static_cast<std::size_t>(t * static_cast<double>(vectors_.size() - 1) + 0.5);
-  return vectors_[std::min(idx, vectors_.size() - 1)];
 }
 
 }  // namespace graphhd::hdc

@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <vector>
 
 #include "hdc/hypervector.hpp"
 #include "hdc/random.hpp"
@@ -43,10 +42,6 @@ class ItemMemory {
   /// without relocating existing vectors).
   [[nodiscard]] const Hypervector& get(std::size_t index);
 
-  /// Pre-materializes vectors [0, count).  Useful to move generation cost out
-  /// of timed sections.
-  void reserve(std::size_t count);
-
   /// Stateless variant: computes vector `index` without storing it.
   [[nodiscard]] Hypervector make(std::size_t index) const;
 
@@ -54,32 +49,6 @@ class ItemMemory {
   std::size_t dimension_;
   std::uint64_t seed_;
   std::deque<Hypervector> vectors_;  ///< deque: growth never invalidates refs.
-};
-
-/// Level memory for continuous/ordinal values: `levels` vectors interpolated
-/// between two random endpoints so that nearby levels are similar and far
-/// levels quasi-orthogonal.  GraphHD's vertex identifiers are *ranks*
-/// (categorical), but the level memory is part of the standard HDC toolbox
-/// and is used by the vertex-attribute extension (future work §VII.2).
-class LevelMemory {
- public:
-  /// \param dimension hypervector dimensionality.
-  /// \param levels    number of discrete levels (>= 2).
-  /// \param seed      master seed.
-  LevelMemory(std::size_t dimension, std::size_t levels, std::uint64_t seed);
-
-  [[nodiscard]] std::size_t dimension() const noexcept { return dimension_; }
-  [[nodiscard]] std::size_t levels() const noexcept { return vectors_.size(); }
-
-  /// Vector for level `index` in [0, levels).
-  [[nodiscard]] const Hypervector& get(std::size_t index) const;
-
-  /// Vector for a continuous value in [lo, hi], linearly quantized.
-  [[nodiscard]] const Hypervector& quantize(double value, double lo, double hi) const;
-
- private:
-  std::size_t dimension_;
-  std::vector<Hypervector> vectors_;
 };
 
 }  // namespace graphhd::hdc

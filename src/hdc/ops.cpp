@@ -58,42 +58,6 @@ double similarity_from_hamming(Similarity metric, std::size_t hamming, std::size
 
 Hypervector bind(const Hypervector& a, const Hypervector& b) { return a.bind(b); }
 
-Hypervector bind_all(std::span<const Hypervector> inputs) {
-  if (inputs.empty()) {
-    throw std::invalid_argument("bind_all: empty input batch");
-  }
-  Hypervector out = inputs.front();
-  for (std::size_t i = 1; i < inputs.size(); ++i) out = out.bind(inputs[i]);
-  return out;
-}
-
 Hypervector permute(const Hypervector& a, std::ptrdiff_t shift) { return a.permute(shift); }
-
-Hypervector encode_record(std::span<const Hypervector> keys,
-                          std::span<const Hypervector> values,
-                          std::uint64_t tie_break_seed) {
-  if (keys.size() != values.size()) {
-    throw std::invalid_argument("encode_record: keys/values size mismatch");
-  }
-  if (keys.empty()) {
-    throw std::invalid_argument("encode_record: empty record");
-  }
-  BundleAccumulator acc(keys.front().dimension());
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    acc.add(keys[i].bind(values[i]));
-  }
-  return acc.threshold(tie_break_seed);
-}
-
-Hypervector encode_sequence(std::span<const Hypervector> items) {
-  if (items.empty()) {
-    throw std::invalid_argument("encode_sequence: empty sequence");
-  }
-  Hypervector out = items.front();
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    out = out.permute(1).bind(items[i]);
-  }
-  return out;
-}
 
 }  // namespace graphhd::hdc

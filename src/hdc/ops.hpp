@@ -9,9 +9,6 @@
 
 #pragma once
 
-#include <span>
-#include <vector>
-
 #include "hdc/hypervector.hpp"
 #include "hdc/packed.hpp"
 
@@ -53,22 +50,7 @@ enum class Similarity {
 /// Binding: element-wise multiplication.  `bind(a, b) == a.bind(b)`.
 [[nodiscard]] Hypervector bind(const Hypervector& a, const Hypervector& b);
 
-/// n-ary binding fold: bind(v0, v1, ..., vk).  Requires non-empty input.
-[[nodiscard]] Hypervector bind_all(std::span<const Hypervector> inputs);
-
 /// Permutation: cyclic shift, `permute(a, k) == a.permute(k)`.
 [[nodiscard]] Hypervector permute(const Hypervector& a, std::ptrdiff_t shift);
-
-/// Record-based encoding (Section III-A of the paper): bundles key-value
-/// bindings `[K1×V1 + K2×V2 + ... + KN×VN]`.  Keys and values must have the
-/// same length and uniform dimension.
-[[nodiscard]] Hypervector encode_record(std::span<const Hypervector> keys,
-                                        std::span<const Hypervector> values,
-                                        std::uint64_t tie_break_seed = kMajorityTieSeed);
-
-/// Sequence encoding via permute-and-bind: ρ^{n-1}(s1) × ... × ρ(s_{n-1}) × s_n.
-/// Not used by GraphHD itself but part of the standard HDC toolbox; exercised
-/// by tests and available to downstream users.
-[[nodiscard]] Hypervector encode_sequence(std::span<const Hypervector> items);
 
 }  // namespace graphhd::hdc

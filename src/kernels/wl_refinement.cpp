@@ -1,7 +1,6 @@
 #include "kernels/wl_refinement.hpp"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 namespace graphhd::kernels {
@@ -53,43 +52,6 @@ std::vector<Coloring> WlRefiner::refine(const Graph& graph, std::span<const std:
     colorings.push_back(std::move(next));
   }
   return colorings;
-}
-
-std::size_t WlRefiner::palette_size(std::size_t depth) const {
-  if (depth >= compressors_.size()) {
-    throw std::out_of_range("WlRefiner::palette_size: depth out of range");
-  }
-  return compressors_[depth].palette_size();
-}
-
-std::vector<std::size_t> wl_partition_history(const Graph& graph, std::size_t max_iterations) {
-  const std::size_t n = graph.num_vertices();
-  std::vector<std::size_t> history;
-  std::vector<std::uint32_t> current(n, 0);
-  history.push_back(n == 0 ? 0 : 1);
-  for (std::size_t iter = 0; iter < max_iterations; ++iter) {
-    // Local (per-graph) compression is enough for a partition history.
-    std::map<std::pair<std::uint32_t, std::vector<std::uint32_t>>, std::uint32_t> palette;
-    std::vector<std::uint32_t> next(n);
-    for (graph::VertexId v = 0; v < n; ++v) {
-      std::vector<std::uint32_t> neighbor_colors;
-      neighbor_colors.reserve(graph.degree(v));
-      for (const graph::VertexId u : graph.neighbors(v)) {
-        neighbor_colors.push_back(current[u]);
-      }
-      std::sort(neighbor_colors.begin(), neighbor_colors.end());
-      const auto key = std::make_pair(current[v], std::move(neighbor_colors));
-      const auto [it, inserted] =
-          palette.emplace(key, static_cast<std::uint32_t>(palette.size()));
-      next[v] = it->second;
-    }
-    const std::size_t classes = palette.size();
-    const bool stable = !history.empty() && classes == history.back();
-    current = std::move(next);
-    history.push_back(classes);
-    if (stable) break;  // the partition can never get coarser again
-  }
-  return history;
 }
 
 }  // namespace graphhd::kernels

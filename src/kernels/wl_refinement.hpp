@@ -61,17 +61,8 @@ class WlRefiner {
   [[nodiscard]] std::vector<Coloring> refine(const Graph& graph,
                                              std::span<const std::size_t> initial = {});
 
-  /// Palette size at `depth` (diagnostics and tests).
-  [[nodiscard]] std::size_t palette_size(std::size_t depth) const;
-
  private:
   std::vector<ColorCompressor> compressors_;  // one per depth 0..h
 };
-
-/// Stateless single-graph refinement used by tests: runs 1-WL to
-/// stabilization (or `max_iterations`) and reports the final partition size
-/// history.  Two isomorphic graphs always produce identical histories.
-[[nodiscard]] std::vector<std::size_t> wl_partition_history(const Graph& graph,
-                                                            std::size_t max_iterations = 32);
 
 }  // namespace graphhd::kernels

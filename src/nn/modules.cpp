@@ -35,27 +35,6 @@ Matrix Linear::backward(const Matrix& grad_output) {
 
 std::vector<Parameter*> Linear::parameters() { return {&weight_, &bias_}; }
 
-Matrix ReLU::forward(const Matrix& input) {
-  cached_input_ = input;
-  Matrix output = input;
-  for (double& v : output.data()) v = v > 0.0 ? v : 0.0;
-  return output;
-}
-
-Matrix ReLU::backward(const Matrix& grad_output) {
-  if (grad_output.rows() != cached_input_.rows() ||
-      grad_output.cols() != cached_input_.cols()) {
-    throw std::invalid_argument("ReLU::backward: grad shape mismatch");
-  }
-  Matrix grad_input = grad_output;
-  const auto cached = cached_input_.data();
-  auto grads = grad_input.data();
-  for (std::size_t i = 0; i < grads.size(); ++i) {
-    if (cached[i] <= 0.0) grads[i] = 0.0;
-  }
-  return grad_input;
-}
-
 Matrix LeakyReLU::forward(const Matrix& input) {
   cached_input_ = input;
   Matrix output = input;

@@ -47,16 +47,6 @@ class Linear {
   Matrix cached_input_;
 };
 
-/// Element-wise rectified linear unit.
-class ReLU {
- public:
-  [[nodiscard]] Matrix forward(const Matrix& input);
-  [[nodiscard]] Matrix backward(const Matrix& grad_output);
-
- private:
-  Matrix cached_input_;
-};
-
 /// Element-wise leaky rectified linear unit: x if x > 0, else slope * x.
 ///
 /// The reference GIN uses batch normalization inside its MLPs; without it a
@@ -76,7 +66,7 @@ class LeakyReLU {
   Matrix cached_input_;
 };
 
-/// Two-layer perceptron Linear-ReLU-Linear — the MLP inside a GIN layer
+/// Two-layer perceptron Linear-LeakyReLU-Linear — the MLP inside a GIN layer
 /// (Xu et al., ICLR 2019 use MLPs with one hidden layer).
 class Mlp {
  public:

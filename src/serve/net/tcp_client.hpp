@@ -21,7 +21,7 @@
 /// (undecodable bytes), kRemoteError (a well-formed error frame from the
 /// server, message included).
 ///
-/// Not thread-safe: one TcpClient per thread, like serve::Client.
+/// Not thread-safe: one TcpClient per thread.
 
 #pragma once
 

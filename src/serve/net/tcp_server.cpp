@@ -389,12 +389,10 @@ void TcpServer::handle_frame(const std::shared_ptr<Connection>& conn,
 
 void TcpServer::submit_request(const std::shared_ptr<Connection>& conn,
                                RequestFrame&& request) {
-  const auto snapshot = server_.snapshot();
-  const auto& config = snapshot->config();
-  if (request.dimension != config.dimension) {
+  if (request.dimension != server_.dimension()) {
     send_error(conn, request.request_id, ErrorCode::kBadDimension,
                "request dimension " + std::to_string(request.dimension) +
-                   " != model dimension " + std::to_string(config.dimension));
+                   " != model dimension " + std::to_string(server_.dimension()));
     return;
   }
 

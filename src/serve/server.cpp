@@ -51,11 +51,8 @@ Server::Server(std::shared_ptr<const core::InferenceSnapshot> snapshot, ServerCo
 Server::~Server() { shutdown(); }
 
 std::shared_ptr<const core::InferenceSnapshot> Server::snapshot() const {
-#ifdef __cpp_lib_atomic_shared_ptr
-  return snapshot_.load(std::memory_order_acquire);
-#else
-  return std::atomic_load_explicit(&snapshot_, std::memory_order_acquire);
-#endif
+  std::lock_guard<std::mutex> lock(snapshot_mutex_);
+  return snapshot_;
 }
 
 void Server::swap(std::shared_ptr<const core::InferenceSnapshot> next) {
@@ -74,14 +71,14 @@ void Server::swap(std::shared_ptr<const core::InferenceSnapshot> next) {
         "(it selects the queued query representation)");
   }
   // Two racing compatible swaps are both compatible with each other (the
-  // contract is field equality, hence transitive), so check-then-store needs
-  // no lock: whichever store lands last wins, and every batch in between
-  // serves exactly one valid snapshot.
-#ifdef __cpp_lib_atomic_shared_ptr
-  snapshot_.store(std::move(next), std::memory_order_release);
-#else
-  std::atomic_store_explicit(&snapshot_, std::move(next), std::memory_order_release);
-#endif
+  // contract is field equality, hence transitive), so the check need not
+  // hold the lock across the store: whichever store lands last wins, and
+  // every batch in between serves exactly one valid snapshot.  The old
+  // snapshot is released outside the lock.
+  {
+    std::lock_guard<std::mutex> lock(snapshot_mutex_);
+    snapshot_.swap(next);
+  }
   stat_swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -126,14 +123,6 @@ void Server::enqueue(std::unique_ptr<Request> request) {
 
 std::future<core::Prediction> Server::submit(hdc::PackedHypervector encoded) {
   auto request = make_request(std::move(encoded), {});
-  request->use_promise = true;
-  auto future = request->promise.get_future();
-  enqueue(std::move(request));
-  return future;
-}
-
-std::future<core::Prediction> Server::submit(hdc::Hypervector encoded) {
-  auto request = make_request({}, std::move(encoded));
   request->use_promise = true;
   auto future = request->promise.get_future();
   enqueue(std::move(request));

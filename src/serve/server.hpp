@@ -13,13 +13,13 @@
 /// latency), saturating traffic runs at max_batch (highest throughput) —
 /// there is no batching timer on the hot path.
 ///
-/// Hot swap: the served snapshot lives in an atomically published
-/// shared_ptr.  Workers acquire it once per batch, so swap() — which
-/// validates the replacement against the same encoder-compatibility contract
-/// as SnapshotPredictor::swap, plus a pinned quantized_model scoring mode —
-/// retargets traffic between batches without locks, torn reads, or mixed
-/// models inside a batch.  Responses during a swap come from exactly one of
-/// the two snapshots.
+/// Hot swap: the served snapshot lives in a mutex-guarded shared_ptr.
+/// Workers copy it once per batch, so swap() — which validates the
+/// replacement against the encoder-compatibility contract
+/// (core::encoder_compatible) plus a pinned quantized_model scoring mode —
+/// retargets traffic between batches without torn reads or mixed models
+/// inside a batch.  Responses during a swap come from exactly one of the two
+/// snapshots.
 ///
 /// Shutdown is graceful: submissions that were accepted are always answered.
 /// shutdown() (and the destructor) first closes the submission gate — late
@@ -29,8 +29,10 @@
 /// Thread safety: submit(), swap(), snapshot() and stats() may be called
 /// from any number of threads.  Completion callbacks run on worker threads
 /// and must not throw (exceptions are swallowed to keep the serving loop
-/// alive).  Encoding is the *client's* job — see serve/client.hpp for the
-/// graph-in/prediction-out facade that owns a per-thread encoder.
+/// alive).  Encoding is the *client's* job: a client thread owns one
+/// core::GraphHdEncoder built from snapshot()->config() and submits
+/// encode_packed(graph) (encoders are not thread-safe; every encoder built
+/// from an encoder-compatible config yields the same bits).
 
 #pragma once
 
@@ -96,10 +98,14 @@ class Server {
 
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
 
-  /// The currently served snapshot (atomic load; never null).
+  /// Query dimension, fixed for the server's lifetime: swap() admits only
+  /// encoder-compatible snapshots, which share it.
+  [[nodiscard]] std::size_t dimension() const noexcept { return dimension_; }
+
+  /// The currently served snapshot (never null).
   [[nodiscard]] std::shared_ptr<const core::InferenceSnapshot> snapshot() const;
 
-  /// Atomically publishes `next` to subsequent batches.  Throws
+  /// Publishes `next` to subsequent batches.  Throws
   /// std::invalid_argument when `next` is null, encoder-incompatible with
   /// the current snapshot (core::encoder_compatible), or flips
   /// quantized_model; in-flight traffic is undisturbed either way.
@@ -113,11 +119,11 @@ class Server {
   /// Throws std::invalid_argument on a dimension mismatch and
   /// std::runtime_error after shutdown.
   [[nodiscard]] std::future<core::Prediction> submit(hdc::PackedHypervector encoded);
-  [[nodiscard]] std::future<core::Prediction> submit(hdc::Hypervector encoded);
 
   /// Callback flavour of submit — the open-loop path: no future, no wait;
   /// `callback` fires on a worker thread once the batch containing this
-  /// request completes.
+  /// request completes.  The dense overload takes the frames a TcpServer
+  /// decodes from dense-representation requests.
   void submit(hdc::PackedHypervector encoded, Callback callback);
   void submit(hdc::Hypervector encoded, Callback callback);
 
@@ -158,14 +164,10 @@ class Server {
   bool packed_mode_ = false;  ///< quantized scoring => packed payloads.
   std::size_t dimension_ = 0;
 
-  /// Atomically published snapshot.  std::atomic<shared_ptr> where the
-  /// standard library provides it, the atomic_load/atomic_store free
-  /// functions otherwise — either way readers take no mutex.
-#ifdef __cpp_lib_atomic_shared_ptr
-  std::atomic<std::shared_ptr<const core::InferenceSnapshot>> snapshot_;
-#else
+  /// The served snapshot.  Workers copy it once per batch, so the lock is
+  /// taken once per batch, never per request.
+  mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const core::InferenceSnapshot> snapshot_;
-#endif
 
   BoundedMpmcQueue<Request*> queue_;
 

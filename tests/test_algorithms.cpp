@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <numeric>
 #include <stdexcept>
 
@@ -12,8 +11,6 @@ namespace {
 
 using namespace graphhd::graph;
 using graphhd::hdc::Rng;
-
-constexpr auto kUnreachable = std::numeric_limits<std::size_t>::max();
 
 TEST(ConnectedComponents, SinglePath) {
   const auto comps = connected_components(path_graph(5));
@@ -40,63 +37,6 @@ TEST(IsConnected, BasicCases) {
   EXPECT_TRUE(is_connected(Graph::from_edges(1, {})));
   EXPECT_TRUE(is_connected(cycle_graph(5)));
   EXPECT_FALSE(is_connected(Graph::from_edges(3, std::vector<Edge>{{0, 1}})));
-}
-
-TEST(BfsDistances, PathDistancesAreLinear) {
-  const auto dist = bfs_distances(path_graph(6), 0);
-  for (std::size_t v = 0; v < 6; ++v) EXPECT_EQ(dist[v], v);
-}
-
-TEST(BfsDistances, UnreachableIsMax) {
-  const auto g = Graph::from_edges(4, std::vector<Edge>{{0, 1}});
-  const auto dist = bfs_distances(g, 0);
-  EXPECT_EQ(dist[1], 1u);
-  EXPECT_EQ(dist[2], kUnreachable);
-  EXPECT_EQ(dist[3], kUnreachable);
-}
-
-TEST(BfsDistances, ValidatesSource) {
-  EXPECT_THROW((void)bfs_distances(path_graph(3), 5), std::out_of_range);
-}
-
-TEST(Diameter, KnownValues) {
-  EXPECT_EQ(diameter(path_graph(6)), 5u);
-  EXPECT_EQ(diameter(cycle_graph(8)), 4u);
-  EXPECT_EQ(diameter(complete_graph(5)), 1u);
-  EXPECT_EQ(diameter(star_graph(9)), 2u);
-}
-
-TEST(Diameter, DisconnectedIsNullopt) {
-  const auto g = Graph::from_edges(4, std::vector<Edge>{{0, 1}});
-  EXPECT_FALSE(diameter(g).has_value());
-  EXPECT_FALSE(diameter(Graph{}).has_value());
-}
-
-TEST(TriangleCount, KnownValues) {
-  EXPECT_EQ(triangle_count(complete_graph(4)), 4u);
-  EXPECT_EQ(triangle_count(complete_graph(5)), 10u);
-  EXPECT_EQ(triangle_count(cycle_graph(5)), 0u);
-  EXPECT_EQ(triangle_count(path_graph(10)), 0u);
-  EXPECT_EQ(triangle_count(complete_graph(3)), 1u);
-}
-
-TEST(ClusteringCoefficient, CompleteGraphIsOne) {
-  EXPECT_DOUBLE_EQ(global_clustering_coefficient(complete_graph(6)), 1.0);
-}
-
-TEST(ClusteringCoefficient, TreeIsZero) {
-  Rng rng(3);
-  EXPECT_DOUBLE_EQ(global_clustering_coefficient(random_tree(20, rng)), 0.0);
-}
-
-TEST(ClusteringCoefficient, NoWedgesIsZero) {
-  EXPECT_DOUBLE_EQ(global_clustering_coefficient(Graph::from_edges(2, std::vector<Edge>{{0, 1}})),
-                   0.0);
-}
-
-TEST(DegreeSequence, IsSortedAscending) {
-  const auto seq = degree_sequence(star_graph(5));
-  EXPECT_EQ(seq, (std::vector<std::size_t>{1, 1, 1, 1, 4}));
 }
 
 TEST(HasCycle, KnownCases) {
@@ -132,47 +72,8 @@ TEST(Relabel, PreservesDegreeMultiset) {
   Rng shuffle_rng(11);
   shuffle_rng.shuffle(mapping);
   const auto h = relabel(g, mapping);
-  EXPECT_EQ(degree_sequence(g), degree_sequence(h));
+  for (VertexId v = 0; v < 30; ++v) EXPECT_EQ(g.degree(v), h.degree(mapping[v]));
   EXPECT_EQ(g.num_edges(), h.num_edges());
 }
-
-TEST(InvariantFingerprint, EqualForIsomorphicCopies) {
-  Rng rng(13);
-  for (int trial = 0; trial < 10; ++trial) {
-    const auto g = erdos_renyi(25, 0.15, rng);
-    std::vector<VertexId> mapping(g.num_vertices());
-    std::iota(mapping.begin(), mapping.end(), 0u);
-    Rng shuffle_rng(100 + trial);
-    shuffle_rng.shuffle(mapping);
-    EXPECT_EQ(invariant_fingerprint(g), invariant_fingerprint(relabel(g, mapping)));
-  }
-}
-
-TEST(InvariantFingerprint, SeparatesObviouslyDifferentGraphs) {
-  EXPECT_NE(invariant_fingerprint(path_graph(6)), invariant_fingerprint(cycle_graph(6)));
-  EXPECT_NE(invariant_fingerprint(star_graph(6)), invariant_fingerprint(cycle_graph(6)));
-  EXPECT_NE(invariant_fingerprint(complete_graph(5)), invariant_fingerprint(complete_graph(6)));
-}
-
-/// Property sweep: BFS layers from any source partition the reachable set,
-/// and dist satisfies the triangle property along edges (|d(u)-d(v)| <= 1).
-class BfsProperty : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(BfsProperty, EdgeEndpointsDifferByAtMostOneLayer) {
-  Rng rng(GetParam());
-  const auto g = erdos_renyi(40, 0.08, rng);
-  const auto dist = bfs_distances(g, 0);
-  for (const Edge& e : g.edges()) {
-    if (dist[e.u] == kUnreachable || dist[e.v] == kUnreachable) {
-      EXPECT_EQ(dist[e.u], dist[e.v]);  // same side of the cut from source 0
-      continue;
-    }
-    const std::size_t hi = std::max(dist[e.u], dist[e.v]);
-    const std::size_t lo = std::min(dist[e.u], dist[e.v]);
-    EXPECT_LE(hi - lo, 1u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BfsProperty, ::testing::Values(1, 2, 3, 5, 8));
 
 }  // namespace

@@ -119,7 +119,8 @@ TEST_P(BitsliceEncoderEquivalence, FastPathBitIdenticalToReference) {
       graphhd::graph::cycle_graph(9),
   };
   for (const auto& g : graphs) {
-    EXPECT_EQ(fast.encode(g), reference.encode(g)) << graphhd::graph::to_string(g);
+    EXPECT_EQ(fast.encode(g), reference.encode(g))
+        << "|V|=" << g.num_vertices() << " |E|=" << g.num_edges();
   }
 }
 

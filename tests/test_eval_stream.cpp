@@ -636,14 +636,4 @@ TEST(CollectLabels, FastPathAndFallbackAgree) {
   EXPECT_EQ(data::collect_labels(no_fast_path), dataset.labels());
 }
 
-TEST(ScoreStream, MatchesMaterializedScore) {
-  const auto dataset = learnable_dataset(16);
-  core::GraphHd materialized(fast_config(core::Backend::kPackedBinary));
-  core::GraphHd streamed(fast_config(core::Backend::kPackedBinary));
-  materialized.fit(dataset);
-  DatasetStream stream(dataset);
-  streamed.fit_stream(stream, {.chunk = 5});
-  EXPECT_EQ(materialized.score(dataset), streamed.score_stream(stream, {.chunk = 5}));
-}
-
 }  // namespace

@@ -152,11 +152,11 @@ TEST(FixtureCompat, GoldenArtifactsLoadAsSnapshots) {
   auto twin = fixture_twin(core::Backend::kDenseBipolar);
   const auto snapshot =
       core::load_snapshot(kFixtureDir / "model_v2_dense.ghd", core::SnapshotLoad::kAuto);
-  core::SnapshotPredictor predictor(snapshot);
+  core::GraphHdEncoder encoder(snapshot->config());
   const auto probes = data::make_synthetic_replica("MUTAG", /*seed=*/11, /*scale=*/0.05);
   for (std::size_t i = 0; i < probes.size(); ++i) {
     const auto a = twin.predict(probes.graph(i));
-    const auto b = predictor.predict(probes.graph(i));
+    const auto b = snapshot->predict_encoded(encoder.encode_packed(probes.graph(i)));
     EXPECT_EQ(a.label, b.label) << i;
     EXPECT_EQ(a.score, b.score) << i;
   }

@@ -171,58 +171,6 @@ TEST_F(TUDatasetFuzz, CorruptFilesNeverCrashEitherReader) {
 }
 
 // ---------------------------------------------------------------------------
-// Edge-list file fuzz.
-// ---------------------------------------------------------------------------
-
-TEST(EdgeListFuzz, CorruptFilesNeverCrashTheStream) {
-  const fs::path dir =
-      fs::temp_directory_path() / ("graphhd_elfuzz_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  const fs::path file = dir / "graphs.el";
-  std::string pristine;
-  {
-    const auto dataset = data::make_synthetic_replica("MUTAG", /*seed=*/7, /*scale=*/0.05);
-    data::save_edge_list(dataset, file);
-    std::ifstream in(file, std::ios::binary);
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    pristine = buffer.str();
-  }
-  proptest::check<Mutation>(
-      "corrupt edge-list file loads cleanly or errors cleanly",
-      [&](hdc::Rng& rng, std::size_t) { return random_mutation(rng, 1); }, shrink_mutation,
-      [&](const Mutation& m, std::ostream& diag) {
-        diag << m;
-        std::ofstream(file, std::ios::binary) << apply_mutation(pristine, m);
-        try {
-          data::EdgeListStream stream(file);
-          std::size_t count = 0;
-          while (stream.next().has_value()) ++count;
-          diag << " [ok: " << count << " graphs]";
-        } catch (const std::exception& error) {
-          diag << " [error: " << error.what() << "]";
-        }
-        return true;
-      },
-      proptest::Config{.cases = 64});
-  fs::remove_all(dir);
-}
-
-TEST(EdgeListFuzz, OversizedHeaderValuesAreRejectedUpFront) {
-  const fs::path dir =
-      fs::temp_directory_path() / ("graphhd_elbounds_" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-  // A corrupt vertex count must not reach the CSR allocation, and a corrupt
-  // label must not inflate the stream's class count (model slot allocation).
-  for (const char* content : {"graph 9000000000000000000 0\n", "graph 4 999999999999\n0 1\n"}) {
-    const fs::path file = dir / "bounds.el";
-    std::ofstream(file) << content;
-    EXPECT_THROW(data::EdgeListStream{file}, std::runtime_error) << content;
-  }
-  fs::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
 // Model artifact fuzz (text v2 and binary v3, both backends).
 // ---------------------------------------------------------------------------
 

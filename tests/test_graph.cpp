@@ -159,13 +159,6 @@ TEST(GraphBuilder, BuildIsRepeatable) {
   EXPECT_EQ(first, second);
 }
 
-TEST(GraphToString, MentionsCounts) {
-  const auto g = Graph::from_edges(3, std::vector<Edge>{{0, 1}});
-  const auto text = to_string(g);
-  EXPECT_NE(text.find("|V|=3"), std::string::npos);
-  EXPECT_NE(text.find("|E|=1"), std::string::npos);
-}
-
 TEST(EdgeOrdering, LexicographicByPair) {
   EXPECT_LT((Edge{0, 1}), (Edge{0, 2}));
   EXPECT_LT((Edge{0, 9}), (Edge{1, 2}));

@@ -9,7 +9,6 @@ namespace {
 
 using graphhd::hdc::Hypervector;
 using graphhd::hdc::ItemMemory;
-using graphhd::hdc::LevelMemory;
 
 TEST(ItemMemory, RejectsZeroDimension) {
   EXPECT_THROW(ItemMemory(0, 1), std::invalid_argument);
@@ -49,12 +48,6 @@ TEST(ItemMemory, GrowsLazily) {
   EXPECT_EQ(memory.size(), 10u);
 }
 
-TEST(ItemMemory, ReservePrematerializes) {
-  ItemMemory memory(64, 17);
-  memory.reserve(32);
-  EXPECT_EQ(memory.size(), 32u);
-}
-
 TEST(ItemMemory, VectorsAreQuasiOrthogonal) {
   ItemMemory memory(10000, 19);
   // All pairs among the first 12 vectors must be near-orthogonal — the
@@ -71,57 +64,6 @@ TEST(ItemMemory, DimensionIsRespected) {
   ItemMemory memory(321, 23);
   EXPECT_EQ(memory.get(0).dimension(), 321u);
   EXPECT_EQ(memory.dimension(), 321u);
-}
-
-TEST(LevelMemory, RejectsBadArguments) {
-  EXPECT_THROW(LevelMemory(0, 4, 1), std::invalid_argument);
-  EXPECT_THROW(LevelMemory(64, 1, 1), std::invalid_argument);
-}
-
-TEST(LevelMemory, EndpointsQuasiOrthogonal) {
-  LevelMemory memory(10000, 10, 29);
-  EXPECT_LT(std::abs(memory.get(0).cosine(memory.get(9))), 0.1);
-}
-
-TEST(LevelMemory, SimilarityDecreasesMonotonicallyFromAnchor) {
-  LevelMemory memory(10000, 8, 31);
-  const auto& anchor = memory.get(0);
-  double previous = 1.0;
-  for (std::size_t level = 1; level < 8; ++level) {
-    const double sim = anchor.cosine(memory.get(level));
-    EXPECT_LT(sim, previous + 1e-9) << "level " << level;
-    previous = sim;
-  }
-}
-
-TEST(LevelMemory, AdjacentLevelsAreSimilar) {
-  LevelMemory memory(10000, 16, 37);
-  for (std::size_t level = 0; level + 1 < 16; ++level) {
-    EXPECT_GT(memory.get(level).cosine(memory.get(level + 1)), 0.8) << "level " << level;
-  }
-}
-
-TEST(LevelMemory, QuantizeMapsRangeEnds) {
-  LevelMemory memory(256, 5, 41);
-  EXPECT_EQ(&memory.quantize(0.0, 0.0, 1.0), &memory.get(0));
-  EXPECT_EQ(&memory.quantize(1.0, 0.0, 1.0), &memory.get(4));
-  EXPECT_EQ(&memory.quantize(0.5, 0.0, 1.0), &memory.get(2));
-}
-
-TEST(LevelMemory, QuantizeClampsOutOfRange) {
-  LevelMemory memory(256, 5, 43);
-  EXPECT_EQ(&memory.quantize(-10.0, 0.0, 1.0), &memory.get(0));
-  EXPECT_EQ(&memory.quantize(10.0, 0.0, 1.0), &memory.get(4));
-}
-
-TEST(LevelMemory, QuantizeRejectsEmptyRange) {
-  LevelMemory memory(256, 5, 47);
-  EXPECT_THROW((void)memory.quantize(0.5, 1.0, 1.0), std::invalid_argument);
-}
-
-TEST(LevelMemory, GetOutOfRangeThrows) {
-  LevelMemory memory(64, 3, 53);
-  EXPECT_THROW((void)memory.get(3), std::out_of_range);
 }
 
 }  // namespace

@@ -101,34 +101,6 @@ TEST(Linear, GradientsAccumulateAcrossBackwardCalls) {
   EXPECT_DOUBLE_EQ(layer.parameters()[0]->grad.at(0, 0), 2.0 * after_one);
 }
 
-TEST(ReLU, ForwardClampsNegatives) {
-  ReLU relu;
-  Matrix x(1, 4);
-  x.at(0, 0) = -1.0;
-  x.at(0, 1) = 0.0;
-  x.at(0, 2) = 2.0;
-  x.at(0, 3) = -0.5;
-  const auto y = relu.forward(x);
-  EXPECT_DOUBLE_EQ(y.at(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(y.at(0, 1), 0.0);
-  EXPECT_DOUBLE_EQ(y.at(0, 2), 2.0);
-  EXPECT_DOUBLE_EQ(y.at(0, 3), 0.0);
-}
-
-TEST(ReLU, BackwardMasksByInputSign) {
-  ReLU relu;
-  Matrix x(1, 3);
-  x.at(0, 0) = -1.0;
-  x.at(0, 1) = 3.0;
-  x.at(0, 2) = 0.0;
-  (void)relu.forward(x);
-  Matrix grad(1, 3, 5.0);
-  const auto grad_x = relu.backward(grad);
-  EXPECT_DOUBLE_EQ(grad_x.at(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(grad_x.at(0, 1), 5.0);
-  EXPECT_DOUBLE_EQ(grad_x.at(0, 2), 0.0);  // subgradient 0 at the kink
-}
-
 TEST(Mlp, GradientsMatchNumerical) {
   Rng rng(17);
   Mlp mlp(2, 5, 3, rng);

@@ -48,80 +48,9 @@ TEST(BindFree, EquivalentToMember) {
   EXPECT_EQ(bind(batch[0], batch[1]), batch[0].bind(batch[1]));
 }
 
-TEST(BindAll, FoldsLeftToRight) {
-  const auto batch = random_batch(3, 128, 13);
-  EXPECT_EQ(bind_all(batch), batch[0].bind(batch[1]).bind(batch[2]));
-}
-
-TEST(BindAll, SingleElementIsIdentity) {
-  const auto batch = random_batch(1, 64, 17);
-  EXPECT_EQ(bind_all(batch), batch[0]);
-}
-
-TEST(BindAll, EmptyThrows) {
-  std::vector<Hypervector> empty;
-  EXPECT_THROW((void)bind_all(empty), std::invalid_argument);
-}
-
 TEST(PermuteFree, EquivalentToMember) {
   const auto batch = random_batch(1, 128, 19);
   EXPECT_EQ(permute(batch[0], 5), batch[0].permute(5));
-}
-
-TEST(RecordEncoding, RecoverableByUnbinding) {
-  // Classic HDC property: binding the record with a key approximately
-  // recovers the value (similarity well above chance).
-  const std::size_t d = 10000;
-  const auto keys = random_batch(5, d, 23);
-  const auto values = random_batch(5, d, 29);
-  const auto record = encode_record(keys, values);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto recovered = record.bind(keys[i]);  // bind is self-inverse
-    EXPECT_GT(recovered.cosine(values[i]), 0.2) << "field " << i;
-    // And dissimilar to the other values.
-    for (std::size_t j = 0; j < values.size(); ++j) {
-      if (j == i) continue;
-      EXPECT_LT(std::abs(recovered.cosine(values[j])), 0.1);
-    }
-  }
-}
-
-TEST(RecordEncoding, SizeMismatchThrows) {
-  const auto keys = random_batch(2, 64, 31);
-  const auto values = random_batch(3, 64, 37);
-  EXPECT_THROW((void)encode_record(keys, values), std::invalid_argument);
-}
-
-TEST(RecordEncoding, EmptyThrows) {
-  std::vector<Hypervector> empty;
-  EXPECT_THROW((void)encode_record(empty, empty), std::invalid_argument);
-}
-
-TEST(SequenceEncoding, OrderMatters) {
-  auto items = random_batch(4, 4096, 41);
-  const auto forward = encode_sequence(items);
-  std::swap(items[0], items[1]);
-  const auto swapped = encode_sequence(items);
-  EXPECT_LT(std::abs(forward.cosine(swapped)), 0.1);
-}
-
-TEST(SequenceEncoding, DeterministicAndDistinctFromItems) {
-  const auto items = random_batch(3, 4096, 43);
-  EXPECT_EQ(encode_sequence(items), encode_sequence(items));
-  const auto seq = encode_sequence(items);
-  for (const auto& item : items) {
-    EXPECT_LT(std::abs(seq.cosine(item)), 0.1);
-  }
-}
-
-TEST(SequenceEncoding, EmptyThrows) {
-  std::vector<Hypervector> empty;
-  EXPECT_THROW((void)encode_sequence(empty), std::invalid_argument);
-}
-
-TEST(SequenceEncoding, SingleItemIsItem) {
-  const auto items = random_batch(1, 64, 47);
-  EXPECT_EQ(encode_sequence(items), items[0]);
 }
 
 TEST(Similarity, PackedOverloadBitIdenticalToDenseAcrossMetrics) {

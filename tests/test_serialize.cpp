@@ -440,11 +440,11 @@ struct TempArtifact {
 
 void expect_snapshot_matches_model(GraphHdModel& model,
                                    const std::shared_ptr<const InferenceSnapshot>& snapshot) {
-  SnapshotPredictor predictor(snapshot);
+  GraphHdEncoder encoder(snapshot->config());
   const auto probes = toy_dataset(4);
   for (std::size_t i = 0; i < probes.size(); ++i) {
     const auto expected = model.predict(probes.graph(i));
-    const auto actual = predictor.predict(probes.graph(i));
+    const auto actual = snapshot->predict_encoded(encoder.encode_packed(probes.graph(i)));
     EXPECT_EQ(actual.label, expected.label) << "probe " << i;
     EXPECT_EQ(actual.score, expected.score) << "probe " << i;  // bit-identical.
     EXPECT_EQ(actual.class_scores, expected.class_scores) << "probe " << i;
@@ -477,7 +477,7 @@ TEST(SerializeV3, SnapshotLoadMmapIsBitIdentical) {
 
 TEST(SerializeV3, MmapSnapshotOutlivesEverythingElse) {
   // The mapping must stay alive as long as any snapshot handle does, even
-  // after the predictor and the path-level objects are gone.
+  // after the model and the path-level objects are gone.
   std::shared_ptr<const InferenceSnapshot> survivor;
   Prediction before;
   {
@@ -488,8 +488,8 @@ TEST(SerializeV3, MmapSnapshotOutlivesEverythingElse) {
     before = model.predict(star_graph(9));
     // The file is removed by ~TempArtifact here; the mapping persists.
   }
-  SnapshotPredictor predictor(survivor);
-  const auto after = predictor.predict(star_graph(9));
+  GraphHdEncoder encoder(survivor->config());
+  const auto after = survivor->predict_encoded(encoder.encode_packed(star_graph(9)));
   EXPECT_EQ(after.label, before.label);
   EXPECT_EQ(after.score, before.score);
 }

@@ -20,7 +20,6 @@
 #include "core/snapshot.hpp"
 #include "graph/generators.hpp"
 #include "hdc/random.hpp"
-#include "serve/client.hpp"
 #include "serve/queue.hpp"
 #include "support/proptest.hpp"
 
@@ -32,7 +31,6 @@ using graphhd::graph::cycle_graph;
 using graphhd::graph::path_graph;
 using graphhd::graph::star_graph;
 using graphhd::serve::BoundedMpmcQueue;
-using graphhd::serve::Client;
 using graphhd::serve::Server;
 using graphhd::serve::ServerConfig;
 namespace hdc = graphhd::hdc;
@@ -79,6 +77,15 @@ void expect_predictions_equal(const Prediction& a, const Prediction& b, const ch
 
 bool predictions_equal(const Prediction& a, const Prediction& b) {
   return a.label == b.label && a.score == b.score && a.class_scores == b.class_scores;
+}
+
+/// Submits through the callback form and waits for the answer (dense
+/// queries have no future-returning submit).
+Prediction submit_and_wait(Server& server, hdc::Hypervector query) {
+  std::promise<Prediction> answer;
+  auto future = answer.get_future();
+  server.submit(std::move(query), [&answer](const Prediction& p) { answer.set_value(p); });
+  return future.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -246,7 +253,7 @@ TEST(ServeBatch, RejectsNonQuantizedModelsAndWrongDimensions) {
 // Serve == direct predictions.
 // ---------------------------------------------------------------------------
 
-TEST(Serve, MatchesSnapshotPredictorAcrossBackendsAndScoringModes) {
+TEST(Serve, MatchesDirectPredictionsAcrossBackendsAndScoringModes) {
   std::vector<GraphHdConfig> configs;
   configs.push_back(base_config());  // packed backend.
   {
@@ -266,20 +273,22 @@ TEST(Serve, MatchesSnapshotPredictorAcrossBackendsAndScoringModes) {
                  (config.quantized_model ? " quantized" : " raw") + " vpc=" +
                  std::to_string(config.vectors_per_class));
     auto model = trained_model(config);
-    SnapshotPredictor predictor(model.snapshot());
+    const auto snapshot = model.snapshot();
+    GraphHdEncoder encoder(config);
 
-    Server server(model.snapshot());
-    Client client(server);
+    Server server(snapshot);
     for (const auto& graph : probes) {
-      expect_predictions_equal(client.predict(graph), predictor.predict(graph),
-                               "client round trip");
+      const auto encoded = encoder.encode_packed(graph);
+      expect_predictions_equal(server.submit(encoded).get(), snapshot->predict_encoded(encoded),
+                               "single round trip");
     }
     // Pipelined submission: all futures in flight at once, then collected.
     std::vector<std::future<Prediction>> futures;
     futures.reserve(probes.size());
-    for (const auto& graph : probes) futures.push_back(client.submit(graph));
+    for (const auto& graph : probes) futures.push_back(server.submit(encoder.encode_packed(graph)));
     for (std::size_t i = 0; i < probes.size(); ++i) {
-      expect_predictions_equal(futures[i].get(), predictor.predict(probes[i]),
+      expect_predictions_equal(futures[i].get(),
+                               snapshot->predict_encoded(encoder.encode_packed(probes[i])),
                                "pipelined future");
     }
   }
@@ -303,7 +312,7 @@ TEST(Serve, ConvertsCrossRepresentationSubmissionsExactly) {
   Server raw_server(raw_snapshot);
   for (const auto& graph : probe_graphs()) {
     const auto dense_for_packed = packed_encoder.encode(graph);
-    expect_predictions_equal(packed_server.submit(dense_for_packed).get(),
+    expect_predictions_equal(submit_and_wait(packed_server, dense_for_packed),
                              packed_snapshot->predict_encoded(dense_for_packed),
                              "dense query on packed-scoring server");
     const auto packed_for_raw =
@@ -316,34 +325,40 @@ TEST(Serve, ConvertsCrossRepresentationSubmissionsExactly) {
 
 TEST(Serve, CallbacksDeliverTheSamePredictions) {
   auto model = trained_model(base_config());
-  SnapshotPredictor predictor(model.snapshot());
-  Server server(model.snapshot());
-  Client client(server);
+  const auto snapshot = model.snapshot();
+  GraphHdEncoder encoder(model.config());
+  Server server(snapshot);
 
   const auto probes = probe_graphs();
   std::vector<Prediction> results(probes.size());
   std::atomic<std::size_t> done{0};
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    client.submit(probes[i], [&results, &done, i](const Prediction& prediction) {
-      results[i] = prediction;
-      done.fetch_add(1, std::memory_order_release);
-    });
+    server.submit(encoder.encode_packed(probes[i]),
+                  [&results, &done, i](const Prediction& prediction) {
+                    results[i] = prediction;
+                    done.fetch_add(1, std::memory_order_release);
+                  });
   }
   while (done.load(std::memory_order_acquire) < probes.size()) std::this_thread::yield();
   for (std::size_t i = 0; i < probes.size(); ++i) {
-    expect_predictions_equal(results[i], predictor.predict(probes[i]), "callback result");
+    expect_predictions_equal(results[i],
+                             snapshot->predict_encoded(encoder.encode_packed(probes[i])),
+                             "callback result");
   }
 }
 
 TEST(Serve, ConcurrentClientsEachGetTheirOwnAnswers) {
   auto model = trained_model(base_config());
-  SnapshotPredictor predictor(model.snapshot());
-  Server server(model.snapshot(), ServerConfig{.max_batch = 16, .worker_threads = 2});
+  const auto snapshot = model.snapshot();
+  Server server(snapshot, ServerConfig{.max_batch = 16, .worker_threads = 2});
 
   const auto probes = probe_graphs();
   std::vector<Prediction> expected;
   expected.reserve(probes.size());
-  for (const auto& graph : probes) expected.push_back(predictor.predict(graph));
+  GraphHdEncoder reference(model.config());
+  for (const auto& graph : probes) {
+    expected.push_back(snapshot->predict_encoded(reference.encode_packed(graph)));
+  }
 
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kReps = 40;
@@ -351,10 +366,12 @@ TEST(Serve, ConcurrentClientsEachGetTheirOwnAnswers) {
   std::vector<std::thread> threads;
   for (std::size_t t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
-      Client client(server);  // one encoder per thread, the documented pattern.
+      // One encoder per thread, the documented pattern.
+      GraphHdEncoder encoder(server.snapshot()->config());
       for (std::size_t rep = 0; rep < kReps; ++rep) {
         const std::size_t p = (t + rep) % probes.size();
-        if (!predictions_equal(client.predict(probes[p]), expected[p])) {
+        if (!predictions_equal(server.submit(encoder.encode_packed(probes[p])).get(),
+                               expected[p])) {
           mismatches.fetch_add(1);
         }
       }
@@ -450,6 +467,11 @@ TEST(Serve, SwapValidatesItsReplacement) {
 
   EXPECT_THROW(server.swap(nullptr), std::invalid_argument);
 
+  GraphHdConfig narrower = base_config();
+  narrower.dimension = 128;  // a different encoding space.
+  auto narrow = trained_model(narrower);
+  EXPECT_THROW(server.swap(narrow.snapshot()), std::invalid_argument);
+
   GraphHdConfig reseeded = base_config();
   reseeded.seed ^= 1;
   auto other = trained_model(reseeded);
@@ -467,6 +489,7 @@ TEST(Serve, SwapValidatesItsReplacement) {
 
   // The failed swaps left the original snapshot in place.
   EXPECT_EQ(server.snapshot()->config().seed, base_config().seed);
+  EXPECT_EQ(server.snapshot()->dimension(), base_config().dimension);
 }
 
 // ---------------------------------------------------------------------------
@@ -475,11 +498,11 @@ TEST(Serve, SwapValidatesItsReplacement) {
 
 TEST(Serve, ShutdownDrainsEveryAcceptedRequest) {
   auto model = trained_model(base_config());
-  SnapshotPredictor predictor(model.snapshot());
+  const auto snapshot = model.snapshot();
   GraphHdEncoder encoder(model.config());
 
   const auto probes = probe_graphs();
-  Server server(model.snapshot(), ServerConfig{.max_batch = 4});
+  Server server(snapshot, ServerConfig{.max_batch = 4});
   std::vector<std::future<Prediction>> futures;
   for (std::size_t i = 0; i < 48; ++i) {
     futures.push_back(server.submit(encoder.encode_packed(probes[i % probes.size()])));
@@ -487,8 +510,9 @@ TEST(Serve, ShutdownDrainsEveryAcceptedRequest) {
   server.shutdown();
   EXPECT_TRUE(server.stopped());
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    expect_predictions_equal(futures[i].get(), predictor.predict(probes[i % probes.size()]),
-                             "drained after shutdown");
+    const auto expected =
+        snapshot->predict_encoded(encoder.encode_packed(probes[i % probes.size()]));
+    expect_predictions_equal(futures[i].get(), expected, "drained after shutdown");
   }
   EXPECT_EQ(server.stats().requests, futures.size());
 
@@ -510,7 +534,8 @@ TEST(Serve, ValidatesConstructionAndSubmissions) {
   hdc::Rng rng(3);
   EXPECT_THROW((void)server.submit(hdc::PackedHypervector::random(64, rng)),
                std::invalid_argument);
-  EXPECT_THROW((void)server.submit(hdc::Hypervector::random(64, rng)), std::invalid_argument);
+  EXPECT_THROW(server.submit(hdc::Hypervector::random(64, rng), [](const Prediction&) {}),
+               std::invalid_argument);
   EXPECT_THROW(server.submit(hdc::PackedHypervector::random(256, rng), Server::Callback{}),
                std::invalid_argument);
 }

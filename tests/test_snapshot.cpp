@@ -65,6 +65,13 @@ void expect_predictions_equal(const Prediction& a, const Prediction& b, const ch
   EXPECT_EQ(a.class_scores, b.class_scores) << what;
 }
 
+/// Classifies `g` the way a process holding only a snapshot does: an encoder
+/// built from the snapshot's config, then the packed query.
+Prediction predict_graph(const InferenceSnapshot& snapshot, const graphhd::graph::Graph& g) {
+  GraphHdEncoder encoder(snapshot.config());
+  return snapshot.predict_encoded(encoder.encode_packed(g));
+}
+
 /// The matrix the tentpole promises: every backend, every metric, quantized
 /// and not, single and multiple prototypes — model.predict and the
 /// snapshot's predict paths agree bit for bit.
@@ -92,24 +99,26 @@ TEST(Snapshot, MatchesModelAcrossTheConfigMatrix) {
   const auto probes = toy_dataset(4);
   for (const auto& config : configs) {
     auto model = trained_model(config);
-    SnapshotPredictor predictor(model.snapshot());
+    const auto snapshot = model.snapshot();
+    GraphHdEncoder encoder(snapshot->config());
     SCOPED_TRACE(std::string(to_string(config.backend)) + " metric=" +
                  std::to_string(static_cast<int>(config.metric)) + " vpc=" +
                  std::to_string(config.vectors_per_class) +
                  (config.quantized_model ? " quantized" : " raw"));
     for (std::size_t i = 0; i < probes.size(); ++i) {
       expect_predictions_equal(model.predict(probes.graph(i)),
-                               predictor.predict(probes.graph(i)), "single predict");
+                               snapshot->predict_encoded(encoder.encode_packed(probes.graph(i))),
+                               "single predict");
     }
     // Batch and stream paths run through the same snapshot.
     const auto batch_model = model.predict_batch(probes);
-    const auto batch_snapshot = predictor.predict_batch(probes);
+    const auto batch_snapshot = predict_dataset(*snapshot, encoder, probes);
     ASSERT_EQ(batch_model.size(), batch_snapshot.size());
     for (std::size_t i = 0; i < batch_model.size(); ++i) {
       expect_predictions_equal(batch_model[i], batch_snapshot[i], "predict_batch");
     }
     DatasetStream stream(probes);
-    const auto streamed = predictor.predict_stream(stream, {.chunk = 5});
+    const auto streamed = collect_stream_predictions(snapshot, encoder, stream, {.chunk = 5});
     ASSERT_EQ(streamed.size(), batch_model.size());
     for (std::size_t i = 0; i < streamed.size(); ++i) {
       expect_predictions_equal(batch_model[i], streamed[i], "predict_stream");
@@ -145,36 +154,21 @@ TEST(Snapshot, IsCachedUntilTheModelMutates) {
 }
 
 TEST(Snapshot, HotSwapServesOldStateUntilPublish) {
-  // The serving pattern: a predictor pins snapshot A; the trainer keeps
-  // learning; A's outputs never change until swap() publishes B.
+  // The serving pattern: a server pins snapshot A; the trainer keeps
+  // learning; A's outputs never change until the trainer publishes B.
   auto model = trained_model(base_config());
-  SnapshotPredictor predictor(model.snapshot());
-  const auto before = predictor.predict(star_graph(9));
+  auto served = model.snapshot();
+  const auto before = predict_graph(*served, star_graph(9));
 
   // Drift the model toward class 2 with extra samples.
   for (int i = 0; i < 32; ++i) model.partial_fit(star_graph(9), 2);
-  expect_predictions_equal(predictor.predict(star_graph(9)), before,
+  expect_predictions_equal(predict_graph(*served, star_graph(9)), before,
                            "pinned snapshot drifted with the trainer");
 
-  predictor.swap(model.snapshot());
-  const auto after = predictor.predict(star_graph(9));
+  served = model.snapshot();
+  const auto after = predict_graph(*served, star_graph(9));
   EXPECT_EQ(after.label, 2u) << "published snapshot must reflect the new training";
   expect_predictions_equal(after, model.predict(star_graph(9)), "post-swap parity");
-}
-
-TEST(Snapshot, SwapRejectsEncoderIncompatibleSnapshots) {
-  auto model = trained_model(base_config());
-  SnapshotPredictor predictor(model.snapshot());
-
-  GraphHdConfig other = base_config();
-  other.dimension = 256;  // different encoding space.
-  auto other_model = trained_model(other);
-  EXPECT_THROW(predictor.swap(other_model.snapshot()), std::invalid_argument);
-
-  GraphHdConfig reseeded = base_config();
-  reseeded.seed = 0x1234;  // different basis vectors.
-  auto reseeded_model = trained_model(reseeded);
-  EXPECT_THROW(predictor.swap(reseeded_model.snapshot()), std::invalid_argument);
 }
 
 TEST(Snapshot, EncoderCompatibilityContract) {
@@ -220,12 +214,7 @@ TEST(Snapshot, PipelineExposesTheSnapshot) {
   EXPECT_THROW((void)classifier.snapshot(), std::logic_error);
   classifier.fit(toy_dataset(4));
   const auto snapshot = classifier.snapshot();
-  SnapshotPredictor predictor(snapshot);
-  EXPECT_EQ(predictor.predict(star_graph(9)).label, classifier.predict(star_graph(9)));
-}
-
-TEST(Snapshot, PredictorRequiresASnapshot) {
-  EXPECT_THROW(SnapshotPredictor(nullptr), std::invalid_argument);
+  EXPECT_EQ(predict_graph(*snapshot, star_graph(9)).label, classifier.predict(star_graph(9)));
 }
 
 // ---------------------------------------------------------------------------
@@ -317,9 +306,9 @@ TEST(SnapshotProperty, V3RoundTripIsBitIdenticalReadAndMmap) {
         bool ok = true;
         for (const auto mode : {SnapshotLoad::kRead, SnapshotLoad::kMmap}) {
           const auto snapshot = load_snapshot(path, mode);
-          SnapshotPredictor predictor(snapshot);
+          GraphHdEncoder encoder(snapshot->config());
           for (std::size_t i = 0; i < probes.size() && ok; ++i) {
-            const auto actual = predictor.predict(probes.graph(i));
+            const auto actual = snapshot->predict_encoded(encoder.encode_packed(probes.graph(i)));
             ok = actual.label == expected[i].label && actual.score == expected[i].score &&
                  actual.class_scores == expected[i].class_scores;
             if (!ok) {

@@ -30,7 +30,6 @@ namespace {
 namespace fs = std::filesystem;
 using namespace graphhd;
 using data::DatasetStream;
-using data::EdgeListStream;
 using data::GeneratorStream;
 using data::GraphDataset;
 using data::TUDatasetStream;
@@ -221,40 +220,6 @@ TEST(TUDatasetWriterTest, RejectsInconsistentVertexLabelUse) {
   TUDatasetWriter writer(dir, "DS");
   writer.append(dataset.graph(0), 0, dataset.vertex_labels()[0]);
   EXPECT_THROW(writer.append(dataset.graph(1), 1), std::invalid_argument);
-  fs::remove_all(dir);
-}
-
-TEST(EdgeListStreamTest, RoundTripsThroughSaveEdgeList) {
-  auto dataset = small_replica();
-  const fs::path dir = fresh_temp_dir("edgelist");
-  const fs::path file = dir / "graphs.el";
-  data::save_edge_list(dataset, file);
-  EdgeListStream stream(file);
-  EXPECT_EQ(stream.num_classes(), dataset.num_classes());
-  EXPECT_EQ(stream.size_hint(), std::optional<std::size_t>(dataset.size()));
-  const auto reloaded = data::materialize(stream, dataset.name());
-  ASSERT_EQ(reloaded.size(), dataset.size());
-  for (std::size_t i = 0; i < dataset.size(); ++i) {
-    EXPECT_EQ(reloaded.graph(i), dataset.graph(i)) << "graph " << i;
-    EXPECT_EQ(reloaded.label(i), dataset.label(i)) << "label " << i;
-  }
-  fs::remove_all(dir);
-}
-
-TEST(EdgeListStreamTest, RejectsMalformedRows) {
-  const fs::path dir = fresh_temp_dir("edgelist_bad");
-  {
-    const fs::path file = dir / "bad_edge.el";
-    std::ofstream(file) << "graph 3 0\n0 7\n";  // vertex id out of range
-    EdgeListStream stream(file);
-    EXPECT_THROW((void)stream.next(), std::runtime_error);
-  }
-  {
-    const fs::path file = dir / "no_header.el";
-    std::ofstream(file) << "0 1\ngraph 2 0\n";  // edge before any header
-    EdgeListStream stream(file);
-    EXPECT_THROW((void)stream.next(), std::runtime_error);
-  }
   fs::remove_all(dir);
 }
 

@@ -6,7 +6,6 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
-#include "kernels/histogram_kernels.hpp"
 #include "kernels/kernel_matrix.hpp"
 #include "kernels/wl_oa.hpp"
 #include "kernels/wl_subtree.hpp"
@@ -251,31 +250,6 @@ TEST(KernelMatrix, ValidatesShapes) {
   EXPECT_THROW((void)max_asymmetry(rect), std::invalid_argument);
   EXPECT_THROW((void)rect.at(5, 0), std::out_of_range);
   EXPECT_THROW((void)rect.row(5), std::out_of_range);
-}
-
-TEST(HistogramKernels, DegreeKernelCountsMatches) {
-  // P3 histogram: two deg-1, one deg-2; P4: two deg-1, two deg-2.
-  EXPECT_DOUBLE_EQ(degree_histogram_kernel(path_graph(3), path_graph(4)), 2.0 * 2.0 + 1.0 * 2.0);
-}
-
-TEST(HistogramKernels, DegreeCapBuckets) {
-  // Star K1,5 center has degree 5; with cap 2 it lands in the top bucket.
-  const double k = degree_histogram_kernel(star_graph(6), star_graph(6), 2);
-  EXPECT_DOUBLE_EQ(k, 5.0 * 5.0 + 1.0);
-}
-
-TEST(HistogramKernels, EdgeKernelOnPaths) {
-  // P3 edges: two (1,2) pairs. P4: two (1,2) + one (2,2).
-  EXPECT_DOUBLE_EQ(edge_degree_kernel(path_graph(3), path_graph(4)), 4.0);
-}
-
-TEST(HistogramKernels, GramSymmetricPsdDiagonal) {
-  const auto graphs = fixture_graphs();
-  const auto gram = degree_histogram_gram(graphs);
-  EXPECT_DOUBLE_EQ(max_asymmetry(gram), 0.0);
-  for (std::size_t i = 0; i < graphs.size(); ++i) {
-    EXPECT_GT(gram.at(i, i), 0.0);
-  }
 }
 
 }  // namespace

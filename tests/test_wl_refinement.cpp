@@ -110,50 +110,4 @@ TEST(WlRefiner, ColoringIsIsomorphismInvariant) {
   }
 }
 
-TEST(WlRefiner, PaletteSizeQueriesValidated) {
-  WlRefiner refiner(2);
-  (void)refiner.refine(path_graph(4));
-  EXPECT_GE(refiner.palette_size(1), 2u);
-  EXPECT_THROW((void)refiner.palette_size(3), std::out_of_range);
-}
-
-TEST(WlPartitionHistory, StartsAtOneClass) {
-  const auto history = wl_partition_history(path_graph(6));
-  ASSERT_GE(history.size(), 2u);
-  EXPECT_EQ(history[0], 1u);
-}
-
-TEST(WlPartitionHistory, MonotoneNonDecreasing) {
-  Rng rng(11);
-  const auto g = graphhd::graph::barabasi_albert(30, 2, rng);
-  const auto history = wl_partition_history(g);
-  for (std::size_t i = 1; i < history.size(); ++i) {
-    EXPECT_GE(history[i], history[i - 1]);
-  }
-}
-
-TEST(WlPartitionHistory, StabilizesAndStops) {
-  const auto history = wl_partition_history(path_graph(8), 32);
-  // Once two consecutive counts match, refinement is stable and must stop.
-  ASSERT_GE(history.size(), 2u);
-  EXPECT_EQ(history[history.size() - 1], history[history.size() - 2]);
-  EXPECT_LT(history.size(), 32u);
-}
-
-TEST(WlPartitionHistory, IdenticalForIsomorphicGraphs) {
-  Rng rng(13);
-  const auto g = graphhd::graph::erdos_renyi(25, 0.15, rng);
-  std::vector<VertexId> mapping(25);
-  std::iota(mapping.begin(), mapping.end(), 0u);
-  Rng shuffle_rng(17);
-  shuffle_rng.shuffle(mapping);
-  EXPECT_EQ(wl_partition_history(g),
-            wl_partition_history(graphhd::graph::relabel(g, mapping)));
-}
-
-TEST(WlPartitionHistory, EmptyGraph) {
-  const auto history = wl_partition_history(graphhd::graph::Graph{});
-  EXPECT_EQ(history[0], 0u);
-}
-
 }  // namespace
