@@ -8,7 +8,7 @@
 /// training, 2.0x inference on average; DD 12.1x vs GNNs, 24.6x vs kernels;
 /// NCI1 77.1x vs kernels).
 ///
-/// Environment knobs (see DESIGN.md):
+/// Environment knobs (read by eval::config_from_env):
 ///   GRAPHHD_BENCH_SCALE  dataset-size scale, default 0.12 for a minutes-
 ///                        scale run; 1.0 = paper-size datasets
 ///   GRAPHHD_REPS         CV repetitions (paper: 3; default 1)

@@ -2,13 +2,16 @@
 /// Dense reference vs packed trainer micro-benchmark — the efficiency half
 /// of the paper, measured end to end.
 ///
-/// The "dense" side is the paper-exact reference: GraphHdEncoder::encode and
-/// an hdc::AssociativeMemory bundled and queried with bipolar vectors.  The
-/// "packed" side is the trainer's one code path: a GraphHdModel (packed
-/// encoding, signed-counter class memory, packed queries).  The harness
-/// *verifies the two agree bit for bit* — counters, labels and scores; exit
-/// code 1 otherwise, CI runs this as a gate — then times:
-///   * encode throughput  — graphs/s through encode vs encode_packed;
+/// The "dense" side is the paper-exact reference memory: an
+/// hdc::AssociativeMemory bundled and queried with bipolar vectors, fed by
+/// GraphHdEncoder::encode (encode_packed unpacked once with to_bipolar —
+/// the encoder computes in packed words only).  The "packed" side is the
+/// trainer's one code path: a GraphHdModel (packed encoding, signed-counter
+/// class memory, packed queries).  The harness *verifies the two agree bit
+/// for bit* — counters, labels and scores; exit code 1 otherwise, CI runs
+/// this as a gate — then times:
+///   * encode throughput  — graphs/s through encode (encode_packed plus
+///     to_bipolar) vs encode_packed;
 ///   * query  throughput  — class-memory queries/s on pre-encoded vectors
 ///     (bipolar vs packed AssociativeMemory query), the associative-memory
 ///     op the paper's hardware argument is about.

@@ -61,10 +61,11 @@ struct GraphHdConfig {
   ///         "non-quantized" model; slightly more accurate, same cost class).
   bool quantized_model = true;
 
-  /// Use bit-sliced majority bundling (Schmuck et al.'s binarized-bundling
-  /// technique) for the edge-encoding hot loop.  Bit-identical to the
-  /// reference integer accumulation, ~an order of magnitude faster on CPU;
-  /// disable only to benchmark the reference path.
+  /// Recorded field, like `backend`: the encoder always bundles with the
+  /// bit-sliced majority (Schmuck et al.'s binarized-bundling technique),
+  /// which is bit-identical to integer accumulation, and reads neither
+  /// value.  It stays because the artifacts, the wire config hash and
+  /// encoder_compatible carry it.
   bool use_bitslice_bundling = true;
 
   // ---- future-work extensions (Section VII of the paper) ----

@@ -104,8 +104,20 @@ template <typename Value, typename Convert>
       text, key, [](const std::string& s, std::size_t* pos) { return std::stod(s, pos); });
 }
 
-[[nodiscard]] GraphHdModel load_model_text(std::istream& in) {
+/// The header of a v1/v2 text artifact: everything before the cursor line.
+struct TextHeader {
   int version = 0;
+  GraphHdConfig config;
+  std::size_t num_classes = 0;
+  bool fitted = false;
+};
+
+/// Parses a text artifact's header with every check — enum ranges,
+/// GraphHdConfig::validate() and the artifact bounds — so load_model and
+/// inspect_model accept exactly the same files.
+[[nodiscard]] TextHeader parse_text_header(std::istream& in) {
+  TextHeader parsed;
+  int& version = parsed.version;
   {
     std::istringstream header(read_line(in, "magic line"));
     std::string magic;
@@ -114,7 +126,7 @@ template <typename Value, typename Convert>
     require(version >= 1 && version <= kTextVersion,
             "unsupported version " + std::to_string(version));
   }
-  GraphHdConfig config;
+  GraphHdConfig& config = parsed.config;
   const auto read_value = [&in](const char* key) {
     return expect_key(read_line(in, key), key);
   };
@@ -157,7 +169,8 @@ template <typename Value, typename Convert>
   }
   const std::size_t num_classes = parse_u64(read_value("num_classes"), "num_classes");
   require(num_classes >= 2, "num_classes must be >= 2, got " + std::to_string(num_classes));
-  const bool fitted = parse_int(read_value("fitted"), "fitted") != 0;
+  parsed.num_classes = num_classes;
+  parsed.fitted = parse_int(read_value("fitted"), "fitted") != 0;
 
   require(config.dimension <= kMaxDimension,
           "dimension " + std::to_string(config.dimension) + " exceeds the artifact bound " +
@@ -168,6 +181,13 @@ template <typename Value, typename Convert>
   require(num_classes * config.vectors_per_class <= kMaxTotalCounters / config.dimension,
           "total counter count exceeds the artifact bound " +
               std::to_string(kMaxTotalCounters));
+  return parsed;
+}
+
+[[nodiscard]] GraphHdModel load_model_text(std::istream& in) {
+  const TextHeader header = parse_text_header(in);
+  const GraphHdConfig& config = header.config;
+  const std::size_t num_classes = header.num_classes;
 
   std::vector<std::size_t> cursors;
   {
@@ -209,7 +229,7 @@ template <typename Value, typename Convert>
     sample_counts.push_back(samples);
   }
   model.restore_state(std::move(accumulators), std::move(sample_counts), std::move(cursors),
-                      fitted);
+                      header.fitted);
   return model;
 }
 
@@ -775,41 +795,16 @@ class MappedFile {
 
 [[nodiscard]] ModelArtifactInfo inspect_text(const std::string& blob) {
   std::istringstream in(blob);
+  const TextHeader header = parse_text_header(in);
   ModelArtifactInfo info;
+  info.version = header.version;
+  info.backend = header.config.backend;
+  info.dimension = header.config.dimension;
+  info.num_classes = header.num_classes;
+  info.vectors_per_class = header.config.vectors_per_class;
+  info.quantized = header.config.quantized_model;
+  info.fitted = header.fitted;
   info.file_bytes = blob.size();
-  {
-    std::istringstream header(read_line(in, "magic line"));
-    std::string magic;
-    int version = 0;
-    header >> magic >> version;
-    require(magic == kTextMagic, "bad magic '" + magic + "'");
-    require(version >= 1 && version <= kTextVersion,
-            "unsupported version " + std::to_string(version));
-    info.version = version;
-  }
-  const auto read_value = [&in](const char* key) {
-    return expect_key(read_line(in, key), key);
-  };
-  if (info.version >= 2) {
-    const int backend_raw = parse_int(read_value("backend"), "backend");
-    require(backend_raw >= 0 && backend_raw <= static_cast<int>(Backend::kPackedBinary),
-            "backend enum value " + std::to_string(backend_raw) + " out of range");
-    info.backend = static_cast<Backend>(backend_raw);
-  }
-  info.dimension = parse_u64(read_value("dimension"), "dimension");
-  (void)read_value("pagerank_iterations");
-  (void)read_value("pagerank_damping");
-  (void)read_value("identifier");
-  (void)read_value("metric");
-  info.quantized = parse_int(read_value("quantized"), "quantized") != 0;
-  (void)read_value("bitslice");
-  (void)read_value("retrain_epochs");
-  info.vectors_per_class = parse_u64(read_value("vectors_per_class"), "vectors_per_class");
-  (void)read_value("use_vertex_labels");
-  (void)read_value("neighborhood_rounds");
-  (void)read_value("seed");
-  info.num_classes = parse_u64(read_value("num_classes"), "num_classes");
-  info.fitted = parse_int(read_value("fitted"), "fitted") != 0;
   return info;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -31,6 +30,19 @@ struct DistanceBuffer {
   std::vector<std::size_t> heap;
   std::size_t* data;
 };
+
+/// Sets best_class/best_similarity to the first maximum of similarities —
+/// the trainer's scan order and strict-improvement rule.
+void pick_best(hdc::QueryResult& result) {
+  result.best_class = 0;
+  result.best_similarity = -2.0;
+  for (std::size_t slot = 0; slot < result.similarities.size(); ++slot) {
+    if (result.similarities[slot] > result.best_similarity) {
+      result.best_similarity = result.similarities[slot];
+      result.best_class = slot;
+    }
+  }
+}
 
 }  // namespace
 
@@ -141,71 +153,31 @@ hdc::QueryResult InferenceSnapshot::query(const hdc::PackedHypervector& query_hv
   if (query_hv.dimension() != config_.dimension) {
     throw std::invalid_argument("InferenceSnapshot::query: dimension mismatch");
   }
-  if (!scores_packed()) {
-    // The non-quantized model scores against raw integer counters; unpacking
-    // recovers the exact bipolar components (the packing is a bijection on
-    // ±1 data), matching what the trainer does with a packed query.
-    return query_counters(query_hv.to_bipolar());
-  }
-  const std::size_t num_slots = slots();
-  DistanceBuffer distances(num_slots);
-  hdc::kernels::active().hamming_batch(query_hv.words().data(), rows_.data(), num_slots,
-                                       query_hv.words().size(), distances.data);
-  hdc::QueryResult result;
-  result.similarities.resize(num_slots);
-  for (std::size_t c = 0; c < num_slots; ++c) {
-    const double s = hdc::similarity_from_hamming(config_.metric, distances.data[c],
-                                                  config_.dimension);
-    result.similarities[c] = s;
-    if (s > result.best_similarity) {
-      result.best_similarity = s;
-      result.best_class = c;
-    }
-  }
-  return result;
+  return query_words(query_hv.words().data());
 }
 
 hdc::QueryResult InferenceSnapshot::query(const hdc::Hypervector& query_hv) const {
-  if (query_hv.dimension() != config_.dimension) {
-    throw std::invalid_argument("InferenceSnapshot::query: dimension mismatch");
-  }
-  if (!scores_packed()) {
-    return query_counters(query_hv);
-  }
-  // Quantized scoring reduces every metric to the Hamming distance against
-  // the packed class words (dot == d - 2h on bipolar data), so one packing
-  // of the query routes it through the batched kernel with bit-identical
-  // similarity doubles to the dense memory's dot path.
   return query(hdc::PackedHypervector::from_bipolar(query_hv));
 }
 
-hdc::QueryResult InferenceSnapshot::query_counters(const hdc::Hypervector& query_hv) const {
-  // Reproduces BundleAccumulator::cosine exactly (same accumulation order,
-  // same widening, same norm expression), so the non-quantized doubles are
-  // bit-identical to the trainer's.
-  const auto comps = query_hv.components();
+hdc::QueryResult InferenceSnapshot::query_words(const std::uint64_t* words) const {
+  const std::size_t num_slots = slots();
   hdc::QueryResult result;
-  result.similarities.resize(slots());
-  for (std::size_t slot = 0; slot < slots(); ++slot) {
-    const std::int32_t* counts = counters_base_ + slot * config_.dimension;
-    std::int64_t dot = 0;
-    std::int64_t norm_sq = 0;
-    for (std::size_t i = 0; i < config_.dimension; ++i) {
-      dot += static_cast<std::int64_t>(counts[i]) * comps[i];
-      norm_sq += static_cast<std::int64_t>(counts[i]) * counts[i];
+  result.similarities.resize(num_slots);
+  if (config_.quantized_model) {
+    DistanceBuffer distances(num_slots);
+    hdc::kernels::active().hamming_batch(words, rows_.data(), num_slots, words_per_slot_,
+                                         distances.data);
+    for (std::size_t slot = 0; slot < num_slots; ++slot) {
+      result.similarities[slot] = hdc::similarity_from_hamming(
+          config_.metric, distances.data[slot], config_.dimension);
     }
-    double s = 0.0;
-    if (norm_sq != 0) {
-      const double denom = std::sqrt(static_cast<double>(norm_sq)) *
-                           std::sqrt(static_cast<double>(config_.dimension));
-      s = static_cast<double>(dot) / denom;
-    }
-    result.similarities[slot] = s;
-    if (s > result.best_similarity) {
-      result.best_similarity = s;
-      result.best_class = slot;
+  } else {
+    for (std::size_t slot = 0; slot < num_slots; ++slot) {
+      result.similarities[slot] = hdc::counter_cosine(counters(slot), words);
     }
   }
+  pick_best(result);
   return result;
 }
 
@@ -224,10 +196,11 @@ Prediction InferenceSnapshot::prediction_from(const hdc::QueryResult& result) co
 
 void InferenceSnapshot::predict_encoded_batch(const std::uint64_t* const* query_rows,
                                               std::size_t count, Prediction* out) const {
-  if (!scores_packed()) {
-    throw std::logic_error(
-        "InferenceSnapshot::predict_encoded_batch: non-quantized models score raw counters; "
-        "packed queries cannot reproduce the counter cosine");
+  if (!config_.quantized_model) {
+    // Counter scoring reads every counter once per query either way; there
+    // is no class-row stream to share across the batch.
+    for (std::size_t q = 0; q < count; ++q) out[q] = prediction_from(query_words(query_rows[q]));
+    return;
   }
   if (count == 0) return;
   const std::size_t num_slots = slots();
@@ -241,23 +214,16 @@ void InferenceSnapshot::predict_encoded_batch(const std::uint64_t* const* query_
     ops.hamming_batch(rows_[slot], query_rows, count, words_per_slot_,
                       distances.data() + slot * count);
   }
-  // Per query, the scan below visits slots in the same ascending order with
-  // the same strict-improvement comparison as the single-query path, over
-  // the same exact integer distances — bit-identical Predictions.
+  // Per query, the same exact integer distances and the same slot scan as
+  // the single-query path — bit-identical Predictions.
   hdc::QueryResult result;
+  result.similarities.resize(num_slots);
   for (std::size_t q = 0; q < count; ++q) {
-    result.similarities.assign(num_slots, 0.0);
-    result.best_class = 0;
-    result.best_similarity = -2.0;
     for (std::size_t slot = 0; slot < num_slots; ++slot) {
-      const double s = hdc::similarity_from_hamming(config_.metric, distances[slot * count + q],
-                                                    config_.dimension);
-      result.similarities[slot] = s;
-      if (s > result.best_similarity) {
-        result.best_similarity = s;
-        result.best_class = slot;
-      }
+      result.similarities[slot] = hdc::similarity_from_hamming(
+          config_.metric, distances[slot * count + q], config_.dimension);
     }
+    pick_best(result);
     out[q] = prediction_from(result);
   }
 }

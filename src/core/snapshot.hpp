@@ -18,12 +18,13 @@
 ///    replica cursors, so a snapshot round-trips through the v3 artifact
 ///    without consulting the trainer again.
 ///
-/// quantized_model alone picks the scoring (scores_packed()): quantized
-/// models score queries with XOR + popcount against the packed words and
-/// hdc::similarity_from_hamming — bit-identical doubles to the dense
-/// quantized memory (dot == d - 2h on bipolar data); the others reproduce
-/// BundleAccumulator::cosine over the counter rows exactly.  Either way a
-/// snapshot's QueryResult is bit-identical to the trainer's.
+/// Queries are packed words; quantized_model alone picks the scoring.
+/// Quantized models score with XOR + popcount against the packed class words
+/// and hdc::similarity_from_hamming — bit-identical doubles to the dense
+/// quantized memory (dot == d - 2h on bipolar data); the others score the
+/// counter rows with hdc::counter_cosine, the trainer's own rule, which
+/// reproduces BundleAccumulator::cosine exactly.  Either way a snapshot's
+/// QueryResult is bit-identical to the trainer's.
 ///
 /// Storage is either owned (built from a trainer or a full artifact read) or
 /// *borrowed* from a memory-mapped v3 artifact, kept alive by a shared
@@ -103,12 +104,6 @@ class InferenceSnapshot {
   }
   [[nodiscard]] const SlotMeta& slot_meta(std::size_t slot) const;
 
-  /// The scoring representation, decided by quantized_model alone: true =
-  /// Hamming distances against the packed class words, false = cosine
-  /// against the raw counters.  The one rule every serving path (this
-  /// snapshot's queries, serve::Server, the TCP handshake) routes by.
-  [[nodiscard]] bool scores_packed() const noexcept { return config_.quantized_model; }
-
   /// Raw signed counters of one slot (dimension int32 values).
   [[nodiscard]] std::span<const std::int32_t> counters(std::size_t slot) const;
   /// Finalized packed class words of one slot (words_per_slot() words).
@@ -119,15 +114,12 @@ class InferenceSnapshot {
   /// the paper argues for): slots * ceil(d / 8) bytes.
   [[nodiscard]] std::size_t footprint_bytes() const noexcept;
 
-  /// Classifies a packed query against every class slot — one batched XOR +
-  /// popcount kernel pass.  Requires a quantized model (throws
-  /// std::logic_error otherwise: a packed query cannot reproduce the
-  /// non-quantized counter cosine without the dense components).
+  /// Classifies a packed query against every class slot: one batched XOR +
+  /// popcount kernel pass for a quantized model, hdc::counter_cosine over
+  /// the counter rows otherwise (owned and mmap-borrowed rows alike).
   [[nodiscard]] hdc::QueryResult query(const hdc::PackedHypervector& query_hv) const;
 
-  /// Classifies a dense bipolar query.  Quantized models pack the query and
-  /// take the Hamming path (bit-identical doubles); non-quantized models
-  /// reproduce BundleAccumulator::cosine over the counter rows exactly.
+  /// query(PackedHypervector::from_bipolar(query_hv)).
   [[nodiscard]] hdc::QueryResult query(const hdc::Hypervector& query_hv) const;
 
   /// Maps a slot-level QueryResult to a class-level Prediction (max over a
@@ -146,8 +138,8 @@ class InferenceSnapshot {
   /// query kernel setup, distance-buffer allocation and snapshot row traffic
   /// amortize over the batch.  The distances are the same exact integers and
   /// the slot scan order is unchanged, so every Prediction is bit-identical
-  /// to predict_encoded on that query alone.  Requires a quantized model
-  /// (throws std::logic_error otherwise, like the packed query() overload).
+  /// to predict_encoded on that query alone.  A counter-scoring model
+  /// scores each query with query()'s counter cosine.
   void predict_encoded_batch(const std::uint64_t* const* query_rows, std::size_t count,
                              Prediction* out) const;
 
@@ -158,7 +150,8 @@ class InferenceSnapshot {
 
  private:
   void init_rows_and_validate();
-  [[nodiscard]] hdc::QueryResult query_counters(const hdc::Hypervector& query_hv) const;
+  /// query() on ceil(dimension / 64) packed words.
+  [[nodiscard]] hdc::QueryResult query_words(const std::uint64_t* words) const;
 
   GraphHdConfig config_;
   std::size_t num_classes_ = 0;

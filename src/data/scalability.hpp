@@ -8,8 +8,8 @@
 /// The paper does not state how the two classes differ (the experiment
 /// measures *time*, not accuracy).  We give class 1 a slightly higher edge
 /// probability (0.055 by default) so every classifier has learnable signal
-/// while the per-graph cost stays essentially identical; this choice is
-/// documented in DESIGN.md.
+/// while the per-graph cost stays essentially identical (both probabilities
+/// are ScalabilityConfig fields).
 
 #pragma once
 

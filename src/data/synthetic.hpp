@@ -4,7 +4,7 @@
 /// The evaluation environment has no network access, so the real DD,
 /// ENZYMES, MUTAG, NCI1, PROTEINS and PTC_FM files cannot be downloaded.
 /// This module generates stand-in datasets that preserve what drives the
-/// paper's claims (see DESIGN.md §3):
+/// paper's claims:
 ///
 ///   * the Table I statistics — graph count, class count, average vertices,
 ///     average edges and ~0.05 average density — which determine every

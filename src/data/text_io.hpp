@@ -1,8 +1,7 @@
 /// \file text_io.hpp
-/// Shared line-oriented parsing helpers for the dataset text formats
-/// (TUDataset directories, edge-list files).  Internal to src/data — the
-/// loaders and the streaming readers must reject malformed input with the
-/// same messages, so they share one strict parser.
+/// Shared line-oriented parsing helpers for the TUDataset text format.
+/// Internal to src/data — the loaders and the streaming readers must reject
+/// malformed input with the same messages, so they share one strict parser.
 
 #pragma once
 

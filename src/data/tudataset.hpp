@@ -19,7 +19,7 @@
 ///
 /// If the real TUDataset files are placed under e.g. data/MUTAG/, the
 /// examples and benches load them; otherwise they fall back to the synthetic
-/// replicas (see synthetic.hpp and DESIGN.md §3).
+/// replicas (see synthetic.hpp).
 
 #pragma once
 

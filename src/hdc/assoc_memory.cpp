@@ -197,7 +197,11 @@ QueryResult AssociativeMemory::query(const PackedHypervector& query_hv) const {
   if (query_hv.dimension() != dimension_) {
     throw std::invalid_argument("AssociativeMemory::query: dimension mismatch");
   }
-  if (!quantized_) return query(query_hv.to_bipolar());
+  if (!quantized_) {
+    return scan_classes(accumulators_.size(), [&](std::size_t c) {
+      return counter_cosine(accumulators_[c].counts(), query_hv.words().data());
+    });
+  }
   finalize_packed();
   return scan_classes(accumulators_.size(), [&](std::size_t c) {
     return similarity(cached_packed_vectors_[c], query_hv, metric_);

@@ -76,9 +76,9 @@ class AssociativeMemory {
   [[nodiscard]] QueryResult query(const Hypervector& query) const;
 
   /// Classifies a packed query.  A quantized memory scores Hamming distances
-  /// against the packed class vectors (hdc::similarity_from_hamming, the same
-  /// doubles as the bipolar query); a counter memory unpacks the query, which
-  /// is exact on ±1 data.
+  /// against the packed class vectors (hdc::similarity_from_hamming), a
+  /// counter memory scores hdc::counter_cosine against the accumulators;
+  /// both give the same doubles as the bipolar query.
   [[nodiscard]] QueryResult query(const PackedHypervector& query) const;
 
   /// Rebuilds the cached quantized class vectors of both representations;

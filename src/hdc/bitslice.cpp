@@ -138,46 +138,6 @@ std::vector<std::uint32_t> BitsliceBundler::negative_counts() {
   return counts;
 }
 
-Hypervector BitsliceBundler::threshold_bipolar(std::uint64_t tie_break_seed) {
-  flush_pending();
-  std::vector<std::int8_t> out(dimension_);
-
-  // Component is -1 iff neg > count/2.  Bit-sliced comparison against the
-  // constant count/2 yields both the strict-majority mask (greater) and the
-  // tie mask (neither greater nor less == exactly count/2, only possible
-  // for even counts).
-  std::vector<std::uint64_t> greater, less;
-  compare_counters(count_ / 2, greater, less);
-
-  if ((count_ & 1u) != 0) {
-    // Odd count: neg > count/2 iff neg >= ceil(count/2) iff greater-mask
-    // (neg == count/2 exactly is impossible... for odd counts neg can equal
-    // floor(count/2), which compares as neither greater nor less — that is
-    // the +1 side).  Ties cannot happen; skip the tie stream entirely.
-    for (std::size_t i = 0; i < dimension_; ++i) {
-      out[i] = ((greater[i >> 6] >> (i & 63)) & 1u) ? std::int8_t{-1} : std::int8_t{1};
-    }
-    return Hypervector(std::move(out));
-  }
-
-  // Even count: equal-to-count/2 components are ties, resolved by the seeded
-  // stream with one draw per component (the BundleAccumulator convention).
-  Rng tie_rng(tie_break_seed);
-  for (std::size_t i = 0; i < dimension_; ++i) {
-    const int tie_sign = tie_rng.next_sign();
-    const bool is_greater = (greater[i >> 6] >> (i & 63)) & 1u;
-    const bool is_less = (less[i >> 6] >> (i & 63)) & 1u;
-    if (is_greater) {
-      out[i] = -1;
-    } else if (is_less) {
-      out[i] = 1;
-    } else {
-      out[i] = static_cast<std::int8_t>(tie_sign);
-    }
-  }
-  return Hypervector(std::move(out));
-}
-
 PackedHypervector BitsliceBundler::threshold_packed(std::uint64_t tie_break_seed) {
   flush_pending();
   std::vector<std::uint64_t> greater, less;
@@ -191,9 +151,9 @@ PackedHypervector BitsliceBundler::threshold_packed(std::uint64_t tie_break_seed
   }
 
   // Even count: tie components (neither greater nor less) take the seeded
-  // stream, one draw per component as in threshold_bipolar — applied at the
-  // word level with the shared tie_sign_words stream (its tail bits are
-  // zero, which also masks the undecided tail slack).
+  // stream, one draw per component as in BundleAccumulator::threshold —
+  // applied at the word level with the shared tie_sign_words stream (its
+  // tail bits are zero, which also masks the undecided tail slack).
   const std::vector<std::uint64_t> tie = tie_sign_words(tie_break_seed, dimension_);
   for (std::size_t w = 0; w < words_; ++w) {
     greater[w] |= ~(greater[w] | less[w]) & tie[w];

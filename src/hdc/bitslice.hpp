@@ -29,7 +29,7 @@ namespace graphhd::hdc {
 /// Majority bundler over XOR-bound packed hypervector pairs.
 ///
 /// Counts, per component, how many added inputs had that component equal to
-/// -1 (bit set in the packed convention).  threshold_bipolar() reproduces
+/// -1 (bit set in the packed convention).  threshold_packed() reproduces
 /// exactly BundleAccumulator::threshold()'s majority + seeded-tie-break
 /// semantics.
 class BitsliceBundler {
@@ -49,17 +49,13 @@ class BitsliceBundler {
   /// Used by tests and diagnostics.
   [[nodiscard]] std::vector<std::uint32_t> negative_counts();
 
-  /// Majority threshold with the same convention as
-  /// BundleAccumulator::threshold: component sign of (count_+1 - count_-1),
-  /// exact ties resolved by the seeded ±1 stream (one draw per component);
-  /// odd add counts cannot tie and skip the stream.
-  [[nodiscard]] Hypervector threshold_bipolar(
-      std::uint64_t tie_break_seed = 0x7fb5d329728ea185ULL);
-
-  /// Same majority + tie-break as threshold_bipolar, but produces the packed
-  /// representation directly (no bipolar round-trip) — the encoder's output
-  /// for the packed-binary backend.  Guaranteed bit-identical to
-  /// `PackedHypervector::from_bipolar(threshold_bipolar(seed))`.
+  /// Majority threshold straight into packed words, with the convention of
+  /// BundleAccumulator::threshold: a component is -1 (bit set) when more
+  /// than half of the added inputs had it set, exact ties are resolved by the
+  /// seeded ±1 stream (one draw per component), and odd add counts cannot
+  /// tie and skip the stream.  Bit-identical to
+  /// `PackedHypervector::from_bipolar(accumulator.threshold(seed))` over the
+  /// same inputs.
   [[nodiscard]] PackedHypervector threshold_packed(
       std::uint64_t tie_break_seed = 0x7fb5d329728ea185ULL);
 

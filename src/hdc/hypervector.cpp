@@ -79,19 +79,6 @@ Hypervector Hypervector::bind(const Hypervector& other) const {
   return out;
 }
 
-Hypervector Hypervector::permute(std::ptrdiff_t shift) const {
-  if (data_.empty()) return *this;
-  const auto d = static_cast<std::ptrdiff_t>(dimension());
-  std::ptrdiff_t offset = shift % d;
-  if (offset < 0) offset += d;
-  Hypervector out(dimension());
-  for (std::size_t i = 0; i < data_.size(); ++i) {
-    const std::size_t target = (i + static_cast<std::size_t>(offset)) % data_.size();
-    out.data_[target] = data_[i];
-  }
-  return out;
-}
-
 BundleAccumulator::BundleAccumulator(std::size_t dimension) : counts_(dimension, 0) {}
 
 BundleAccumulator BundleAccumulator::from_raw(std::vector<std::int32_t> counts,
@@ -102,8 +89,6 @@ BundleAccumulator BundleAccumulator::from_raw(std::vector<std::int32_t> counts,
   acc.weight_parity_odd_ = weight_parity_odd;
   return acc;
 }
-
-void BundleAccumulator::add(const Hypervector& hv) { add(hv, 1); }
 
 void BundleAccumulator::add(const Hypervector& hv, std::int32_t weight) {
   require_same_dimension(counts_.size(), hv.dimension(), "BundleAccumulator::add");

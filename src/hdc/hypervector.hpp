@@ -77,11 +77,6 @@ class Hypervector {
   /// quasi-orthogonal to both operands.
   [[nodiscard]] Hypervector bind(const Hypervector& other) const;
 
-  /// Cyclic rotation by `shift` positions — the HDC *permutation* operator.
-  /// Permutation preserves distances and decorrelates a vector from itself,
-  /// used to encode order/roles.  Negative shifts rotate the other way.
-  [[nodiscard]] Hypervector permute(std::ptrdiff_t shift) const;
-
   friend bool operator==(const Hypervector&, const Hypervector&) = default;
 
  private:
@@ -108,13 +103,10 @@ class BundleAccumulator {
   [[nodiscard]] std::size_t count() const noexcept { return count_; }
   [[nodiscard]] std::span<const std::int32_t> counts() const noexcept { return counts_; }
 
-  /// Adds one hypervector to the bundle.
-  void add(const Hypervector& hv);
-
-  /// Adds a hypervector with an integer weight (used by retraining, where
-  /// updates add the encoded sample to the correct class and subtract it
-  /// from the mispredicted one).
-  void add(const Hypervector& hv, std::int32_t weight);
+  /// Adds a hypervector with an integer weight (1 = one bundle member;
+  /// retraining adds the encoded sample to the correct class and subtracts
+  /// it from the mispredicted one).
+  void add(const Hypervector& hv, std::int32_t weight = 1);
 
   /// Adds a packed vector (bit set = bipolar -1) with an integer weight:
   /// the same counters as add(hv.to_bipolar(), weight), through the

@@ -1,5 +1,6 @@
 #include "hdc/ops.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace graphhd::hdc {
@@ -56,8 +57,22 @@ double similarity_from_hamming(Similarity metric, std::size_t hamming, std::size
   throw std::invalid_argument("similarity_from_hamming: unknown metric");
 }
 
-Hypervector bind(const Hypervector& a, const Hypervector& b) { return a.bind(b); }
-
-Hypervector permute(const Hypervector& a, std::ptrdiff_t shift) { return a.permute(shift); }
+double counter_cosine(std::span<const std::int32_t> counts,
+                      const std::uint64_t* query_words) noexcept {
+  if (counts.empty()) return 0.0;
+  std::int64_t sum = 0;
+  std::int64_t negative = 0;
+  std::int64_t norm_sq = 0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const std::int64_t c = counts[i];
+    sum += c;
+    norm_sq += c * c;
+    if ((query_words[i >> 6] >> (i & 63)) & 1u) negative += c;
+  }
+  if (norm_sq == 0) return 0.0;
+  const double denom =
+      std::sqrt(static_cast<double>(norm_sq)) * std::sqrt(static_cast<double>(counts.size()));
+  return static_cast<double>(sum - 2 * negative) / denom;
+}
 
 }  // namespace graphhd::hdc

@@ -1,13 +1,15 @@
 /// \file ops.hpp
-/// Free-function facade over the three fundamental HDC operations —
-/// binding (×), bundling (+ with majority normalization) and permutation —
-/// plus the similarity metrics used for classification.
-///
-/// Section III of the paper describes the classical HDC model in terms of
-/// these operations; the member functions on Hypervector/PackedHypervector
-/// do the work, and this header gives call sites the notation of the paper.
+/// The similarity metrics δ used for classification (Section III-C of the
+/// paper), on bipolar and packed hypervectors, and the conversions every
+/// packed scorer shares: Hamming distance to similarity, and the counter
+/// cosine of the non-quantized model.  Binding, bundling and permutation
+/// are members of Hypervector, PackedHypervector, BundleAccumulator and
+/// BitsliceBundler.
 
 #pragma once
+
+#include <cstdint>
+#include <span>
 
 #include "hdc/hypervector.hpp"
 #include "hdc/packed.hpp"
@@ -47,10 +49,14 @@ enum class Similarity {
 [[nodiscard]] double similarity_from_hamming(Similarity metric, std::size_t hamming,
                                              std::size_t dimension);
 
-/// Binding: element-wise multiplication.  `bind(a, b) == a.bind(b)`.
-[[nodiscard]] Hypervector bind(const Hypervector& a, const Hypervector& b);
-
-/// Permutation: cyclic shift, `permute(a, k) == a.permute(k)`.
-[[nodiscard]] Hypervector permute(const Hypervector& a, std::ptrdiff_t shift);
+/// Cosine between a signed counter row and a packed query (bit set = bipolar
+/// -1): the score of the counter ("non-quantized") model, shared by
+/// AssociativeMemory and core::InferenceSnapshot.  The dot product is
+/// Σc − 2·Σ_{bit set} c and ‖c‖² is Σc², both in int64 — the integers
+/// BundleAccumulator::cosine forms on the unpacked query — and the double
+/// expression is the same, so the scores are bit-identical.  `query_words`
+/// holds ceil(counts.size() / 64) words; an empty or all-zero row scores 0.
+[[nodiscard]] double counter_cosine(std::span<const std::int32_t> counts,
+                                    const std::uint64_t* query_words) noexcept;
 
 }  // namespace graphhd::hdc

@@ -1,5 +1,6 @@
 #include "hdc/packed.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -55,8 +56,14 @@ PackedHypervector PackedHypervector::from_words(std::vector<std::uint64_t> words
 
 Hypervector PackedHypervector::to_bipolar() const {
   std::vector<std::int8_t> comps(dimension_);
-  for (std::size_t i = 0; i < dimension_; ++i) {
-    comps[i] = bit_unchecked(i) ? std::int8_t{-1} : std::int8_t{1};
+  // Word by word: bit b of word w becomes component 64w + b, 1 - 2 * bit.
+  for (std::size_t w = 0; w < words_.size(); ++w) {
+    const std::uint64_t word = words_[w];
+    const std::size_t base = w * 64;
+    const std::size_t bits = std::min<std::size_t>(64, dimension_ - base);
+    for (std::size_t b = 0; b < bits; ++b) {
+      comps[base + b] = static_cast<std::int8_t>(1 - 2 * static_cast<int>((word >> b) & 1u));
+    }
   }
   return Hypervector(std::move(comps));
 }

@@ -77,7 +77,11 @@ class PackedHypervector {
   /// the cosine of the corresponding bipolar vectors.
   [[nodiscard]] double similarity(const PackedHypervector& other) const;
 
-  /// Cyclic rotation of the whole bit string by `shift` positions.
+  /// Cyclic rotation by `shift` positions — the HDC *permutation* operator:
+  /// bit i moves to (i + shift) mod dimension.  Permutation preserves
+  /// distances and decorrelates a vector from itself, which is what the
+  /// encoder's extension edges use it for.  Negative shifts rotate the
+  /// other way.
   [[nodiscard]] PackedHypervector permute(std::ptrdiff_t shift) const;
 
   friend bool operator==(const PackedHypervector&, const PackedHypervector&) = default;

@@ -52,8 +52,8 @@ class Linear {
 /// The reference GIN uses batch normalization inside its MLPs; without it a
 /// plain ReLU MLP on un-normalized degree-derived inputs is prone to
 /// dead-unit collapse under Adam at lr 0.01.  The leaky slope keeps
-/// gradients flowing — the standard batch-norm-free remedy (documented
-/// substitution, see DESIGN.md).
+/// gradients flowing — the standard batch-norm-free remedy, used here in
+/// place of the reference model's batch normalization.
 class LeakyReLU {
  public:
   explicit LeakyReLU(double slope = 0.1) : slope_(slope) {}

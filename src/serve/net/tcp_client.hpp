@@ -87,7 +87,8 @@ class TcpClient {
   [[nodiscard]] const core::GraphHdConfig& config() const noexcept { return hello_.config; }
   [[nodiscard]] std::uint64_t config_hash() const noexcept { return hello_.config_hash; }
   [[nodiscard]] std::uint64_t num_classes() const noexcept { return hello_.num_classes; }
-  /// True when the server scores packed words (send encode_packed output).
+  /// True when the server asks for packed frames (send encode_packed
+  /// output).  Every current server does; a dense-only peer predates it.
   [[nodiscard]] bool packed_mode() const noexcept {
     return hello_.representation == Representation::kPacked;
   }

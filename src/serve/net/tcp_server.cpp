@@ -345,8 +345,7 @@ bool TcpServer::drain_inbox(const std::shared_ptr<Connection>& conn) {
       consumed += kClientHelloBytes;
       conn->handshaken = true;
       const auto snapshot = server_.snapshot();
-      enqueue_bytes(conn, encode_server_hello(snapshot->config(), snapshot->num_classes(),
-                                              snapshot->scores_packed()));
+      enqueue_bytes(conn, encode_server_hello(snapshot->config(), snapshot->num_classes()));
       continue;
     }
     if (available() < sizeof(std::uint32_t)) {
@@ -411,17 +410,15 @@ void TcpServer::submit_request(const std::shared_ptr<Connection>& conn,
   };
 
   try {
-    // Server::submit converts either representation to its pinned scoring
-    // mode with the snapshot's own exact conversions (from_bipolar /
-    // to_bipolar), so both payload kinds stay bit-identical end to end.
-    if (request.representation == Representation::kPacked) {
-      server_.submit(
-          hdc::PackedHypervector::from_words(std::move(request.packed_words),
-                                             request.dimension),
-          complete);
-    } else {
-      server_.submit(hdc::Hypervector(std::move(request.dense)), complete);
-    }
+    // The Server queues packed words only; a dense v1 frame is packed here
+    // (an exact bijection on ±1 components), so both payload kinds stay
+    // bit-identical end to end.
+    server_.submit(request.representation == Representation::kPacked
+                       ? hdc::PackedHypervector::from_words(std::move(request.packed_words),
+                                                            request.dimension)
+                       : hdc::PackedHypervector::from_bipolar(
+                             hdc::Hypervector(std::move(request.dense))),
+                   complete);
     stat_requests_.fetch_add(1, std::memory_order_relaxed);
   } catch (const std::exception& error) {
     finish_request(*conn);

@@ -7,7 +7,8 @@
 /// detect encoder mismatch before submitting), parses length-prefixed
 /// request frames out of the per-connection read buffer, and feeds the
 /// decoded queries straight into the wrapped serve::Server queue via the
-/// callback submit path.  The batched-coalescing hot path is untouched:
+/// callback submit path (a dense frame is packed first: the server queues
+/// packed words only).  The batched-coalescing hot path is untouched:
 /// requests from any number of sockets coalesce into the same
 /// predict_encoded_batch sweeps as in-process submits, and responses carry
 /// the raw IEEE-754 score bits, so remote predictions are bit-identical

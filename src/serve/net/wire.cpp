@@ -189,15 +189,14 @@ void check_client_hello(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_server_hello(const core::GraphHdConfig& config,
-                                              std::size_t num_classes, bool packed_mode) {
+                                              std::size_t num_classes) {
   const std::vector<std::uint8_t> config_bytes = encode_config(config);
   std::vector<std::uint8_t> bytes;
   bytes.reserve(kServerHelloFixedBytes + config_bytes.size());
   Writer writer(bytes);
   writer.u32(kMagic);
   writer.u32(kProtocolVersion);
-  writer.u32(static_cast<std::uint32_t>(packed_mode ? Representation::kPacked
-                                                    : Representation::kDense));
+  writer.u32(static_cast<std::uint32_t>(Representation::kPacked));
   writer.u32(0);  // reserved
   writer.u64(fnv1a(config_bytes));
   writer.u64(num_classes);

@@ -82,9 +82,10 @@ enum class FrameType : std::uint32_t {
   kError = 3,
 };
 
-/// Payload representation of a request frame.  Matches the server's pinned
-/// scoring mode (quantized models score packed words, non-quantized dense
-/// models score raw counters); the ServerHello announces which one to send.
+/// Payload representation of a request frame.  The server accepts both and
+/// packs dense frames before it queues them; its ServerHello always
+/// announces kPacked, the ~8x smaller frame.  A hello with kDense (from an
+/// older server) still decodes.
 enum class Representation : std::uint32_t {
   kPacked = 1,
   kDense = 2,
@@ -95,7 +96,7 @@ enum class ErrorCode : std::uint32_t {
   kMalformedFrame = 1,   ///< body failed to parse; connection closes after this.
   kBadDimension = 2,     ///< request dimension != served model's.
   kBadRepresentation = 3,///< reserved: a representation the server cannot accept
-                         ///< (the current server converts both; see tcp_server.cpp).
+                         ///< (the current server accepts both; see tcp_server.cpp).
   kShuttingDown = 4,     ///< server stopped accepting work.
   kInternal = 5,         ///< unexpected server-side failure.
 };
@@ -150,9 +151,11 @@ struct ServerHello {
 /// Validates a ClientHello; throws WireError on bad magic or version.
 void check_client_hello(std::span<const std::uint8_t> bytes);
 
+/// The ServerHello for a snapshot with `config` and `num_classes`.  Its
+/// representation field is always kPacked: the server packs dense frames
+/// itself, so packed frames are what a client should send.
 [[nodiscard]] std::vector<std::uint8_t> encode_server_hello(const core::GraphHdConfig& config,
-                                                            std::size_t num_classes,
-                                                            bool packed_mode);
+                                                            std::size_t num_classes);
 /// Parses the fixed part of a ServerHello; returns the number of trailing
 /// config bytes to read next.  Throws WireError on bad magic/version.
 [[nodiscard]] std::uint64_t check_server_hello_fixed(std::span<const std::uint8_t> fixed);

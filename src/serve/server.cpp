@@ -32,8 +32,7 @@ class GateRelease {
 
 Server::Server(std::shared_ptr<const core::InferenceSnapshot> snapshot, ServerConfig config)
     : config_(config),
-      packed_mode_(require_snapshot(snapshot).scores_packed()),
-      dimension_(snapshot->dimension()),
+      dimension_(require_snapshot(snapshot).dimension()),
       snapshot_(std::move(snapshot)),
       queue_(config.queue_capacity) {
   if (config_.worker_threads == 0) {
@@ -65,11 +64,6 @@ void Server::swap(std::shared_ptr<const core::InferenceSnapshot> next) {
         "Server::swap: replacement snapshot is encoder-incompatible "
         "(dimension/seed/identifier/pagerank/labels/rounds/bitslice/backend must match)");
   }
-  if (current->scores_packed() != next->scores_packed()) {
-    throw std::invalid_argument(
-        "Server::swap: quantized_model is pinned for the server's lifetime "
-        "(it selects the queued query representation)");
-  }
   // Two racing compatible swaps are both compatible with each other (the
   // contract is field equality, hence transitive), so the check need not
   // hold the lock across the store: whichever store lands last wins, and
@@ -82,23 +76,12 @@ void Server::swap(std::shared_ptr<const core::InferenceSnapshot> next) {
   stat_swaps_.fetch_add(1, std::memory_order_relaxed);
 }
 
-std::unique_ptr<Server::Request> Server::make_request(hdc::PackedHypervector&& packed,
-                                                      hdc::Hypervector&& dense) {
-  const std::size_t dimension = packed.empty() ? dense.dimension() : packed.dimension();
-  if (dimension != dimension_) {
+std::unique_ptr<Server::Request> Server::make_request(hdc::PackedHypervector&& query) {
+  if (query.dimension() != dimension_) {
     throw std::invalid_argument("Server::submit: query dimension mismatch");
   }
   auto request = std::make_unique<Request>();
-  if (packed_mode_) {
-    // Quantized scoring: the snapshot packs dense queries itself
-    // (from_bipolar), so converting here preserves bit-identity.
-    request->packed = packed.empty() ? hdc::PackedHypervector::from_bipolar(dense)
-                                     : std::move(packed);
-  } else {
-    // Counter scoring: the snapshot unpacks packed queries (to_bipolar —
-    // exact on ±1 data); same conversion, same bits.
-    request->dense = packed.empty() ? std::move(dense) : packed.to_bipolar();
-  }
+  request->query = std::move(query);
   return request;
 }
 
@@ -122,7 +105,7 @@ void Server::enqueue(std::unique_ptr<Request> request) {
 }
 
 std::future<core::Prediction> Server::submit(hdc::PackedHypervector encoded) {
-  auto request = make_request(std::move(encoded), {});
+  auto request = make_request(std::move(encoded));
   request->use_promise = true;
   auto future = request->promise.get_future();
   enqueue(std::move(request));
@@ -131,14 +114,7 @@ std::future<core::Prediction> Server::submit(hdc::PackedHypervector encoded) {
 
 void Server::submit(hdc::PackedHypervector encoded, Callback callback) {
   if (!callback) throw std::invalid_argument("Server::submit: empty callback");
-  auto request = make_request(std::move(encoded), {});
-  request->callback = std::move(callback);
-  enqueue(std::move(request));
-}
-
-void Server::submit(hdc::Hypervector encoded, Callback callback) {
-  if (!callback) throw std::invalid_argument("Server::submit: empty callback");
-  auto request = make_request({}, std::move(encoded));
+  auto request = make_request(std::move(encoded));
   request->callback = std::move(callback);
   enqueue(std::move(request));
 }
@@ -232,17 +208,11 @@ void Server::process_batch(WorkerScratch& scratch) {
   const std::shared_ptr<const core::InferenceSnapshot> snap = snapshot();
   const std::size_t n = scratch.batch.size();
   scratch.predictions.resize(n);
-  if (packed_mode_) {
-    scratch.query_rows.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.query_rows[i] = scratch.batch[i]->packed.words().data();
-    }
-    snap->predict_encoded_batch(scratch.query_rows.data(), n, scratch.predictions.data());
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      scratch.predictions[i] = snap->predict_encoded(scratch.batch[i]->dense);
-    }
+  scratch.query_rows.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    scratch.query_rows[i] = scratch.batch[i]->query.words().data();
   }
+  snap->predict_encoded_batch(scratch.query_rows.data(), n, scratch.predictions.data());
   // Count the batch BEFORE publishing completions: a caller who saw its
   // future resolve is guaranteed to see itself in stats().
   stat_requests_.fetch_add(n, std::memory_order_relaxed);

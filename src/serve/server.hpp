@@ -13,13 +13,16 @@
 /// latency), saturating traffic runs at max_batch (highest throughput) —
 /// there is no batching timer on the hot path.
 ///
+/// Every request carries packed words, whatever the snapshot's scoring: a
+/// quantized snapshot scores them by Hamming distance, a counter-scoring one
+/// by counter cosine, both inside predict_encoded_batch.
+///
 /// Hot swap: the served snapshot lives in a mutex-guarded shared_ptr.
 /// Workers copy it once per batch, so swap() — which validates the
 /// replacement against the encoder-compatibility contract
-/// (core::encoder_compatible) plus a pinned quantized_model scoring mode —
-/// retargets traffic between batches without torn reads or mixed models
-/// inside a batch.  Responses during a swap come from exactly one of the two
-/// snapshots.
+/// (core::encoder_compatible) — retargets traffic between batches without
+/// torn reads or mixed models inside a batch.  Responses during a swap come
+/// from exactly one of the two snapshots, which may differ in scoring mode.
 ///
 /// Shutdown is graceful: submissions that were accepted are always answered.
 /// shutdown() (and the destructor) first closes the submission gate — late
@@ -48,7 +51,6 @@
 #include <vector>
 
 #include "core/snapshot.hpp"
-#include "hdc/hypervector.hpp"
 #include "hdc/packed.hpp"
 #include "serve/queue.hpp"
 
@@ -85,10 +87,8 @@ class Server {
   /// Completion callback; runs on a worker thread, must not throw.
   using Callback = std::function<void(const core::Prediction&)>;
 
-  /// Starts the worker threads immediately.  The snapshot's quantized_model
-  /// mode is pinned for the server's lifetime (it decides the submitted
-  /// representation); throws std::invalid_argument on a null snapshot or a
-  /// zero worker/batch count.
+  /// Starts the worker threads immediately.  Throws std::invalid_argument
+  /// on a null snapshot or a zero worker/batch count.
   explicit Server(std::shared_ptr<const core::InferenceSnapshot> snapshot,
                   ServerConfig config = {});
   ~Server();
@@ -106,26 +106,21 @@ class Server {
   [[nodiscard]] std::shared_ptr<const core::InferenceSnapshot> snapshot() const;
 
   /// Publishes `next` to subsequent batches.  Throws
-  /// std::invalid_argument when `next` is null, encoder-incompatible with
-  /// the current snapshot (core::encoder_compatible), or flips
-  /// quantized_model; in-flight traffic is undisturbed either way.
+  /// std::invalid_argument when `next` is null or encoder-incompatible with
+  /// the current snapshot (core::encoder_compatible); in-flight traffic is
+  /// undisturbed either way.
   void swap(std::shared_ptr<const core::InferenceSnapshot> next);
 
-  /// Submits one encoded query; the future resolves with its Prediction.
-  /// The representation is converted to the server's scoring mode up front
-  /// (quantized models score packed words, non-quantized models score raw
-  /// counters against dense queries) with the exact conversions the snapshot
-  /// query paths use, so results stay bit-identical to predict_encoded.
-  /// Throws std::invalid_argument on a dimension mismatch and
-  /// std::runtime_error after shutdown.
+  /// Submits one encoded query; the future resolves with its Prediction,
+  /// bit-identical to the served snapshot's predict_encoded.  Throws
+  /// std::invalid_argument on a dimension mismatch and std::runtime_error
+  /// after shutdown.
   [[nodiscard]] std::future<core::Prediction> submit(hdc::PackedHypervector encoded);
 
   /// Callback flavour of submit — the open-loop path: no future, no wait;
   /// `callback` fires on a worker thread once the batch containing this
-  /// request completes.  The dense overload takes the frames a TcpServer
-  /// decodes from dense-representation requests.
+  /// request completes.
   void submit(hdc::PackedHypervector encoded, Callback callback);
-  void submit(hdc::Hypervector encoded, Callback callback);
 
   /// Closes the submission gate, drains every accepted request, joins the
   /// workers.  Idempotent; called by the destructor.
@@ -138,8 +133,7 @@ class Server {
 
  private:
   struct Request {
-    hdc::PackedHypervector packed;  ///< payload when the server scores packed words.
-    hdc::Hypervector dense;         ///< payload when the server scores raw counters.
+    hdc::PackedHypervector query;
     std::promise<core::Prediction> promise;
     Callback callback;  ///< empty => resolve the promise instead.
     bool use_promise = false;
@@ -153,15 +147,13 @@ class Server {
     std::vector<core::Prediction> predictions;
   };
 
-  [[nodiscard]] std::unique_ptr<Request> make_request(hdc::PackedHypervector&& packed,
-                                                      hdc::Hypervector&& dense);
+  [[nodiscard]] std::unique_ptr<Request> make_request(hdc::PackedHypervector&& query);
   void enqueue(std::unique_ptr<Request> request);
   void worker_loop();
   void process_batch(WorkerScratch& scratch);
   void complete(Request* request, const core::Prediction& prediction) noexcept;
 
   ServerConfig config_;
-  bool packed_mode_ = false;  ///< quantized scoring => packed payloads.
   std::size_t dimension_ = 0;
 
   /// The served snapshot.  Workers copy it once per batch, so the lock is

@@ -1,30 +1,137 @@
 /// \file dense_reference.hpp
-/// The paper-exact dense reference trainer that the bit-identity suites hold
-/// GraphHdModel against.
+/// The paper-exact dense reference that the bit-identity suites hold the
+/// packed library against: a bipolar encoder and a bipolar-fed trainer.
 ///
-/// GraphHdModel encodes straight into packed words and bundles them with the
-/// packed counter kernels.  This reference runs Algorithm 1 the way the paper
-/// states it: GraphHdEncoder::encode (bipolar ±1 components) bundled into an
-/// hdc::AssociativeMemory fed and queried with bipolar vectors.  The model's
-/// slot layout (class c, prototype r -> slot c * vectors_per_class + r), its
-/// round-robin prototype assignment, its retraining rule and its Prediction
-/// shape are restated here independently, so a test comparing the two checks
-/// the packed path against the dense one rather than against itself.
+/// GraphHdEncoder computes in packed words and GraphHdModel bundles them
+/// with the packed counter kernels.  This reference runs the same pipeline
+/// the way the paper states it, on bipolar ±1 components: DenseEncoder
+/// restates the encoder (Section IV plus extensions VII.1c and VII.2) with
+/// hdc::ItemMemory bases, BundleAccumulator bundling, bipolar bind and its
+/// own bipolar permute, and DenseReference runs Algorithm 1 on an
+/// hdc::AssociativeMemory fed and queried with bipolar vectors.  The basis
+/// seeds, the tie-break seeds, the model's slot layout (class c, prototype
+/// r -> slot c * vectors_per_class + r), its round-robin prototype
+/// assignment, its retraining rule and its Prediction shape are restated
+/// here independently, so a test comparing the two checks the packed path
+/// against the dense one rather than against itself.
 
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <span>
+#include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/config.hpp"
-#include "core/encoder.hpp"
 #include "core/snapshot.hpp"
 #include "data/dataset.hpp"
 #include "graph/graph.hpp"
+#include "graph/pagerank.hpp"
 #include "hdc/assoc_memory.hpp"
+#include "hdc/item_memory.hpp"
 
 namespace graphhd::testsupport {
+
+/// Cyclic rotation of the components by `shift` positions: component i
+/// moves to (i + shift) mod d.  The bipolar permutation that
+/// PackedHypervector::permute must match.
+[[nodiscard]] inline hdc::Hypervector permute(const hdc::Hypervector& hv, std::ptrdiff_t shift) {
+  const auto d = static_cast<std::ptrdiff_t>(hv.dimension());
+  if (d == 0) return hv;
+  const auto offset = static_cast<std::size_t>((shift % d + d) % d);
+  std::vector<std::int8_t> out(hv.dimension());
+  for (std::size_t i = 0; i < out.size(); ++i) out[(i + offset) % out.size()] = hv[i];
+  return hdc::Hypervector(std::move(out));
+}
+
+/// GraphHD's encoder on bipolar vectors: rank (and label) basis vectors from
+/// hdc::ItemMemory, majority bundling through BundleAccumulator.
+class DenseEncoder {
+ public:
+  explicit DenseEncoder(const core::GraphHdConfig& config)
+      : config_(config),
+        rank_memory_(config.dimension, hdc::derive_seed(config.seed, "vertex-rank-basis")),
+        label_memory_(config.dimension, hdc::derive_seed(config.seed, "vertex-label-basis")),
+        tie_seed_(hdc::derive_seed(config.seed, "bundle-tie-break")) {}
+
+  /// Encodes `graph`; `labels` (one per vertex) are bound in when
+  /// config.use_vertex_labels.
+  [[nodiscard]] hdc::Hypervector encode(const graph::Graph& graph,
+                                        std::span<const std::size_t> labels = {}) {
+    const std::size_t n = graph.num_vertices();
+    if (n == 0) throw std::invalid_argument("DenseEncoder: empty graph");
+    const bool bind_labels = config_.use_vertex_labels && !labels.empty();
+    const std::vector<std::size_t> ranks = vertex_ranks(graph);
+
+    std::vector<hdc::Hypervector> vertex(n);
+    for (graph::VertexId v = 0; v < n; ++v) {
+      vertex[v] = rank_memory_.get(ranks[v]);
+      if (bind_labels) vertex[v] = vertex[v].bind(label_memory_.get(labels[v]));
+    }
+    // Message passing: each round, every vertex becomes the majority of its
+    // closed neighbourhood, ties seeded per (round, rank).
+    for (std::size_t round = 0; round < config_.neighborhood_rounds; ++round) {
+      const std::uint64_t round_seed = hdc::derive_seed(tie_seed_, 0x6d70ULL + round);
+      std::vector<hdc::Hypervector> refined(n);
+      for (graph::VertexId v = 0; v < n; ++v) {
+        hdc::BundleAccumulator neighborhood(config_.dimension);
+        neighborhood.add(vertex[v]);
+        for (const graph::VertexId u : graph.neighbors(v)) neighborhood.add(vertex[u]);
+        refined[v] = neighborhood.threshold(hdc::derive_seed(round_seed, ranks[v]));
+      }
+      vertex = std::move(refined);
+    }
+
+    hdc::BundleAccumulator bundle(config_.dimension);
+    if (graph.num_edges() == 0) {
+      for (const hdc::Hypervector& hv : vertex) bundle.add(hv);
+    } else if (!bind_labels && config_.neighborhood_rounds == 0) {
+      for (const auto& e : graph.edges()) bundle.add(vertex[e.u].bind(vertex[e.v]));
+    } else {
+      // Extensions: the higher-ranked endpoint is permuted by one position.
+      for (const auto& e : graph.edges()) {
+        const bool u_first = ranks[e.u] <= ranks[e.v];
+        const hdc::Hypervector& lo = vertex[u_first ? e.u : e.v];
+        const hdc::Hypervector& hi = vertex[u_first ? e.v : e.u];
+        bundle.add(lo.bind(permute(hi, 1)));
+      }
+    }
+    return bundle.threshold(tie_seed_);
+  }
+
+  /// Every sample of `dataset`, labels bound in exactly when configured and
+  /// present.
+  [[nodiscard]] std::vector<hdc::Hypervector> encode_dataset(const data::GraphDataset& dataset) {
+    const bool labeled = config_.use_vertex_labels && dataset.has_vertex_labels();
+    std::vector<hdc::Hypervector> encoded;
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      encoded.push_back(labeled ? encode(dataset.graph(i), dataset.vertex_labels()[i])
+                                : encode(dataset.graph(i)));
+    }
+    return encoded;
+  }
+
+ private:
+  [[nodiscard]] std::vector<std::size_t> vertex_ranks(const graph::Graph& graph) const {
+    switch (config_.identifier) {
+      case core::VertexIdentifier::kPageRank:
+        return graph::centrality_ranks(graph::pagerank(graph, config_.pagerank_options()).scores);
+      case core::VertexIdentifier::kDegree:
+        return graph::centrality_ranks(graph::degree_centrality(graph));
+      case core::VertexIdentifier::kHarmonic:
+        return graph::centrality_ranks(graph::harmonic_centrality(graph));
+    }
+    throw std::logic_error("DenseEncoder: unknown identifier");
+  }
+
+  core::GraphHdConfig config_;
+  hdc::ItemMemory rank_memory_;
+  hdc::ItemMemory label_memory_;
+  std::uint64_t tie_seed_;
+};
 
 class DenseReference {
  public:
@@ -38,7 +145,7 @@ class DenseReference {
   /// Algorithm 1 over `train` in sample order, then config.retrain_epochs
   /// perceptron passes (stopping early after a pass without mistakes).
   void fit(const data::GraphDataset& train) {
-    const std::vector<hdc::Hypervector> encoded = core::encode_dataset(encoder_, train);
+    const std::vector<hdc::Hypervector> encoded = encoder_.encode_dataset(train);
     for (std::size_t i = 0; i < train.size(); ++i) bundle(train.label(i), encoded[i]);
     for (std::size_t epoch = 0; epoch < config_.retrain_epochs; ++epoch) {
       std::size_t mistakes = 0;
@@ -84,7 +191,7 @@ class DenseReference {
   /// Encodes like fit (vertex labels bound in when configured and present).
   [[nodiscard]] std::vector<core::Prediction> predict_batch(const data::GraphDataset& test) {
     std::vector<core::Prediction> predictions;
-    for (const hdc::Hypervector& encoded : core::encode_dataset(encoder_, test)) {
+    for (const hdc::Hypervector& encoded : encoder_.encode_dataset(test)) {
       predictions.push_back(predict_encoded(encoded));
     }
     return predictions;
@@ -101,7 +208,7 @@ class DenseReference {
   }
 
   core::GraphHdConfig config_;
-  core::GraphHdEncoder encoder_;
+  DenseEncoder encoder_;
   hdc::AssociativeMemory memory_;
   std::vector<std::size_t> cursor_;  ///< round-robin prototype per class.
 };

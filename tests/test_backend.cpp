@@ -357,14 +357,38 @@ TEST(PackedBackend, PropertyMatchesDenseAcrossConfigsAndThreads) {
 }
 
 TEST(PackedBackend, EncoderPackedMatchesPackedDenseEncoding) {
-  // encode_packed must be the exact image of encode under from_bipolar —
-  // including the edgeless-graph fallback.
-  GraphHdConfig config = base_config();
-  GraphHdEncoder a(config), b(config);
+  // encode_packed must be the exact packing of the dense reference encoder —
+  // on the baseline, with vertex labels bound in (VII.2), with message
+  // passing (VII.1c), with both, and with the bitslice field cleared —
+  // including the edgeless-graph fallback; encode must be its bipolar image.
   const auto edgeless = graphhd::graph::Graph::from_edges(5, {});
-  for (const auto& graph : {star_graph(9), cycle_graph(12), edgeless}) {
-    EXPECT_EQ(a.encode_packed(graph),
-              graphhd::hdc::PackedHypervector::from_bipolar(b.encode(graph)));
+  const std::vector<graphhd::graph::Graph> graphs{star_graph(9), cycle_graph(12), edgeless};
+  std::vector<GraphHdConfig> configs(5, base_config());
+  configs[1].use_vertex_labels = true;
+  configs[2].neighborhood_rounds = 2;
+  configs[3].use_vertex_labels = true;
+  configs[3].neighborhood_rounds = 1;
+  configs[4].use_bitslice_bundling = false;
+  for (const GraphHdConfig& config : configs) {
+    SCOPED_TRACE("labels=" + std::to_string(config.use_vertex_labels) +
+                 " rounds=" + std::to_string(config.neighborhood_rounds) +
+                 " bitslice=" + std::to_string(config.use_bitslice_bundling));
+    GraphHdEncoder encoder(config);
+    graphhd::testsupport::DenseEncoder reference(config);
+    for (const auto& graph : graphs) {
+      std::vector<std::size_t> labels(graph.num_vertices());
+      // Mostly small labels, and some past the packed label cache's cap.
+      for (std::size_t v = 0; v < labels.size(); ++v) {
+        labels[v] = v % 4 == 3 ? GraphHdEncoder::kPackedRankCacheCap + v : (v * 7) % 3;
+      }
+      const auto expected = reference.encode(graph, labels);
+      const auto packed = encoder.encode_packed(graph, labels);
+      EXPECT_EQ(packed, graphhd::hdc::PackedHypervector::from_bipolar(expected));
+      if (!config.use_vertex_labels) {
+        EXPECT_EQ(encoder.encode_packed(graph), packed);
+        EXPECT_EQ(encoder.encode(graph), expected);
+      }
+    }
   }
 }
 

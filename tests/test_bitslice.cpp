@@ -6,6 +6,7 @@
 
 #include "core/encoder.hpp"
 #include "graph/generators.hpp"
+#include "support/dense_reference.hpp"
 
 namespace {
 
@@ -20,7 +21,7 @@ TEST(BitsliceBundler, SingleAddThresholdsToInput) {
   const auto hv = Hypervector::random(500, rng);
   BitsliceBundler bundler(500);
   bundler.add(PackedHypervector::from_bipolar(hv));
-  EXPECT_EQ(bundler.threshold_bipolar(), hv);
+  EXPECT_EQ(bundler.threshold_packed(), PackedHypervector::from_bipolar(hv));
   EXPECT_EQ(bundler.count(), 1u);
 }
 
@@ -51,7 +52,7 @@ TEST(BitsliceBundler, MatchesBundleAccumulatorIncludingTies) {
     reference.add(hv);
     bitslice.add(PackedHypervector::from_bipolar(hv));
   }
-  EXPECT_EQ(bitslice.threshold_bipolar(42), reference.threshold(42));
+  EXPECT_EQ(bitslice.threshold_packed(42), PackedHypervector::from_bipolar(reference.threshold(42)));
 }
 
 TEST(BitsliceBundler, AddBoundMatchesBindThenAdd) {
@@ -61,7 +62,7 @@ TEST(BitsliceBundler, AddBoundMatchesBindThenAdd) {
   BitsliceBundler via_bound(700), via_add(700);
   via_bound.add_bound(PackedHypervector::from_bipolar(a), PackedHypervector::from_bipolar(b));
   via_add.add(PackedHypervector::from_bipolar(a.bind(b)));
-  EXPECT_EQ(via_bound.threshold_bipolar(), via_add.threshold_bipolar());
+  EXPECT_EQ(via_bound.threshold_packed(), via_add.threshold_packed());
 }
 
 TEST(BitsliceBundler, ManyAddsStressCarryPropagation) {
@@ -75,7 +76,7 @@ TEST(BitsliceBundler, ManyAddsStressCarryPropagation) {
     bitslice.add(PackedHypervector::from_bipolar(hv));
   }
   EXPECT_EQ(bitslice.count(), 1000u);
-  EXPECT_EQ(bitslice.threshold_bipolar(9), reference.threshold(9));
+  EXPECT_EQ(bitslice.threshold_packed(9), PackedHypervector::from_bipolar(reference.threshold(9)));
 }
 
 TEST(BitsliceBundler, DimensionMismatchThrows) {
@@ -96,20 +97,12 @@ TEST(BitsliceBundler, ClearResets) {
   for (const auto count : bundler.negative_counts()) EXPECT_EQ(count, 0u);
 }
 
-/// The load-bearing property: the encoder's bit-sliced fast path produces
-/// exactly the reference path's encodings on every kind of graph.
+/// The load-bearing property: the encoder's bit-sliced packed path produces
+/// exactly the dense reference encoder's encodings on every kind of graph,
+/// with the bitslice flag (a recorded field) set either way.
 class BitsliceEncoderEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(BitsliceEncoderEquivalence, FastPathBitIdenticalToReference) {
-  graphhd::core::GraphHdConfig fast_config;
-  fast_config.dimension = 2048;
-  fast_config.use_bitslice_bundling = true;
-  graphhd::core::GraphHdConfig reference_config = fast_config;
-  reference_config.use_bitslice_bundling = false;
-
-  graphhd::core::GraphHdEncoder fast(fast_config);
-  graphhd::core::GraphHdEncoder reference(reference_config);
-
   Rng rng(GetParam());
   const auto graphs = {
       graphhd::graph::erdos_renyi(40, 0.1, rng),
@@ -118,30 +111,37 @@ TEST_P(BitsliceEncoderEquivalence, FastPathBitIdenticalToReference) {
       graphhd::graph::star_graph(12),
       graphhd::graph::cycle_graph(9),
   };
-  for (const auto& g : graphs) {
-    EXPECT_EQ(fast.encode(g), reference.encode(g))
-        << "|V|=" << g.num_vertices() << " |E|=" << g.num_edges();
+  for (const bool bitslice : {true, false}) {
+    graphhd::core::GraphHdConfig config;
+    config.dimension = 2048;
+    config.use_bitslice_bundling = bitslice;
+    graphhd::core::GraphHdEncoder fast(config);
+    graphhd::testsupport::DenseEncoder reference(config);
+    for (const auto& g : graphs) {
+      EXPECT_EQ(fast.encode_packed(g), PackedHypervector::from_bipolar(reference.encode(g)))
+          << "bitslice=" << bitslice << " |V|=" << g.num_vertices() << " |E|=" << g.num_edges();
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BitsliceEncoderEquivalence, ::testing::Values(1, 2, 3));
 
-/// threshold_packed is the packed backend's encoder output: it must be the
-/// exact packing of threshold_bipolar — same majority, same seeded
-/// tie-break — for both odd (tie-free) and even (tie-bearing) add counts
-/// and at non-word-multiple dimensions.
+/// threshold_packed is the encoder's output: it must be the exact packing of
+/// BundleAccumulator::threshold over the same inputs — same majority, same
+/// seeded tie-break — for both odd (tie-free) and even (tie-bearing) add
+/// counts and at non-word-multiple dimensions.
 TEST(BitsliceBundler, ThresholdPackedMatchesBipolarOddAndEven) {
   Rng rng(71);
   for (const std::size_t d : {70u, 300u, 1024u}) {
     for (const std::size_t adds : {1u, 3u, 4u, 8u}) {
       BitsliceBundler a(d);
-      BitsliceBundler b(d);
+      BundleAccumulator b(d);
       for (std::size_t i = 0; i < adds; ++i) {
         const auto hv = PackedHypervector::random(d, rng);
         a.add(hv);
-        b.add(hv);
+        b.add(hv.to_bipolar());
       }
-      EXPECT_EQ(a.threshold_packed(17), PackedHypervector::from_bipolar(b.threshold_bipolar(17)))
+      EXPECT_EQ(a.threshold_packed(17), PackedHypervector::from_bipolar(b.threshold(17)))
           << "d=" << d << " adds=" << adds;
     }
   }
@@ -150,14 +150,14 @@ TEST(BitsliceBundler, ThresholdPackedMatchesBipolarOddAndEven) {
 TEST(BitsliceBundler, ThresholdPackedOnBoundPairs) {
   Rng rng(73);
   BitsliceBundler a(500);
-  BitsliceBundler b(500);
+  BundleAccumulator b(500);
   for (int i = 0; i < 6; ++i) {
     const auto x = PackedHypervector::random(500, rng);
     const auto y = PackedHypervector::random(500, rng);
     a.add_bound(x, y);
-    b.add_bound(x, y);
+    b.add(x.to_bipolar().bind(y.to_bipolar()));
   }
-  EXPECT_EQ(a.threshold_packed(), PackedHypervector::from_bipolar(b.threshold_bipolar()));
+  EXPECT_EQ(a.threshold_packed(), PackedHypervector::from_bipolar(b.threshold()));
 }
 
 }  // namespace

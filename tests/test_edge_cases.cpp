@@ -16,6 +16,7 @@
 #include "kernels/wl_subtree.hpp"
 #include "ml/svm.hpp"
 #include "nn/gin.hpp"
+#include "support/dense_reference.hpp"
 
 namespace {
 
@@ -95,11 +96,12 @@ TEST(GinEdge, IsolatedVerticesFlowThroughMessagePassing) {
 }
 
 TEST(EncoderEdge, EdgelessGraphsIdenticalOnBothPaths) {
-  graphhd::core::GraphHdConfig fast;
-  fast.dimension = 1024;
-  graphhd::core::GraphHdConfig reference = fast;
-  reference.use_bitslice_bundling = false;
-  graphhd::core::GraphHdEncoder a(fast), b(reference);
+  // The vertex-bundle fallback of the packed encoder against the dense
+  // reference encoder's.
+  graphhd::core::GraphHdConfig config;
+  config.dimension = 1024;
+  graphhd::core::GraphHdEncoder a(config);
+  graphhd::testsupport::DenseEncoder b(config);
   const auto edgeless = graphhd::graph::Graph::from_edges(6, {});
   EXPECT_EQ(a.encode(edgeless), b.encode(edgeless));
 }

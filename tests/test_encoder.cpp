@@ -8,6 +8,7 @@
 
 #include "graph/algorithms.hpp"
 #include "graph/generators.hpp"
+#include "support/dense_reference.hpp"
 
 namespace {
 
@@ -43,13 +44,13 @@ TEST(GraphHdConfig, IdentifierNames) {
 }
 
 TEST(Encoder, PackedRankCacheIsBounded) {
-  // Regression: the packed mirror of the rank basis used to grow without
-  // bound — one packed vector per centrality rank ever seen.  A graph with
-  // more vertices than the cap must still encode correctly (identically to
-  // the dense path) while the cache stays capped.
+  // Regression: the packed rank rows used to be cached without bound — one
+  // packed vector per centrality rank ever seen.  A graph with more vertices
+  // than the cap must still encode correctly (identically to the dense
+  // reference encoder) while the cache stays capped.
   GraphHdConfig config = test_config(512);
   GraphHdEncoder encoder(config);
-  GraphHdEncoder reference(config);
+  graphhd::testsupport::DenseEncoder reference(config);
   const std::size_t big = GraphHdEncoder::kPackedRankCacheCap + 100;
   const auto graph = path_graph(big);  // ranks 0..big-1 all occur.
 
@@ -57,9 +58,9 @@ TEST(Encoder, PackedRankCacheIsBounded) {
   EXPECT_LE(encoder.packed_rank_cache_size(), GraphHdEncoder::kPackedRankCacheCap);
   EXPECT_EQ(packed, graphhd::hdc::PackedHypervector::from_bipolar(reference.encode(graph)));
 
-  // The dense fast path shares the cache; it must respect the cap too.
-  (void)reference.encode(graph);
-  EXPECT_LE(reference.packed_rank_cache_size(), GraphHdEncoder::kPackedRankCacheCap);
+  // The bipolar encode is the same packed path; it respects the cap too.
+  EXPECT_EQ(encoder.encode(graph), reference.encode(graph));
+  EXPECT_LE(encoder.packed_rank_cache_size(), GraphHdEncoder::kPackedRankCacheCap);
 }
 
 TEST(Encoder, PackedRankCacheStaysBoundedAcrossGraphs) {
@@ -201,13 +202,13 @@ TEST(Encoder, VertexLabelsChangeEncodingOnlyWhenEnabled) {
 
   GraphHdConfig plain_config = test_config();
   GraphHdEncoder plain(plain_config);
-  EXPECT_EQ(plain.encode(g), plain.encode(g, labels))
+  EXPECT_EQ(plain.encode_packed(g), plain.encode_packed(g, labels))
       << "labels must be ignored when use_vertex_labels is false";
 
   GraphHdConfig labeled_config = test_config();
   labeled_config.use_vertex_labels = true;
   GraphHdEncoder labeled(labeled_config);
-  EXPECT_NE(labeled.encode(g), labeled.encode(g, labels));
+  EXPECT_NE(labeled.encode_packed(g), labeled.encode_packed(g, labels));
 }
 
 TEST(Encoder, LabelAwareEncodingDistinguishesLabelings) {
@@ -217,18 +218,18 @@ TEST(Encoder, LabelAwareEncodingDistinguishesLabelings) {
   const auto g = path_graph(6);
   const std::vector<std::size_t> labels_a{0, 0, 0, 1, 1, 1};
   const std::vector<std::size_t> labels_b{1, 1, 1, 0, 0, 0};
-  const auto ea = encoder.encode(g, labels_a);
-  const auto eb = encoder.encode(g, labels_b);
-  EXPECT_LT(ea.cosine(eb), 0.9);
+  const auto ea = encoder.encode_packed(g, labels_a);
+  const auto eb = encoder.encode_packed(g, labels_b);
+  EXPECT_LT(ea.similarity(eb), 0.9);
   // Same labeling encodes identically.
-  EXPECT_EQ(ea, encoder.encode(g, labels_a));
+  EXPECT_EQ(ea, encoder.encode_packed(g, labels_a));
 }
 
 TEST(Encoder, LabelSizeValidated) {
   GraphHdConfig config = test_config();
   config.use_vertex_labels = true;
   GraphHdEncoder encoder(config);
-  EXPECT_THROW((void)encoder.encode(path_graph(3), std::vector<std::size_t>{0, 1}),
+  EXPECT_THROW((void)encoder.encode_packed(path_graph(3), std::vector<std::size_t>{0, 1}),
                std::invalid_argument);
 }
 

@@ -21,6 +21,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 
@@ -172,6 +173,35 @@ TEST(FixtureCompat, InspectReadsGoldenHeaders) {
   EXPECT_EQ(v2.backend, core::Backend::kPackedBinary);
   EXPECT_EQ(v2.num_classes, 2u);
   EXPECT_TRUE(v2.fitted);
+}
+
+TEST(FixtureCompat, InspectRejectsTheHeadersLoadModelRejects) {
+  // model-info must not pass a text artifact that load_model refuses: both
+  // parse the header through one function with every bound and validate().
+  std::string golden;
+  {
+    std::ifstream in(kFixtureDir / "model_v2_dense.ghd", std::ios::binary);
+    golden.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  const auto corrupt = [](std::string text, const std::string& from, const std::string& to) {
+    const auto at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    return text.replace(at, from.size(), to);
+  };
+  const std::string zero_dimension = corrupt(golden, "dimension 96\n", "dimension 0\n");
+  const fs::path path = fs::temp_directory_path() / "graphhd_inspect_bad_header.ghd";
+  for (const std::string& text :
+       {zero_dimension, corrupt(golden, "identifier 0\n", "identifier 99\n"),
+        corrupt(zero_dimension, "identifier 0\n", "identifier 99\n"),
+        corrupt(golden, "num_classes 2\n", "num_classes 1\n")}) {
+    {
+      std::ofstream out(path, std::ios::binary);
+      out << text;
+    }
+    EXPECT_THROW((void)core::load_model(path), std::runtime_error);
+    EXPECT_THROW((void)core::inspect_model(path), std::runtime_error);
+  }
+  fs::remove(path);
 }
 
 }  // namespace

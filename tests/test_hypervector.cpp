@@ -5,9 +5,12 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "hdc/packed.hpp"
+
 namespace {
 
 using graphhd::hdc::Hypervector;
+using graphhd::hdc::PackedHypervector;
 using graphhd::hdc::Rng;
 
 TEST(Hypervector, DefaultIsEmpty) {
@@ -152,41 +155,45 @@ TEST(Hypervector, BindPreservesDistances) {
   EXPECT_EQ(a.hamming_distance(b), a.bind(key).hamming_distance(b.bind(key)));
 }
 
+// The permutation operator is PackedHypervector::permute, the one the
+// encoder's extension edges use (tests/test_packed.cpp checks it against
+// the bipolar rotation of the dense reference).
+
 TEST(Hypervector, PermuteByZeroIsIdentity) {
   Rng rng(67);
-  const auto a = Hypervector::random(100, rng);
+  const auto a = PackedHypervector::random(100, rng);
   EXPECT_EQ(a.permute(0), a);
 }
 
 TEST(Hypervector, PermuteByDimensionIsIdentity) {
   Rng rng(71);
-  const auto a = Hypervector::random(100, rng);
+  const auto a = PackedHypervector::random(100, rng);
   EXPECT_EQ(a.permute(100), a);
   EXPECT_EQ(a.permute(-100), a);
 }
 
 TEST(Hypervector, PermuteRoundTrips) {
   Rng rng(73);
-  const auto a = Hypervector::random(100, rng);
+  const auto a = PackedHypervector::random(100, rng);
   EXPECT_EQ(a.permute(17).permute(-17), a);
 }
 
 TEST(Hypervector, PermuteComposes) {
   Rng rng(79);
-  const auto a = Hypervector::random(100, rng);
+  const auto a = PackedHypervector::random(100, rng);
   EXPECT_EQ(a.permute(3).permute(4), a.permute(7));
 }
 
 TEST(Hypervector, PermuteDecorrelates) {
   Rng rng(83);
-  const auto a = Hypervector::random(10000, rng);
-  EXPECT_LT(std::abs(a.permute(1).cosine(a)), 0.05);
+  const auto a = PackedHypervector::random(10000, rng);
+  EXPECT_LT(std::abs(a.permute(1).similarity(a)), 0.05);
 }
 
 TEST(Hypervector, PermutePreservesDistances) {
   Rng rng(89);
-  const auto a = Hypervector::random(1000, rng);
-  const auto b = Hypervector::random(1000, rng);
+  const auto a = PackedHypervector::random(1000, rng);
+  const auto b = PackedHypervector::random(1000, rng);
   EXPECT_EQ(a.hamming_distance(b), a.permute(5).hamming_distance(b.permute(5)));
 }
 

@@ -45,13 +45,16 @@ namespace proptest = graphhd::proptest;
 constexpr std::size_t kDim = 256;
 constexpr std::size_t kClasses = 4;
 
-/// A packed model without a training pass (stress_serve's idiom): seeded
-/// random odd counters so the majority threshold is tie-free.
-graphhd::core::GraphHdModel make_model() {
+/// A model without a training pass (stress_serve's idiom): seeded random
+/// odd counters so the majority threshold is tie-free.  Quantized models
+/// carry the packed tag; `quantized = false` gives a counter-scoring model.
+graphhd::core::GraphHdModel make_model(bool quantized = true) {
   GraphHdConfig config;
   config.dimension = kDim;
   config.seed = 0x7e57ULL;
-  config.backend = graphhd::core::Backend::kPackedBinary;
+  config.quantized_model = quantized;
+  config.backend = quantized ? graphhd::core::Backend::kPackedBinary
+                             : graphhd::core::Backend::kDenseBipolar;
   graphhd::core::GraphHdModel model(config, kClasses);
 
   hdc::Rng rng(0x6e7);
@@ -244,7 +247,7 @@ TEST(Wire, ClientHelloValidates) {
 
 TEST(Wire, ServerHelloRoundTripsConfig) {
   const GraphHdConfig config = sample_config();
-  const auto hello = encode_server_hello(config, 12, /*packed_mode=*/true);
+  const auto hello = encode_server_hello(config, 12);
   ASSERT_GT(hello.size(), kServerHelloFixedBytes);
   const auto fixed = std::span(hello).first(kServerHelloFixedBytes);
   const std::uint64_t config_len = check_server_hello_fixed(fixed);
@@ -305,6 +308,33 @@ TEST_F(NetEndToEnd, SyncPredictionsBitIdenticalBothRepresentations) {
     // The server converts a dense submission of the same query exactly.
     expect_bit_identical(client.predict(queries_[q].to_bipolar()), expected_[q],
                          "dense sync");
+  }
+}
+
+TEST(NetCounterScoring, DenseAndPackedFramesMatchPredictEncoded) {
+  // A counter-scoring model is served over the same packed queue: the hello
+  // still asks for packed frames, and a dense frame is packed by the
+  // TcpServer before it is queued.
+  const auto model = make_model(/*quantized=*/false);
+  const auto snapshot = model.snapshot();
+  Server server(snapshot, ServerConfig{.max_batch = 16});
+  TcpServer tcp(server);
+  TcpClient client("127.0.0.1", tcp.port());
+  EXPECT_TRUE(client.packed_mode());
+  EXPECT_FALSE(client.config().quantized_model);
+
+  hdc::Rng rng(0xc0de);
+  std::vector<hdc::PackedHypervector> queries;
+  for (std::size_t q = 0; q < 16; ++q) queries.push_back(hdc::PackedHypervector::random(kDim, rng));
+  std::vector<std::uint64_t> ids;
+  for (const auto& query : queries) {
+    ids.push_back(client.submit(query));
+    ids.push_back(client.submit(query.to_bipolar()));
+  }
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    const Prediction want = snapshot->predict_encoded(queries[q]);
+    expect_bit_identical(client.wait(ids[2 * q]), want, "packed frame, counter scoring");
+    expect_bit_identical(client.wait(ids[2 * q + 1]), want, "dense frame, counter scoring");
   }
 }
 

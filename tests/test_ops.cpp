@@ -43,16 +43,6 @@ TEST(Similarity, SelfSimilarityIsMaximal) {
   EXPECT_DOUBLE_EQ(similarity(batch[0], batch[0], Similarity::kInverseHamming), 1.0);
 }
 
-TEST(BindFree, EquivalentToMember) {
-  const auto batch = random_batch(2, 128, 11);
-  EXPECT_EQ(bind(batch[0], batch[1]), batch[0].bind(batch[1]));
-}
-
-TEST(PermuteFree, EquivalentToMember) {
-  const auto batch = random_batch(1, 128, 19);
-  EXPECT_EQ(permute(batch[0], 5), batch[0].permute(5));
-}
-
 TEST(Similarity, PackedOverloadBitIdenticalToDenseAcrossMetrics) {
   Rng rng(0x9acced);
   for (const std::size_t d : {1u, 63u, 64u, 65u, 1000u, 10000u}) {

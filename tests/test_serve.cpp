@@ -14,6 +14,7 @@
 #include <limits>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/model.hpp"
@@ -77,15 +78,6 @@ void expect_predictions_equal(const Prediction& a, const Prediction& b, const ch
 
 bool predictions_equal(const Prediction& a, const Prediction& b) {
   return a.label == b.label && a.score == b.score && a.class_scores == b.class_scores;
-}
-
-/// Submits through the callback form and waits for the answer (dense
-/// queries have no future-returning submit).
-Prediction submit_and_wait(Server& server, hdc::Hypervector query) {
-  std::promise<Prediction> answer;
-  auto future = answer.get_future();
-  server.submit(std::move(query), [&answer](const Prediction& p) { answer.set_value(p); });
-  return future.get();
 }
 
 // ---------------------------------------------------------------------------
@@ -234,16 +226,23 @@ TEST(ServeBatch, CoalescedSweepIsBitIdenticalToPerQueryPredictions) {
       proptest::Config{.cases = 12});
 }
 
-TEST(ServeBatch, RejectsNonQuantizedModelsAndWrongDimensions) {
+TEST(ServeBatch, CounterScoringBatchesMatchSingleQueriesAndWrongDimensionsThrow) {
   GraphHdConfig raw = base_config();
   raw.backend = Backend::kDenseBipolar;
   raw.quantized_model = false;
   auto model = trained_model(raw);
-  hdc::Rng rng(7);
-  const std::vector<hdc::PackedHypervector> queries{
-      hdc::PackedHypervector::random(raw.dimension, rng)};
-  EXPECT_THROW((void)model.snapshot()->predict_encoded_batch(queries), std::logic_error);
+  const auto snapshot = model.snapshot();
+  GraphHdEncoder encoder(raw);
+  std::vector<hdc::PackedHypervector> queries;
+  for (const auto& graph : probe_graphs()) queries.push_back(encoder.encode_packed(graph));
+  const auto batch = snapshot->predict_encoded_batch(queries);
+  ASSERT_EQ(batch.size(), queries.size());
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    expect_predictions_equal(batch[q], snapshot->predict_encoded(queries[q]),
+                             "counter-scoring batch vs single query");
+  }
 
+  hdc::Rng rng(7);
   auto quantized = trained_model(base_config());
   const std::vector<hdc::PackedHypervector> wrong{hdc::PackedHypervector::random(128, rng)};
   EXPECT_THROW((void)quantized.snapshot()->predict_encoded_batch(wrong), std::invalid_argument);
@@ -295,9 +294,10 @@ TEST(Serve, MatchesDirectPredictionsAcrossBackendsAndScoringModes) {
 }
 
 TEST(Serve, ConvertsCrossRepresentationSubmissionsExactly) {
-  // A packed-scoring server accepts dense queries (packs them exactly as the
-  // snapshot would) and a counter-scoring server accepts packed queries
-  // (unpacks them — a bijection on ±1 data).  Both must stay bit-identical.
+  // Requests are packed words whatever the scoring: a counter-scoring server
+  // scores them with the counter cosine, and a dense query packed with
+  // from_bipolar (what TcpServer does with a dense frame) answers exactly
+  // like the dense query on the snapshot.
   auto packed_model = trained_model(base_config());
   const auto packed_snapshot = packed_model.snapshot();
   GraphHdConfig raw = base_config();
@@ -312,11 +312,14 @@ TEST(Serve, ConvertsCrossRepresentationSubmissionsExactly) {
   Server raw_server(raw_snapshot);
   for (const auto& graph : probe_graphs()) {
     const auto dense_for_packed = packed_encoder.encode(graph);
-    expect_predictions_equal(submit_and_wait(packed_server, dense_for_packed),
-                             packed_snapshot->predict_encoded(dense_for_packed),
-                             "dense query on packed-scoring server");
-    const auto packed_for_raw =
-        hdc::PackedHypervector::from_bipolar(raw_encoder.encode(graph));
+    expect_predictions_equal(
+        packed_server.submit(hdc::PackedHypervector::from_bipolar(dense_for_packed)).get(),
+        packed_snapshot->predict_encoded(dense_for_packed), "dense query on packed-scoring server");
+    const auto dense_for_raw = raw_encoder.encode(graph);
+    expect_predictions_equal(
+        raw_server.submit(hdc::PackedHypervector::from_bipolar(dense_for_raw)).get(),
+        raw_snapshot->predict_encoded(dense_for_raw), "dense query on counter-scoring server");
+    const auto packed_for_raw = raw_encoder.encode_packed(graph);
     expect_predictions_equal(raw_server.submit(packed_for_raw).get(),
                              raw_snapshot->predict_encoded(packed_for_raw),
                              "packed query on counter-scoring server");
@@ -477,19 +480,52 @@ TEST(Serve, SwapValidatesItsReplacement) {
   auto other = trained_model(reseeded);
   EXPECT_THROW(server.swap(other.snapshot()), std::invalid_argument);
 
-  // quantized_model picks the queued representation — pinned per server.
-  GraphHdConfig dense = base_config();
-  dense.backend = Backend::kDenseBipolar;
-  auto dense_model = trained_model(dense);
-  Server dense_server(dense_model.snapshot());
-  GraphHdConfig raw = dense;
-  raw.quantized_model = false;
-  auto raw_model = trained_model(raw);
-  EXPECT_THROW(dense_server.swap(raw_model.snapshot()), std::invalid_argument);
-
   // The failed swaps left the original snapshot in place.
   EXPECT_EQ(server.snapshot()->config().seed, base_config().seed);
   EXPECT_EQ(server.snapshot()->dimension(), base_config().dimension);
+
+  // quantized_model is not pinned: a server hot-swaps between a quantized
+  // and a counter-scoring snapshot, and every answer comes from one of them.
+  GraphHdConfig dense = base_config();
+  dense.backend = Backend::kDenseBipolar;
+  auto quantized_model = trained_model(dense);
+  GraphHdConfig raw = dense;
+  raw.quantized_model = false;
+  auto raw_model = trained_model(raw, /*swapped_labels=*/true);
+  const auto quantized = quantized_model.snapshot();
+  const auto counters = raw_model.snapshot();
+  GraphHdEncoder encoder(dense);
+  std::vector<hdc::PackedHypervector> queries;
+  for (const auto& graph : probe_graphs()) queries.push_back(encoder.encode_packed(graph));
+  const auto expected_quantized = quantized->predict_encoded_batch(queries);
+  const auto expected_counters = counters->predict_encoded_batch(queries);
+
+  Server mixed(quantized, ServerConfig{.max_batch = 4});
+  std::vector<std::future<Prediction>> futures;
+  std::vector<std::size_t> sent;
+  for (std::size_t round = 0; round < 8; ++round) {
+    mixed.swap(round % 2 == 0 ? counters : quantized);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      futures.push_back(mixed.submit(queries[q]));
+      sent.push_back(q);
+    }
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    const Prediction answer = futures[i].get();
+    EXPECT_TRUE(predictions_equal(answer, expected_counters[sent[i]]) ||
+                predictions_equal(answer, expected_quantized[sent[i]]))
+        << "answer " << i << " matches neither snapshot";
+  }
+  EXPECT_EQ(mixed.stats().swaps, 8u);
+  // A request submitted after a swap returns is served by the new snapshot.
+  for (const auto& [next, expected] :
+       {std::pair{counters, &expected_counters}, std::pair{quantized, &expected_quantized}}) {
+    mixed.swap(next);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      expect_predictions_equal(mixed.submit(queries[q]).get(), (*expected)[q],
+                               "the snapshot swapped in last");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -534,7 +570,7 @@ TEST(Serve, ValidatesConstructionAndSubmissions) {
   hdc::Rng rng(3);
   EXPECT_THROW((void)server.submit(hdc::PackedHypervector::random(64, rng)),
                std::invalid_argument);
-  EXPECT_THROW(server.submit(hdc::Hypervector::random(64, rng), [](const Prediction&) {}),
+  EXPECT_THROW(server.submit(hdc::PackedHypervector::random(64, rng), [](const Prediction&) {}),
                std::invalid_argument);
   EXPECT_THROW(server.submit(hdc::PackedHypervector::random(256, rng), Server::Callback{}),
                std::invalid_argument);

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency gate (the CI `docs` job).
 
-Two checks, no external dependencies:
+Three checks, no external dependencies:
 
 1. **Links** — every relative markdown link in README.md and docs/*.md must
    resolve to an existing file in the repository.  External links
@@ -16,6 +16,12 @@ Two checks, no external dependencies:
    source or a baseline file), and every schema emitted by a bench source
    must be documented in docs/benchmarks.md — so the schema catalogue can
    never silently drift from the harnesses.
+
+3. **Comment references** — every ``*.md`` file named in a comment of a
+   source file under src/, bench/, examples/, tests/ or tools/ (C++ ``//``
+   and ``/* */`` comments, Python ``#`` comments and docstrings) must exist
+   relative to the repository root, to docs/ or to the commenting file's
+   directory — so no comment sends a reader to a page that is not there.
 
 Exit status: 0 when everything resolves, 1 otherwise.
 """
@@ -89,15 +95,52 @@ def check_bench_schemas():
     return failures
 
 
+COMMENT_DIRS = ("src", "bench", "examples", "tests", "tools")
+CPP_SUFFIXES = (".cpp", ".hpp", ".h", ".cc")
+CPP_COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
+CPP_STRING_RE = re.compile(r'"(?:\\.|[^"\\\n])*"')
+PY_COMMENT_RE = re.compile(r'#[^\n]*|"""(?:.|\n)*?"""')
+MD_NAME_RE = re.compile(r"(?<![\w./-])\w[\w./-]*\.md\b")
+
+
+def comments(path):
+    if path.suffix not in CPP_SUFFIXES + (".py",):
+        return []
+    text = path.read_text(encoding="utf-8")
+    if path.suffix in CPP_SUFFIXES:
+        # Blank out string literals first, so "//" inside a string is not
+        # taken for a comment and a string naming a .md file is not checked.
+        text = CPP_STRING_RE.sub('""', text)
+        return CPP_COMMENT_RE.findall(text)
+    return PY_COMMENT_RE.findall(text)
+
+
+def check_comment_references():
+    failures = []
+    for top in COMMENT_DIRS:
+        for path in sorted((REPO_ROOT / top).glob("**/*")):
+            for comment in comments(path) if path.is_file() else []:
+                for name in MD_NAME_RE.findall(comment):
+                    bases = (REPO_ROOT, REPO_ROOT / "docs", path.parent)
+                    if not any((base / name).is_file() for base in bases):
+                        failures.append(
+                            f"{path.relative_to(REPO_ROOT)}: comment names missing {name}"
+                        )
+    return failures
+
+
 def main():
-    failures = check_links() + check_bench_schemas()
+    failures = check_links() + check_bench_schemas() + check_comment_references()
     for failure in failures:
         print(f"check_docs: FAIL {failure}", file=sys.stderr)
     if failures:
         print(f"check_docs: {len(failures)} problem(s)", file=sys.stderr)
         return 1
     docs = len(doc_files())
-    print(f"check_docs: OK — {docs} document(s), links and bench schemas consistent")
+    print(
+        f"check_docs: OK — {docs} document(s), links, bench schemas and comment "
+        "references consistent"
+    )
     return 0
 
 
