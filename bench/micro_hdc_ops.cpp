@@ -90,7 +90,7 @@ void BM_EncodeGraph(benchmark::State& state) {
   const auto g = graph::erdos_renyi(n, 0.05, rng);
   core::GraphHdConfig config;
   core::GraphHdEncoder encoder(config);
-  (void)encoder.encode(g);  // warm the item memory outside the loop
+  (void)encoder.encode(g);  // warm the basis cache outside the loop
   for (auto _ : state) {
     benchmark::DoNotOptimize(encoder.encode(g));
   }

@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "hdc/bitslice.hpp"
+#include "hdc/random.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace graphhd::core {
@@ -57,10 +58,11 @@ void GraphHdConfig::validate() const {
 
 GraphHdEncoder::GraphHdEncoder(const GraphHdConfig& config)
     : config_(config),
-      rank_memory_(config.dimension, hdc::derive_seed(config.seed, "vertex-rank-basis")),
-      label_memory_(config.dimension, hdc::derive_seed(config.seed, "vertex-label-basis")),
+      rank_seed_(hdc::derive_seed(config.seed, "vertex-rank-basis")),
+      label_seed_(hdc::derive_seed(config.seed, "vertex-label-basis")),
       tie_break_seed_(hdc::derive_seed(config.seed, "bundle-tie-break")) {
   config_.validate();
+  tie_words_ = hdc::tie_sign_words(tie_break_seed_, config_.dimension);
 }
 
 std::vector<std::size_t> GraphHdEncoder::vertex_ranks(const Graph& graph) const {
@@ -74,8 +76,6 @@ std::vector<std::size_t> GraphHdEncoder::vertex_ranks(const Graph& graph) const 
   }
   throw std::logic_error("GraphHdEncoder: unknown identifier");
 }
-
-const Hypervector& GraphHdEncoder::rank_basis(std::size_t rank) { return rank_memory_.get(rank); }
 
 Hypervector GraphHdEncoder::encode(const Graph& graph) { return encode_packed(graph).to_bipolar(); }
 
@@ -93,18 +93,22 @@ hdc::PackedHypervector GraphHdEncoder::encode_packed(const Graph& graph,
 
 namespace {
 
-/// Packed row `index` of `memory`: cached in `cache` below the cap (the
-/// cache grows in index order), packed into `scratch` past it.
-const hdc::PackedHypervector& basis_row(hdc::ItemMemory& memory,
+/// Row `index` of the basis seeded `seed` (see encoder.hpp): the complement
+/// of the words Rng(derive_seed(seed, index)) draws, tail masked.  Cached in
+/// `cache` below the cap (the cache grows in index order), derived into
+/// `scratch` past it.
+const hdc::PackedHypervector& basis_row(std::uint64_t seed, std::size_t dimension,
                                         std::deque<hdc::PackedHypervector>& cache,
                                         std::size_t index,
                                         std::deque<hdc::PackedHypervector>& scratch) {
-  if (index >= GraphHdEncoder::kPackedRankCacheCap) {
-    return scratch.emplace_back(hdc::PackedHypervector::from_bipolar(memory.get(index)));
-  }
-  while (index >= cache.size()) {
-    cache.push_back(hdc::PackedHypervector::from_bipolar(memory.get(cache.size())));
-  }
+  const auto derive = [&](std::size_t k) {
+    hdc::Rng rng(hdc::derive_seed(seed, static_cast<std::uint64_t>(k)));
+    std::vector<std::uint64_t> words((dimension + 63) / 64);
+    for (std::uint64_t& word : words) word = ~rng();
+    return hdc::PackedHypervector::from_words(std::move(words), dimension);
+  };
+  if (index >= GraphHdEncoder::kPackedRankCacheCap) return scratch.emplace_back(derive(index));
+  while (index >= cache.size()) cache.push_back(derive(cache.size()));
   return cache[index];
 }
 
@@ -125,10 +129,11 @@ hdc::PackedHypervector GraphHdEncoder::encode_rows(const Graph& graph,
   // the rank row and the label row).
   std::vector<const hdc::PackedHypervector*> rows(n);
   std::deque<hdc::PackedHypervector> owned;
+  const std::size_t d = config_.dimension;
   for (graph::VertexId v = 0; v < n; ++v) {
-    rows[v] = &basis_row(rank_memory_, packed_rank_cache_, ranks[v], owned);
+    rows[v] = &basis_row(rank_seed_, d, packed_rank_cache_, ranks[v], owned);
     if (!labels.empty()) {
-      const auto& label_row = basis_row(label_memory_, packed_label_cache_, labels[v], owned);
+      const auto& label_row = basis_row(label_seed_, d, packed_label_cache_, labels[v], owned);
       rows[v] = &owned.emplace_back(rows[v]->bind(label_row));
     }
   }
@@ -139,18 +144,23 @@ hdc::PackedHypervector GraphHdEncoder::encode_rows(const Graph& graph,
   // analogue of WL refinement).  Deterministic and isomorphism-invariant:
   // tie-breaks are seeded per (round, centrality rank) — a single shared tie
   // vector would correlate every even-degree vertex of every graph and
-  // collapse the class vectors.
+  // collapse the class vectors.  Odd neighbourhood counts cannot tie, so
+  // only even ones derive their tie words.
   std::vector<hdc::PackedHypervector> refined;
   for (std::size_t round = 0; round < config_.neighborhood_rounds; ++round) {
     const std::uint64_t round_seed =
         hdc::derive_seed(tie_break_seed_, 0x6d70ULL + round);  // "mp" + round
-    hdc::BitsliceBundler neighborhood(config_.dimension);
+    hdc::BitsliceBundler neighborhood(d);
     std::vector<hdc::PackedHypervector> next(n);
     for (graph::VertexId v = 0; v < n; ++v) {
       neighborhood.clear();
       neighborhood.add(*rows[v]);
       for (const graph::VertexId u : graph.neighbors(v)) neighborhood.add(*rows[u]);
-      next[v] = neighborhood.threshold_packed(hdc::derive_seed(round_seed, ranks[v]));
+      const std::vector<std::uint64_t> tie =
+          neighborhood.count() % 2 == 0
+              ? hdc::tie_sign_words(hdc::derive_seed(round_seed, ranks[v]), d)
+              : std::vector<std::uint64_t>{};
+      next[v] = neighborhood.threshold_packed(tie);
     }
     refined = std::move(next);
     for (graph::VertexId v = 0; v < n; ++v) rows[v] = &refined[v];
@@ -158,7 +168,7 @@ hdc::PackedHypervector GraphHdEncoder::encode_rows(const Graph& graph,
 
   // The XOR bind and the carry-save majority planes run on the dispatched
   // SIMD kernels (hdc/kernels) inside BitsliceBundler.
-  hdc::BitsliceBundler bundler(config_.dimension);
+  hdc::BitsliceBundler bundler(d);
   if (graph.num_edges() == 0) {
     // No edges to encode: bundle the vertices instead.
     for (const hdc::PackedHypervector* row : rows) bundler.add(*row);
@@ -183,7 +193,7 @@ hdc::PackedHypervector GraphHdEncoder::encode_rows(const Graph& graph,
       bundler.add_bound(*rows[u_first ? e.u : e.v], permuted[u_first ? e.v : e.u]);
     }
   }
-  return bundler.threshold_packed(tie_break_seed_);
+  return bundler.threshold_packed(tie_words_);
 }
 
 std::vector<hdc::PackedHypervector> encode_dataset_packed(GraphHdEncoder& primary,
@@ -193,9 +203,11 @@ std::vector<hdc::PackedHypervector> encode_dataset_packed(GraphHdEncoder& primar
   std::vector<hdc::PackedHypervector> encoded(dataset.size());
   parallel::parallel_for_chunks(
       dataset.size(), [&](std::size_t begin, std::size_t end, std::size_t chunk) {
-        // Private encoders re-derive their basis rows on every call — a
-        // deliberate trade: keeping them would add cross-call mutable state
-        // for a cost that is amortized over the whole chunk anyway.
+        // Private encoders re-derive their tie words and basis rows on every
+        // call — a deliberate trade: keeping them would add cross-call
+        // mutable state to save ~20 us of tie words plus under 1 us per rank
+        // row at d = 10,000 (a few hundred microseconds for the ~400 ranks
+        // of DD-sized graphs), which the chunk's encodes amortize.
         std::optional<GraphHdEncoder> local;
         if (chunk != 0) local.emplace(config);
         GraphHdEncoder& enc = chunk == 0 ? primary : *local;

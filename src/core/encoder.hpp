@@ -3,8 +3,9 @@
 ///
 /// Pipeline per graph:
 ///   1. PageRank (fixed iteration count) -> per-vertex centrality *ranks*;
-///   2. vertex hypervector  Encv(v) = ItemMemory[rank(v)]
-///      (optionally bound with a label hypervector — extension VII.2);
+///   2. vertex hypervector  Encv(v) = B[rank(v)], row rank(v) of a random
+///      basis derived from the config seed (optionally bound with a row of
+///      the label basis — extension VII.2);
 ///   3. edge hypervector    Ence((u,v)) = Encv(u) × Encv(v)  (binding);
 ///   4. graph hypervector   EncG(G) = [ Σ_e Ence(e) ]        (bundling).
 ///
@@ -15,12 +16,17 @@
 ///
 /// The encoder computes in packed words only (bit set = bipolar -1): binding
 /// is XOR and bundling is the bit-sliced majority of hdc/bitslice.hpp.
+/// Row k of a basis seeded s is the complement of the ceil(d/64) words
+/// Rng(derive_seed(s, k)) draws, tail bits masked: the packing of the
+/// bipolar vector Hypervector::random draws from that generator, which maps
+/// a set draw bit to +1.
 /// encode() returns the bipolar image of encode_packed() for callers that
 /// want ±1 components; tests/support/dense_reference.hpp restates the whole
 /// pipeline on bipolar vectors as the independent oracle.
 
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <span>
 #include <vector>
@@ -29,7 +35,6 @@
 #include "data/dataset.hpp"
 #include "graph/graph.hpp"
 #include "hdc/hypervector.hpp"
-#include "hdc/item_memory.hpp"
 #include "hdc/packed.hpp"
 
 namespace graphhd::core {
@@ -37,16 +42,16 @@ namespace graphhd::core {
 using graph::Graph;
 using hdc::Hypervector;
 
-/// Stateful encoder: owns the basis item memories (vertex ranks and vertex
-/// labels), which grow lazily and deterministically from the config seed,
-/// and their packed rows.  The same config therefore encodes the same graph
-/// to the same hypervector in any process, which is what makes train/test
+/// Stateful encoder: derives its basis rows (vertex ranks and vertex labels)
+/// and its tie-break words from the config seed alone, and caches the rows
+/// it has used.  The same config therefore encodes the same graph to the
+/// same hypervector in any process, which is what makes train/test
 /// encodings compatible.
 class GraphHdEncoder {
  public:
   /// Hard cap on each packed basis cache (rank rows and label rows,
   /// entries).  1024 entries at d = 10,000 is ~1.3 MB; ranks and labels
-  /// beyond the cap are packed into per-call scratch storage instead, so
+  /// beyond the cap are derived into per-call scratch storage instead, so
   /// one huge graph cannot grow the caches without bound.
   static constexpr std::size_t kPackedRankCacheCap = 1024;
 
@@ -72,9 +77,6 @@ class GraphHdEncoder {
   /// (exposed for tests and diagnostics).
   [[nodiscard]] std::vector<std::size_t> vertex_ranks(const Graph& graph) const;
 
-  /// Basis hypervector for centrality rank `rank` (exposed for tests).
-  [[nodiscard]] const Hypervector& rank_basis(std::size_t rank);
-
   /// Entries currently held by the packed rank-basis cache (always
   /// <= kPackedRankCacheCap; exposed for the cache-bound regression tests).
   [[nodiscard]] std::size_t packed_rank_cache_size() const noexcept {
@@ -88,20 +90,21 @@ class GraphHdEncoder {
                                                    std::span<const std::size_t> labels);
 
   GraphHdConfig config_;
-  hdc::ItemMemory rank_memory_;
-  hdc::ItemMemory label_memory_;
+  std::uint64_t rank_seed_;
+  std::uint64_t label_seed_;
+  std::uint64_t tie_break_seed_;
+  std::vector<std::uint64_t> tie_words_;  ///< tie_sign_words(tie_break_seed_, dimension).
   std::deque<hdc::PackedHypervector> packed_rank_cache_;
   std::deque<hdc::PackedHypervector> packed_label_cache_;
-  std::uint64_t tie_break_seed_;
 };
 
 /// Encodes every sample of `dataset` in parallel over the process-wide
 /// thread pool (parallel/thread_pool.hpp).  Chunk 0 runs on the caller
 /// thread and uses `primary` (so its lazily grown basis caches keep warming
 /// up, as in the serial path); every other chunk owns a private encoder
-/// built from primary.config().  Basis memories are seed-deterministic, so
-/// the resulting hypervectors are bit-identical to the serial loop at any
-/// thread count.  Vertex labels are bound in exactly when
+/// built from primary.config().  Basis rows and tie words are
+/// seed-deterministic, so the resulting hypervectors are bit-identical to
+/// the serial loop at any thread count.  Vertex labels are bound in exactly when
 /// config.use_vertex_labels is set *and* the dataset carries labels —
 /// the shared contract of fit/predict_batch/evaluate (GraphHdModel) and
 /// core::predict_dataset.

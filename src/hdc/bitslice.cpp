@@ -138,7 +138,7 @@ std::vector<std::uint32_t> BitsliceBundler::negative_counts() {
   return counts;
 }
 
-PackedHypervector BitsliceBundler::threshold_packed(std::uint64_t tie_break_seed) {
+PackedHypervector BitsliceBundler::threshold_packed(std::span<const std::uint64_t> tie_words) {
   flush_pending();
   std::vector<std::uint64_t> greater, less;
   compare_counters(count_ / 2, greater, less);
@@ -152,11 +152,15 @@ PackedHypervector BitsliceBundler::threshold_packed(std::uint64_t tie_break_seed
 
   // Even count: tie components (neither greater nor less) take the seeded
   // stream, one draw per component as in BundleAccumulator::threshold —
-  // applied at the word level with the shared tie_sign_words stream (its
-  // tail bits are zero, which also masks the undecided tail slack).
-  const std::vector<std::uint64_t> tie = tie_sign_words(tie_break_seed, dimension_);
+  // applied at the word level with the caller's tie_sign_words (from_words
+  // masks the undecided tail slack).
+  if (tie_words.size() != words_) {
+    throw std::invalid_argument("BitsliceBundler::threshold_packed: " +
+                                std::to_string(tie_words.size()) + " tie words for dimension " +
+                                std::to_string(dimension_));
+  }
   for (std::size_t w = 0; w < words_; ++w) {
-    greater[w] |= ~(greater[w] | less[w]) & tie[w];
+    greater[w] |= ~(greater[w] | less[w]) & tie_words[w];
   }
   return PackedHypervector::from_words(std::move(greater), dimension_);
 }

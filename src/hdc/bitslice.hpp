@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "hdc/hypervector.hpp"
@@ -51,13 +52,14 @@ class BitsliceBundler {
 
   /// Majority threshold straight into packed words, with the convention of
   /// BundleAccumulator::threshold: a component is -1 (bit set) when more
-  /// than half of the added inputs had it set, exact ties are resolved by the
-  /// seeded ±1 stream (one draw per component), and odd add counts cannot
-  /// tie and skip the stream.  Bit-identical to
+  /// than half of the added inputs had it set, and exact ties take the bit
+  /// of `tie_words`, the seeded ±1 stream packed by tie_sign_words(seed,
+  /// dimension()).  Odd add counts cannot tie and ignore `tie_words` (it may
+  /// be empty); for even counts it must hold one word per 64 components
+  /// (throws std::invalid_argument otherwise).  Bit-identical to
   /// `PackedHypervector::from_bipolar(accumulator.threshold(seed))` over the
   /// same inputs.
-  [[nodiscard]] PackedHypervector threshold_packed(
-      std::uint64_t tie_break_seed = 0x7fb5d329728ea185ULL);
+  [[nodiscard]] PackedHypervector threshold_packed(std::span<const std::uint64_t> tie_words);
 
   void clear() noexcept;
 

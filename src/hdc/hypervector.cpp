@@ -33,8 +33,10 @@ Hypervector::Hypervector(std::vector<std::int8_t> components) : data_(std::move(
 
 Hypervector Hypervector::random(std::size_t dimension, Rng& rng) {
   Hypervector hv(dimension);
-  // Draw 64 sign bits per RNG call instead of one Bernoulli per component:
-  // basis generation is on the critical path of encoding large item memories.
+  // Draw 64 sign bits per RNG call instead of one Bernoulli per component.
+  // A set draw bit is +1, so the packed form of this vector is the
+  // complement of the draws — the rule GraphHdEncoder derives its basis rows
+  // by, which the dense test oracle checks through this function.
   std::size_t i = 0;
   while (i < dimension) {
     std::uint64_t bits = rng();

@@ -21,6 +21,32 @@ void require_same_dimension(std::size_t a, std::size_t b, const char* op) {
   return (dimension + 63) / 64;
 }
 
+/// out |= in shifted toward higher bit indices by `bits`; bits shifted past
+/// the last word are dropped.  `out` and `in` have the same word count.
+void or_shifted_up(std::vector<std::uint64_t>& out, std::span<const std::uint64_t> in,
+                   std::size_t bits) {
+  const std::size_t words = bits / 64;
+  const std::size_t rest = bits % 64;
+  for (std::size_t w = words; w < out.size(); ++w) {
+    std::uint64_t word = in[w - words] << rest;
+    if (rest != 0 && w > words) word |= in[w - words - 1] >> (64 - rest);
+    out[w] |= word;
+  }
+}
+
+/// out |= in shifted toward lower bit indices by `bits`; bits shifted below
+/// bit 0 are dropped.  `out` and `in` have the same word count.
+void or_shifted_down(std::vector<std::uint64_t>& out, std::span<const std::uint64_t> in,
+                     std::size_t bits) {
+  const std::size_t words = bits / 64;
+  const std::size_t rest = bits % 64;
+  for (std::size_t w = 0; w + words < in.size(); ++w) {
+    std::uint64_t word = in[w + words] >> rest;
+    if (rest != 0 && w + words + 1 < in.size()) word |= in[w + words + 1] << (64 - rest);
+    out[w] |= word;
+  }
+}
+
 }  // namespace
 
 PackedHypervector::PackedHypervector(std::size_t dimension)
@@ -35,8 +61,16 @@ PackedHypervector PackedHypervector::random(std::size_t dimension, Rng& rng) {
 
 PackedHypervector PackedHypervector::from_bipolar(const Hypervector& hv) {
   PackedHypervector packed(hv.dimension());
-  for (std::size_t i = 0; i < hv.dimension(); ++i) {
-    if (hv[i] == -1) packed.words_[i >> 6] |= (std::uint64_t{1} << (i & 63));
+  const auto comps = hv.components();
+  // Word by word: component 64w + b sets bit b of word w when it is -1.
+  for (std::size_t w = 0; w < packed.words_.size(); ++w) {
+    const std::size_t base = w * 64;
+    const std::size_t bits = std::min<std::size_t>(64, comps.size() - base);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < bits; ++b) {
+      word |= static_cast<std::uint64_t>(comps[base + b] == -1) << b;
+    }
+    packed.words_[w] = word;
   }
   return packed;
 }
@@ -68,15 +102,6 @@ Hypervector PackedHypervector::to_bipolar() const {
   return Hypervector(std::move(comps));
 }
 
-void PackedHypervector::set_bit_unchecked(std::size_t i, bool value) noexcept {
-  const std::uint64_t mask = std::uint64_t{1} << (i & 63);
-  if (value) {
-    words_[i >> 6] |= mask;
-  } else {
-    words_[i >> 6] &= ~mask;
-  }
-}
-
 void PackedHypervector::throw_index_error(const char* op, std::size_t i) const {
   throw std::out_of_range("PackedHypervector::" + std::string(op) + ": index " +
                           std::to_string(i) + " out of range for dimension " +
@@ -104,14 +129,19 @@ double PackedHypervector::similarity(const PackedHypervector& other) const {
 
 PackedHypervector PackedHypervector::permute(std::ptrdiff_t shift) const {
   if (dimension_ == 0) return *this;
-  PackedHypervector out(dimension_);
   const auto d = static_cast<std::ptrdiff_t>(dimension_);
   std::ptrdiff_t offset = shift % d;
   if (offset < 0) offset += d;
-  for (std::size_t i = 0; i < dimension_; ++i) {
-    const std::size_t target = (i + static_cast<std::size_t>(offset)) % dimension_;
-    if (bit_unchecked(i)) out.set_bit_unchecked(target, true);
-  }
+  if (offset == 0) return *this;
+  // A left rotation of the d-bit number: bits [0, d - k) move up by k and
+  // bits [d - k, d) wrap down to [0, k).  Both are whole-word shifts; the
+  // up-shift spills the wrapped bits into the tail slack, which mask_tail
+  // clears (the input's slack is zero, so the down-shift brings none in).
+  const auto k = static_cast<std::size_t>(offset);
+  PackedHypervector out(dimension_);
+  or_shifted_up(out.words_, words_, k);
+  or_shifted_down(out.words_, words_, dimension_ - k);
+  out.mask_tail();
   return out;
 }
 

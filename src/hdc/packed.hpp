@@ -57,14 +57,19 @@ class PackedHypervector {
   /// would silently return the masked padding.
   [[nodiscard]] bool bit(std::size_t i) const {
     if (i >= dimension_) throw_index_error("bit", i);
-    return bit_unchecked(i);
+    return (words_[i >> 6] >> (i & 63)) & 1u;
   }
 
   /// Sets bit `i`.  Throws std::out_of_range when `i >= dimension()` (a
   /// write into the tail slack would corrupt every later Hamming distance).
   void set_bit(std::size_t i, bool value) {
     if (i >= dimension_) throw_index_error("set_bit", i);
-    set_bit_unchecked(i, value);
+    const std::uint64_t mask = std::uint64_t{1} << (i & 63);
+    if (value) {
+      words_[i >> 6] |= mask;
+    } else {
+      words_[i >> 6] &= ~mask;
+    }
   }
 
   /// XOR binding — the binary counterpart of bipolar multiplication.
@@ -87,10 +92,6 @@ class PackedHypervector {
   friend bool operator==(const PackedHypervector&, const PackedHypervector&) = default;
 
  private:
-  [[nodiscard]] bool bit_unchecked(std::size_t i) const noexcept {
-    return (words_[i >> 6] >> (i & 63)) & 1u;
-  }
-  void set_bit_unchecked(std::size_t i, bool value) noexcept;
   [[noreturn]] void throw_index_error(const char* op, std::size_t i) const;
   [[nodiscard]] std::size_t word_count() const noexcept { return words_.size(); }
   /// Zeroes the unused high bits of the last word (class invariant).

@@ -1,5 +1,6 @@
 #include "hdc/random.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 namespace graphhd::hdc {
@@ -143,9 +144,14 @@ std::vector<std::uint64_t> tie_sign_words(std::uint64_t seed, std::size_t dimens
   Rng rng(seed);
   // One draw per component, in component order — the exact stream the dense
   // BundleAccumulator::threshold consumes, so packing the signs here keeps
-  // every bundling backend bit-identical.
-  for (std::size_t i = 0; i < dimension; ++i) {
-    if (rng.next_sign() < 0) words[i >> 6] |= std::uint64_t{1} << (i & 63);
+  // every bundling backend bit-identical.  next_sign() is -1 exactly when
+  // next_double() >= 0.5, i.e. when the draw is >= 2^63, so the sign bit is
+  // the draw's top bit and needs no branch.
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    const std::size_t bits = std::min<std::size_t>(64, dimension - w * 64);
+    std::uint64_t word = 0;
+    for (std::size_t b = 0; b < bits; ++b) word |= (rng() >> 63) << b;
+    words[w] = word;
   }
   return words;
 }

@@ -107,10 +107,11 @@ class Rng {
 /// Packs the seeded tie-break stream into words: bit i is set iff the i-th
 /// draw of Rng(seed).next_sign() is negative, for i < dimension; bits at and
 /// beyond `dimension` are zero.  This is the word-level form of the
-/// "one draw per component" bundling tie-break convention shared by
-/// BundleAccumulator::threshold_packed and BitsliceBundler — the callers OR
-/// it into their majority masks instead of re-implementing the per-bit loop
-/// (see hdc/hypervector.cpp and hdc/bitslice.cpp).
+/// "one draw per component" bundling tie-break convention:
+/// BundleAccumulator::threshold_packed ORs it into its majority mask, and
+/// GraphHdEncoder derives it once per seed and hands it to
+/// BitsliceBundler::threshold_packed (see hdc/hypervector.cpp and
+/// core/encoder.cpp).
 [[nodiscard]] std::vector<std::uint64_t> tie_sign_words(std::uint64_t seed,
                                                         std::size_t dimension);
 

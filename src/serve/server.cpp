@@ -8,6 +8,11 @@ namespace graphhd::serve {
 
 namespace {
 
+/// Empty-queue polls (with yields) before an idle worker parks on the wake
+/// futex.  Parking is off the hot path: while traffic flows, workers never
+/// park and submitters never lock.
+constexpr std::size_t kSpinPolls = 256;
+
 const core::InferenceSnapshot& require_snapshot(
     const std::shared_ptr<const core::InferenceSnapshot>& snapshot) {
   if (snapshot == nullptr) {
@@ -170,7 +175,7 @@ void Server::worker_loop() {
       // missed-wake window (between the re-check and the wait) — it is not
       // a batching timer; requests never wait on it while a worker is awake.
       bool found = false;
-      for (std::size_t poll = 0; poll < config_.spin_polls; ++poll) {
+      for (std::size_t poll = 0; poll < kSpinPolls; ++poll) {
         std::this_thread::yield();
         if (queue_.try_pop(head)) {
           found = true;

@@ -67,10 +67,6 @@ struct ServerConfig {
   /// Worker threads draining the queue.  One worker keeps batches maximal
   /// under load; more workers add compute parallelism on multicore hosts.
   std::size_t worker_threads = 1;
-  /// Empty-queue polls (with yields) before an idle worker parks on the
-  /// wake futex.  Parking is off the hot path: while traffic flows, workers
-  /// never park and submitters never lock.
-  std::size_t spin_polls = 256;
 };
 
 /// Monotonic counters describing a server's lifetime (snapshot via stats()).

@@ -6,7 +6,8 @@
 /// with the packed counter kernels.  This reference runs the same pipeline
 /// the way the paper states it, on bipolar ±1 components: DenseEncoder
 /// restates the encoder (Section IV plus extensions VII.1c and VII.2) with
-/// hdc::ItemMemory bases, BundleAccumulator bundling, bipolar bind and its
+/// ItemMemory bases (support/item_memory.hpp, drawn through
+/// Hypervector::random), BundleAccumulator bundling, bipolar bind and its
 /// own bipolar permute, and DenseReference runs Algorithm 1 on an
 /// hdc::AssociativeMemory fed and queried with bipolar vectors.  The basis
 /// seeds, the tie-break seeds, the model's slot layout (class c, prototype
@@ -31,7 +32,7 @@
 #include "graph/graph.hpp"
 #include "graph/pagerank.hpp"
 #include "hdc/assoc_memory.hpp"
-#include "hdc/item_memory.hpp"
+#include "item_memory.hpp"
 
 namespace graphhd::testsupport {
 
@@ -48,7 +49,7 @@ namespace graphhd::testsupport {
 }
 
 /// GraphHD's encoder on bipolar vectors: rank (and label) basis vectors from
-/// hdc::ItemMemory, majority bundling through BundleAccumulator.
+/// ItemMemory, majority bundling through BundleAccumulator.
 class DenseEncoder {
  public:
   explicit DenseEncoder(const core::GraphHdConfig& config)
@@ -102,6 +103,11 @@ class DenseEncoder {
     return bundle.threshold(tie_seed_);
   }
 
+  /// Basis vector of centrality rank `rank`.
+  [[nodiscard]] const hdc::Hypervector& rank_basis(std::size_t rank) {
+    return rank_memory_.get(rank);
+  }
+
   /// Every sample of `dataset`, labels bound in exactly when configured and
   /// present.
   [[nodiscard]] std::vector<hdc::Hypervector> encode_dataset(const data::GraphDataset& dataset) {
@@ -128,8 +134,8 @@ class DenseEncoder {
   }
 
   core::GraphHdConfig config_;
-  hdc::ItemMemory rank_memory_;
-  hdc::ItemMemory label_memory_;
+  ItemMemory rank_memory_;
+  ItemMemory label_memory_;
   std::uint64_t tie_seed_;
 };
 

@@ -1,5 +1,6 @@
 /// \file item_memory.hpp
-/// Item memory: the store of fixed random basis hypervectors.
+/// Item memory: the store of fixed random basis hypervectors, as the dense
+/// reference draws them.
 ///
 /// HDC encoders map discrete symbols (for GraphHD: PageRank centrality
 /// *ranks*) to random basis vectors that stay fixed for the lifetime of the
@@ -12,24 +13,32 @@
 ///
 /// The memory grows lazily: vector k is derived from seed and index k alone
 /// (counter-based generation), so `get(5)` yields the same vector whether or
-/// not `get(0..4)` were ever requested.
+/// not `get(0..4)` were ever requested.  Vector k is
+/// Hypervector::random(d, Rng(derive_seed(seed, k))); GraphHdEncoder derives
+/// the packed form of the same rows straight from the generator's words, and
+/// the bit-identity suites hold the two against each other.
 
 #pragma once
 
 #include <cstdint>
 #include <deque>
+#include <stdexcept>
 
 #include "hdc/hypervector.hpp"
 #include "hdc/random.hpp"
 
-namespace graphhd::hdc {
+namespace graphhd::testsupport {
 
 /// Lazily grown, seed-deterministic table of random bipolar basis vectors.
 class ItemMemory {
  public:
   /// \param dimension hypervector dimensionality (the paper uses 10,000).
   /// \param seed      master seed; vector k uses derive_seed(seed, k).
-  ItemMemory(std::size_t dimension, std::uint64_t seed);
+  ItemMemory(std::size_t dimension, std::uint64_t seed) : dimension_(dimension), seed_(seed) {
+    if (dimension == 0) {
+      throw std::invalid_argument("ItemMemory: dimension must be positive");
+    }
+  }
 
   [[nodiscard]] std::size_t dimension() const noexcept { return dimension_; }
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
@@ -40,15 +49,21 @@ class ItemMemory {
   /// Returns basis vector `index`, materializing anything missing.
   /// References remain valid for the lifetime of the memory (the table grows
   /// without relocating existing vectors).
-  [[nodiscard]] const Hypervector& get(std::size_t index);
+  [[nodiscard]] const hdc::Hypervector& get(std::size_t index) {
+    while (index >= vectors_.size()) vectors_.push_back(make(vectors_.size()));
+    return vectors_[index];
+  }
 
   /// Stateless variant: computes vector `index` without storing it.
-  [[nodiscard]] Hypervector make(std::size_t index) const;
+  [[nodiscard]] hdc::Hypervector make(std::size_t index) const {
+    hdc::Rng rng(hdc::derive_seed(seed_, static_cast<std::uint64_t>(index)));
+    return hdc::Hypervector::random(dimension_, rng);
+  }
 
  private:
   std::size_t dimension_;
   std::uint64_t seed_;
-  std::deque<Hypervector> vectors_;  ///< deque: growth never invalidates refs.
+  std::deque<hdc::Hypervector> vectors_;  ///< deque: growth never invalidates refs.
 };
 
-}  // namespace graphhd::hdc
+}  // namespace graphhd::testsupport

@@ -21,7 +21,7 @@ TEST(BitsliceBundler, SingleAddThresholdsToInput) {
   const auto hv = Hypervector::random(500, rng);
   BitsliceBundler bundler(500);
   bundler.add(PackedHypervector::from_bipolar(hv));
-  EXPECT_EQ(bundler.threshold_packed(), PackedHypervector::from_bipolar(hv));
+  EXPECT_EQ(bundler.threshold_packed({}), PackedHypervector::from_bipolar(hv));
   EXPECT_EQ(bundler.count(), 1u);
 }
 
@@ -52,7 +52,8 @@ TEST(BitsliceBundler, MatchesBundleAccumulatorIncludingTies) {
     reference.add(hv);
     bitslice.add(PackedHypervector::from_bipolar(hv));
   }
-  EXPECT_EQ(bitslice.threshold_packed(42), PackedHypervector::from_bipolar(reference.threshold(42)));
+  EXPECT_EQ(bitslice.threshold_packed(tie_sign_words(42, 1000)),
+            PackedHypervector::from_bipolar(reference.threshold(42)));
 }
 
 TEST(BitsliceBundler, AddBoundMatchesBindThenAdd) {
@@ -62,7 +63,7 @@ TEST(BitsliceBundler, AddBoundMatchesBindThenAdd) {
   BitsliceBundler via_bound(700), via_add(700);
   via_bound.add_bound(PackedHypervector::from_bipolar(a), PackedHypervector::from_bipolar(b));
   via_add.add(PackedHypervector::from_bipolar(a.bind(b)));
-  EXPECT_EQ(via_bound.threshold_packed(), via_add.threshold_packed());
+  EXPECT_EQ(via_bound.threshold_packed({}), via_add.threshold_packed({}));
 }
 
 TEST(BitsliceBundler, ManyAddsStressCarryPropagation) {
@@ -76,7 +77,8 @@ TEST(BitsliceBundler, ManyAddsStressCarryPropagation) {
     bitslice.add(PackedHypervector::from_bipolar(hv));
   }
   EXPECT_EQ(bitslice.count(), 1000u);
-  EXPECT_EQ(bitslice.threshold_packed(9), PackedHypervector::from_bipolar(reference.threshold(9)));
+  EXPECT_EQ(bitslice.threshold_packed(tie_sign_words(9, 256)),
+            PackedHypervector::from_bipolar(reference.threshold(9)));
 }
 
 TEST(BitsliceBundler, DimensionMismatchThrows) {
@@ -141,7 +143,8 @@ TEST(BitsliceBundler, ThresholdPackedMatchesBipolarOddAndEven) {
         a.add(hv);
         b.add(hv.to_bipolar());
       }
-      EXPECT_EQ(a.threshold_packed(17), PackedHypervector::from_bipolar(b.threshold(17)))
+      EXPECT_EQ(a.threshold_packed(tie_sign_words(17, d)),
+                PackedHypervector::from_bipolar(b.threshold(17)))
           << "d=" << d << " adds=" << adds;
     }
   }
@@ -157,7 +160,20 @@ TEST(BitsliceBundler, ThresholdPackedOnBoundPairs) {
     a.add_bound(x, y);
     b.add(x.to_bipolar().bind(y.to_bipolar()));
   }
-  EXPECT_EQ(a.threshold_packed(), PackedHypervector::from_bipolar(b.threshold()));
+  EXPECT_EQ(a.threshold_packed(tie_sign_words(kMajorityTieSeed, 500)),
+            PackedHypervector::from_bipolar(b.threshold()));
+}
+
+TEST(BitsliceBundler, ThresholdPackedChecksTieWordsOnlyForEvenCounts) {
+  Rng rng(79);
+  BitsliceBundler bundler(130);  // three words
+  const auto hv = PackedHypervector::random(130, rng);
+  bundler.add(hv);
+  EXPECT_EQ(bundler.threshold_packed({}), hv);  // odd: cannot tie, needs no words
+  bundler.add(PackedHypervector::random(130, rng));
+  EXPECT_THROW((void)bundler.threshold_packed({}), std::invalid_argument);
+  EXPECT_THROW((void)bundler.threshold_packed(tie_sign_words(5, 64)), std::invalid_argument);
+  EXPECT_NO_THROW((void)bundler.threshold_packed(tie_sign_words(5, 130)));
 }
 
 }  // namespace

@@ -107,24 +107,28 @@ TEST(EncoderEdge, EdgelessGraphsIdenticalOnBothPaths) {
 }
 
 TEST(EncoderEdge, SingleVertexGraph) {
-  graphhd::core::GraphHdConfig config;
-  config.dimension = 512;
-  graphhd::core::GraphHdEncoder encoder(config);
-  const auto single = graphhd::graph::Graph::from_edges(1, {});
-  const auto encoded = encoder.encode(single);
-  // Fallback bundles the single vertex basis vector: must equal it exactly.
-  EXPECT_EQ(encoded, encoder.rank_basis(0));
+  // Fallback bundles the single vertex basis vector: must equal it exactly,
+  // tail word included.
+  for (const std::size_t d : {512u, 10001u}) {
+    graphhd::core::GraphHdConfig config;
+    config.dimension = d;
+    graphhd::core::GraphHdEncoder encoder(config);
+    graphhd::testsupport::DenseEncoder reference(config);
+    const auto single = graphhd::graph::Graph::from_edges(1, {});
+    EXPECT_EQ(encoder.encode(single), reference.rank_basis(0)) << "d=" << d;
+  }
 }
 
 TEST(EncoderEdge, SingleEdgeGraph) {
   graphhd::core::GraphHdConfig config;
   config.dimension = 512;
   graphhd::core::GraphHdEncoder encoder(config);
+  graphhd::testsupport::DenseEncoder reference(config);
   const auto pair = graphhd::graph::Graph::from_edges(
       2, std::vector<graphhd::graph::Edge>{{0, 1}});
   // One edge: the graph hypervector is exactly the bound pair of rank basis
   // vectors (single-input majority).
-  const auto expected = encoder.rank_basis(0).bind(encoder.rank_basis(1));
+  const auto expected = reference.rank_basis(0).bind(reference.rank_basis(1));
   EXPECT_EQ(encoder.encode(pair), expected);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "data/scalability.hpp"
 #include "data/synthetic.hpp"
@@ -90,18 +91,32 @@ TEST(Integration, AllFiveMethodsRunOnMiniMutag) {
 TEST(Integration, ScalabilityShapeGraphHdFasterThanGnnAndFlatterThanKernel) {
   // Fig. 4 shape invariants at mini scale (the full curve is regenerated by
   // bench/fig4_scalability):
-  //   1. GraphHD trains faster than GIN-ε at the larger graph size;
-  //   2. GraphHD's train-time growth factor does not exceed the kernel's
-  //      (the kernel's WL refinement + Gram work grows superlinearly in
-  //      graph size, GraphHD's single encode pass is linear in |E|).
+  //   1. GraphHD trains faster than GIN-ε and than WL-OA at the larger graph
+  //      size — the figure's claim (the paper quotes 15.0x over WL-OA at
+  //      980 vertices);
+  //   2. GraphHD's single encode pass is linear in |E|: its train time grows
+  //      no faster than the datasets' total edge count (1.5x slack against
+  //      timer noise).  The kernel's WL refinement + Gram work grows
+  //      superlinearly instead.
   CvConfig cv = mini_cv();
 
-  const auto time_for = [&](const std::string& method, const ClassifierFactory& factory,
-                            std::size_t n) {
+  const auto dataset_for = [](std::size_t n) {
     graphhd::data::ScalabilityConfig config;
     config.num_vertices = n;
     config.num_graphs = 60;
-    const auto dataset = graphhd::data::make_scalability_dataset(config, 3);
+    return graphhd::data::make_scalability_dataset(config, 3);
+  };
+  const GraphDataset small = dataset_for(100);
+  const GraphDataset large = dataset_for(600);
+  const auto total_edges = [](const GraphDataset& dataset) {
+    double edges = 0.0;
+    for (std::size_t i = 0; i < dataset.size(); ++i) {
+      edges += static_cast<double>(dataset.graph(i).num_edges());
+    }
+    return edges;
+  };
+  const auto time_on = [&](const std::string& method, const ClassifierFactory& factory,
+                           const GraphDataset& dataset) {
     return cross_validate(method, factory, dataset, cv).train_seconds_per_fold();
   };
 
@@ -111,16 +126,19 @@ TEST(Integration, ScalabilityShapeGraphHdFasterThanGnnAndFlatterThanKernel) {
   const auto oa_factory = make_kernel_svm_factory(KernelKind::kWlOa, 5);
   const auto gin_factory = make_gin_factory(false, {}, gin_training);
 
-  const double hd_small = time_for("GraphHD", hd_factory, 100);
-  const double hd_large = time_for("GraphHD", hd_factory, 600);
-  const double oa_small = time_for("WL-OA", oa_factory, 100);
-  const double oa_large = time_for("WL-OA", oa_factory, 600);
-  const double gin_large = time_for("GIN-e", gin_factory, 600);
+  const double hd_small = time_on("GraphHD", hd_factory, small);
+  const double hd_large = time_on("GraphHD", hd_factory, large);
+  const double oa_small = time_on("WL-OA", oa_factory, small);
+  const double oa_large = time_on("WL-OA", oa_factory, large);
+  const double gin_large = time_on("GIN-e", gin_factory, large);
+  const double edge_growth = total_edges(large) / total_edges(small);
 
   EXPECT_LT(hd_large, gin_large) << "GraphHD must out-train the GNN at n=600";
-  // Growth comparison with 1.5x slack against timer noise.
-  EXPECT_LT(hd_large / hd_small, 1.5 * (oa_large / oa_small))
-      << "GraphHD's scaling curve must not grow faster than the kernel's";
+  EXPECT_LT(hd_large, oa_large) << "GraphHD must out-train WL-OA at n=600 (" << hd_large
+                                << " s vs " << oa_large << " s per fold)";
+  EXPECT_LT(hd_large / hd_small, 1.5 * edge_growth)
+      << "GraphHD's train time must grow no faster than |E| (time x" << hd_large / hd_small
+      << ", edges x" << edge_growth << "; WL-OA x" << oa_large / oa_small << ")";
 }
 
 TEST(Integration, ExperimentConfigReadsEnvironment) {

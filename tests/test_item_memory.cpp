@@ -1,4 +1,4 @@
-#include "hdc/item_memory.hpp"
+#include "support/item_memory.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,7 +8,7 @@
 namespace {
 
 using graphhd::hdc::Hypervector;
-using graphhd::hdc::ItemMemory;
+using graphhd::testsupport::ItemMemory;
 
 TEST(ItemMemory, RejectsZeroDimension) {
   EXPECT_THROW(ItemMemory(0, 1), std::invalid_argument);

@@ -29,8 +29,10 @@ namespace kernels = graphhd::hdc::kernels;
 using graphhd::hdc::BitsliceBundler;
 using graphhd::hdc::BundleAccumulator;
 using graphhd::hdc::Hypervector;
+using graphhd::hdc::kMajorityTieSeed;
 using graphhd::hdc::PackedHypervector;
 using graphhd::hdc::Rng;
+using graphhd::hdc::tie_sign_words;
 using kernels::KernelOps;
 
 /// Restores the startup kernel selection when a test that overrides the
@@ -459,10 +461,11 @@ TEST(KernelEquivalence, BitsliceThresholdPackedMatchesScalarVariantAndDense) {
     for (const std::size_t adds : {2u, 5u, 8u}) {  // even counts exercise ties
       std::vector<PackedHypervector> pairs;
       for (std::size_t i = 0; i < 2 * adds; ++i) pairs.push_back(PackedHypervector::random(d, rng));
+      const std::vector<std::uint64_t> tie = tie_sign_words(kMajorityTieSeed, d);
       auto run = [&] {
         BitsliceBundler bundler(d);
         for (std::size_t i = 0; i < adds; ++i) bundler.add_bound(pairs[2 * i], pairs[2 * i + 1]);
-        return bundler.threshold_packed();
+        return bundler.threshold_packed(tie);
       };
       KernelGuard guard;
       kernels::set_active(kernels::scalar());

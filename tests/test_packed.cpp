@@ -88,8 +88,13 @@ TEST(PackedHypervector, PropertyOpsMatchBipolar) {
         if (std::abs(pa.similarity(pb) - a.cosine(b)) > 1e-12) {
           diag << " [similarity]", ok = false;
         }
-        if (pa.permute(c.shift).to_bipolar() != graphhd::testsupport::permute(a, c.shift)) {
-          diag << " [permute]", ok = false;
+        // The drawn shift plus the rotation's boundary inputs: a whole
+        // turn, one short of and one past it, and a whole turn backwards.
+        const auto d = static_cast<std::ptrdiff_t>(c.dimension);
+        for (const std::ptrdiff_t shift : {c.shift, d - 1, d, d + 1, -d}) {
+          if (pa.permute(shift).to_bipolar() != graphhd::testsupport::permute(a, shift)) {
+            diag << " [permute " << shift << "]", ok = false;
+          }
         }
         return ok;
       },
