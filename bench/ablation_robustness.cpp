@@ -9,7 +9,7 @@
 ///      components before classification;
 ///   2. model corruption — flip a fraction of every *class vector*'s
 ///      components (simulating faulty low-power memory), then classify
-///      clean queries through the packed associative-memory query.
+///      clean queries through the associative-memory query.
 /// Reported: accuracy vs corruption level, plus the packed model footprint.
 ///
 /// Environment: GRAPHHD_BENCH_SCALE (default 0.5).
@@ -38,13 +38,11 @@ int main() {
   model.fit(train);
 
   // Pre-encode the test set once; corruption is applied to the encodings.
-  std::vector<hdc::Hypervector> encoded;
-  std::vector<hdc::PackedHypervector> packed;
+  std::vector<hdc::PackedHypervector> encoded;
   std::vector<std::size_t> labels;
   encoded.reserve(test.size());
   for (std::size_t i = 0; i < test.size(); ++i) {
-    encoded.push_back(model.encoder().encode(test.graph(i)));
-    packed.push_back(hdc::PackedHypervector::from_bipolar(encoded.back()));
+    encoded.push_back(model.encoder().encode_packed(test.graph(i)));
     labels.push_back(test.label(i));
   }
 
@@ -71,19 +69,19 @@ int main() {
   std::printf("\n2. Model corruption (flipped fraction of every class vector):\n");
   std::printf("%10s %12s\n", "flipped", "accuracy");
   for (const double fraction : fractions) {
-    // Corrupt a copy of the class vectors, then query it with packed words
-    // (the deployed XOR + popcount op).
+    // Corrupt a copy of the class vectors, then query it (the deployed
+    // XOR + popcount op).
     hdc::AssociativeMemory corrupted(config.dimension, model.num_classes(), config.metric,
                                      /*quantized=*/true);
     hdc::Rng corrupt_rng(0xbadbeef + static_cast<std::uint64_t>(1e6 * fraction));
     const auto flips =
         static_cast<std::size_t>(fraction * static_cast<double>(config.dimension));
     for (std::size_t c = 0; c < model.num_classes(); ++c) {
-      corrupted.add(c, model.memory().class_vector(c).with_noise(flips, corrupt_rng));
+      corrupted.add(c, model.memory().packed_class_vector(c).with_noise(flips, corrupt_rng));
     }
     std::size_t hits = 0;
-    for (std::size_t i = 0; i < packed.size(); ++i) {
-      hits += corrupted.query(packed[i]).best_class == labels[i] ? 1 : 0;
+    for (std::size_t i = 0; i < encoded.size(); ++i) {
+      hits += corrupted.query(encoded[i]).best_class == labels[i] ? 1 : 0;
     }
     std::printf("%9.0f%% %11.1f%%\n", 100.0 * fraction,
                 100.0 * static_cast<double>(hits) / static_cast<double>(encoded.size()));

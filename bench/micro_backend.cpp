@@ -2,19 +2,19 @@
 /// Dense reference vs packed trainer micro-benchmark — the efficiency half
 /// of the paper, measured end to end.
 ///
-/// The "dense" side is the paper-exact reference memory: an
-/// hdc::AssociativeMemory bundled and queried with bipolar vectors, fed by
-/// GraphHdEncoder::encode (encode_packed unpacked once with to_bipolar —
-/// the encoder computes in packed words only).  The "packed" side is the
-/// trainer's one code path: a GraphHdModel (packed encoding, signed-counter
-/// class memory, packed queries).  The harness *verifies the two agree bit
-/// for bit* — counters, labels and scores; exit code 1 otherwise, CI runs
+/// The "dense" side is the paper-exact bipolar reference of the test
+/// suites (tests/support/dense_reference.hpp): DenseEncoder encodes on ±1
+/// components and a DenseMemory bundles and queries them with scalar loops.
+/// The "packed" side is the trainer's one code path: a GraphHdModel (packed
+/// encoding, signed-counter class memory, packed queries on the dispatched
+/// SIMD kernels).  The harness *verifies the two agree bit for bit* —
+/// encodings, counters, labels and scores; exit code 1 otherwise, CI runs
 /// this as a gate — then times:
-///   * encode throughput  — graphs/s through encode (encode_packed plus
-///     to_bipolar) vs encode_packed;
+///   * encode throughput  — graphs/s through DenseEncoder::encode vs
+///     GraphHdEncoder::encode_packed;
 ///   * query  throughput  — class-memory queries/s on pre-encoded vectors
-///     (bipolar vs packed AssociativeMemory query), the associative-memory
-///     op the paper's hardware argument is about.
+///     (bipolar DenseMemory vs packed AssociativeMemory query), the
+///     associative-memory op the paper's hardware argument is about.
 ///
 /// Output is a single JSON object on stdout (schema "graphhd-bench-backend/v1",
 /// progress goes to stderr) so CI can archive it as BENCH_backend.json and gate
@@ -30,9 +30,7 @@
 ///                              falls below this factor (default 0 = report
 ///                              only; the CI perf-baseline job gates via
 ///                              bench/check_perf.py + bench/baselines/backend.json
-///                              instead — both backends now run on the SIMD
-///                              kernel layer, so the healthy ratio is ~2-4x,
-///                              not the ~8x of the scalar-dense era)
+///                              instead, whose description gives the floor)
 
 #include <algorithm>
 #include <chrono>
@@ -42,6 +40,7 @@
 
 #include "core/model.hpp"
 #include "data/scalability.hpp"
+#include "../tests/support/dense_reference.hpp"
 #include "hdc/kernels/kernels.hpp"
 #include "support/env.hpp"
 
@@ -82,19 +81,20 @@ int main() {
   core::GraphHdModel model(config, 2);
   model.fit(dataset);
 
-  // The dense reference: bipolar encodings bundled into a bipolar-fed memory.
-  core::GraphHdEncoder reference_encoder(config);
-  hdc::AssociativeMemory reference(dimension, 2, config.metric, config.quantized_model);
+  // The dense reference: bipolar encodings bundled into a bipolar memory.
+  testsupport::DenseEncoder reference_encoder(config);
+  testsupport::DenseMemory reference(dimension, 2, config.metric, config.quantized_model);
   std::vector<hdc::Hypervector> dense_encoded(dataset.size());
   std::vector<hdc::PackedHypervector> packed_encoded(dataset.size());
+  bool identical = true;
   for (std::size_t i = 0; i < dataset.size(); ++i) {
     dense_encoded[i] = reference_encoder.encode(dataset.graph(i));
     packed_encoded[i] = model.encoder().encode_packed(dataset.graph(i));
+    identical = identical && packed_encoded[i].to_bipolar() == dense_encoded[i];
     reference.add(dataset.label(i), dense_encoded[i]);
   }
 
   // --- correctness gate: the trainer must be a faithful fast path.
-  bool identical = true;
   for (std::size_t c = 0; c < 2; ++c) {
     const auto expected = reference.accumulator(c).counts();
     const auto actual = model.memory().accumulator(c).counts();
@@ -112,26 +112,24 @@ int main() {
   }
 
   // --- encode throughput (fresh encoders so both start with cold caches).
-  const auto time_encode = [&](bool packed) {
-    core::GraphHdEncoder encoder(config);
+  const auto time_encode = [&](auto&& encode) {
     const auto start = Clock::now();
     for (std::size_t rep = 0; rep < encode_reps; ++rep) {
-      for (std::size_t i = 0; i < dataset.size(); ++i) {
-        if (packed) {
-          (void)encoder.encode_packed(dataset.graph(i));
-        } else {
-          (void)encoder.encode(dataset.graph(i));
-        }
-      }
+      for (std::size_t i = 0; i < dataset.size(); ++i) (void)encode(dataset.graph(i));
     }
     const double elapsed = seconds_since(start);
     return static_cast<double>(encode_reps * dataset.size()) / elapsed;
   };
-  const double dense_encode_gps = time_encode(/*packed=*/false);
-  const double packed_encode_gps = time_encode(/*packed=*/true);
+  testsupport::DenseEncoder dense_encoder(config);
+  const double dense_encode_gps =
+      time_encode([&](const graph::Graph& g) { return dense_encoder.encode(g); });
+  core::GraphHdEncoder packed_encoder(config);
+  const double packed_encode_gps =
+      time_encode([&](const graph::Graph& g) { return packed_encoder.encode_packed(g); });
 
-  // --- query throughput on pre-encoded vectors (the paper's inference op).
-  reference.finalize();
+  // --- query throughput on pre-encoded vectors (the paper's inference op),
+  // with both class-vector caches built outside the timed region.
+  (void)reference.class_vector(0);
   model.memory().finalize();
 
   const auto start_dense = Clock::now();

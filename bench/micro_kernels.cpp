@@ -5,8 +5,7 @@
 ///   1. re-checks bit-identical equivalence against the scalar reference on
 ///      randomized inputs (exit 1 on any mismatch — CI runs this as a gate),
 ///   2. times the dispatched hot loops: batched popcount-Hamming one-vs-all
-///      query, packed XOR-bind, bitslice full adder, dense bipolar dot, and
-///      the fused bind-accumulate edge loop.
+///      query, packed XOR-bind and the bitslice full adder.
 ///
 /// Output is one schema-stable JSON object on stdout
 /// ("graphhd-bench-kernels/v1" — see README "Performance"); progress goes to
@@ -39,7 +38,6 @@ namespace {
 namespace kernels = graphhd::hdc::kernels;
 using graphhd::hdc::Rng;
 using kernels::KernelOps;
-using kernels::random_bipolar;
 using kernels::random_words;
 using Clock = std::chrono::steady_clock;
 
@@ -71,11 +69,9 @@ volatile std::uint64_t g_sink = 0;
 void sink(std::uint64_t value) { g_sink = g_sink + value; }
 
 struct VariantTimings {
-  double hamming_batch_qps = 0.0;      ///< batched one-vs-all queries / s
-  double xor_gbps = 0.0;               ///< packed XOR-bind, GB/s of output
-  double full_adder_gbps = 0.0;        ///< bitslice full adder, GB/s of plane
-  double dot_mcps = 0.0;               ///< dense bipolar dot, M components / s
-  double accumulate_bound_mcps = 0.0;  ///< fused bind-accumulate, M comp / s
+  double hamming_batch_qps = 0.0;  ///< batched one-vs-all queries / s
+  double xor_gbps = 0.0;           ///< packed XOR-bind, GB/s of output
+  double full_adder_gbps = 0.0;    ///< bitslice full adder, GB/s of plane
 };
 
 }  // namespace
@@ -97,8 +93,6 @@ int main() {
   }
   const auto words_b = random_words(dimension, rng);
   const auto words_c = random_words(dimension, rng);
-  const auto dense_a = random_bipolar(dimension, rng);
-  const auto dense_b = random_bipolar(dimension, rng);
 
   const KernelOps& scalar = kernels::scalar();
 
@@ -113,15 +107,14 @@ int main() {
   std::vector<std::uint64_t> ref_plane = words_c;
   std::vector<std::uint64_t> ref_carry(num_words);
   scalar.full_adder(ref_plane.data(), query.data(), words_b.data(), ref_carry.data(), num_words);
+  // Weights 3, -2 and 1: an even total, so some counters are zero and the
+  // threshold's `zero` mask is compared with set bits in it.
   std::vector<std::int32_t> ref_counts(dimension, 0);
   scalar.accumulate_packed(ref_counts.data(), query.data(), dimension, 3);
   scalar.accumulate_packed(ref_counts.data(), words_b.data(), dimension, -2);
-  scalar.accumulate_bound_i8(ref_counts.data(), dense_a.data(), dense_b.data(), dimension);
-  scalar.accumulate_weighted_i8(ref_counts.data(), dense_a.data(), dimension, -5);
+  scalar.accumulate_packed(ref_counts.data(), words_c.data(), dimension, 1);
   std::vector<std::uint64_t> ref_neg(num_words, 0), ref_zero(num_words, 0);
   scalar.threshold_counters(ref_counts.data(), dimension, ref_neg.data(), ref_zero.data());
-  const std::int64_t ref_dot = scalar.dot_i8(dense_a.data(), dense_b.data(), dimension);
-  const std::size_t ref_mismatch = scalar.mismatch_i8(dense_a.data(), dense_b.data(), dimension);
   std::vector<const KernelOps*> supported;
   for (const KernelOps* ops : kernels::compiled_variants()) {
     if (!ops->supported()) {
@@ -140,16 +133,13 @@ int main() {
     std::vector<std::int32_t> counts(dimension, 0);
     ops->accumulate_packed(counts.data(), query.data(), dimension, 3);
     ops->accumulate_packed(counts.data(), words_b.data(), dimension, -2);
-    ops->accumulate_bound_i8(counts.data(), dense_a.data(), dense_b.data(), dimension);
-    ops->accumulate_weighted_i8(counts.data(), dense_a.data(), dimension, -5);
+    ops->accumulate_packed(counts.data(), words_c.data(), dimension, 1);
     std::vector<std::uint64_t> neg(num_words, 0), zero(num_words, 0);
     ops->threshold_counters(counts.data(), dimension, neg.data(), zero.data());
     if (distances != ref_distances || xored != ref_xor ||
         ops->hamming_words(query.data(), words_b.data(), num_words) != ref_hamming ||
         plane != ref_plane || carry != ref_carry || counts != ref_counts || neg != ref_neg ||
-        zero != ref_zero ||
-        ops->dot_i8(dense_a.data(), dense_b.data(), dimension) != ref_dot ||
-        ops->mismatch_i8(dense_a.data(), dense_b.data(), dimension) != ref_mismatch) {
+        zero != ref_zero) {
       std::fprintf(stderr, "micro_kernels: FAIL — %s diverges from scalar reference\n", ops->name);
       equivalence_ok = false;
     }
@@ -161,7 +151,6 @@ int main() {
   std::vector<std::uint64_t> scratch_plane(num_words);
   std::vector<std::uint64_t> scratch_carry(num_words);
   std::vector<std::size_t> scratch_distances(rows);
-  std::vector<std::int32_t> scratch_counts(dimension, 0);
   const double word_bytes = static_cast<double>(num_words) * 8.0;
   for (std::size_t v = 0; v < supported.size(); ++v) {
     const KernelOps& ops = *supported[v];
@@ -181,14 +170,6 @@ int main() {
       ops.full_adder(scratch_plane.data(), query.data(), words_b.data(), scratch_carry.data(),
                      num_words);
       sink(scratch_carry[0]);
-    });
-    const double comps = static_cast<double>(dimension);
-    timings[v].dot_mcps = comps * 1e-6 * time_op(min_seconds, [&] {
-      sink(static_cast<std::uint64_t>(ops.dot_i8(dense_a.data(), dense_b.data(), dimension)));
-    });
-    timings[v].accumulate_bound_mcps = comps * 1e-6 * time_op(min_seconds, [&] {
-      ops.accumulate_bound_i8(scratch_counts.data(), dense_a.data(), dense_b.data(), dimension);
-      sink(static_cast<std::uint64_t>(scratch_counts[0]));
     });
   }
 
@@ -214,22 +195,18 @@ int main() {
   std::printf("  \"variants\": {\n");
   for (std::size_t v = 0; v < supported.size(); ++v) {
     std::printf("    \"%s\": {\"hamming_batch_qps\": %.1f, \"xor_gbps\": %.3f, "
-                "\"full_adder_gbps\": %.3f, \"dot_mcps\": %.1f, "
-                "\"accumulate_bound_mcps\": %.1f}%s\n",
+                "\"full_adder_gbps\": %.3f}%s\n",
                 supported[v]->name, timings[v].hamming_batch_qps, timings[v].xor_gbps,
-                timings[v].full_adder_gbps, timings[v].dot_mcps,
-                timings[v].accumulate_bound_mcps, v + 1 < supported.size() ? "," : "");
+                timings[v].full_adder_gbps, v + 1 < supported.size() ? "," : "");
   }
   std::printf("  },\n");
   if (best_simd != nullptr && scalar_timings != nullptr) {
     std::printf("  \"best_simd\": \"%s\",\n", best_simd->name);
     std::printf("  \"speedup_vs_scalar\": {\"hamming_batch\": %.3f, \"xor\": %.3f, "
-                "\"full_adder\": %.3f, \"dot\": %.3f, \"accumulate_bound\": %.3f}\n",
+                "\"full_adder\": %.3f}\n",
                 best_timings->hamming_batch_qps / scalar_timings->hamming_batch_qps,
                 best_timings->xor_gbps / scalar_timings->xor_gbps,
-                best_timings->full_adder_gbps / scalar_timings->full_adder_gbps,
-                best_timings->dot_mcps / scalar_timings->dot_mcps,
-                best_timings->accumulate_bound_mcps / scalar_timings->accumulate_bound_mcps);
+                best_timings->full_adder_gbps / scalar_timings->full_adder_gbps);
   } else {
     std::printf("  \"best_simd\": null,\n");
     std::printf("  \"speedup_vs_scalar\": null\n");

@@ -63,6 +63,7 @@ GraphHdEncoder::GraphHdEncoder(const GraphHdConfig& config)
       tie_break_seed_(hdc::derive_seed(config.seed, "bundle-tie-break")) {
   config_.validate();
   tie_words_ = hdc::tie_sign_words(tie_break_seed_, config_.dimension);
+  round_tie_cache_.resize(config_.neighborhood_rounds);
 }
 
 std::vector<std::size_t> GraphHdEncoder::vertex_ranks(const Graph& graph) const {
@@ -112,6 +113,23 @@ const hdc::PackedHypervector& basis_row(std::uint64_t seed, std::size_t dimensio
   return cache[index];
 }
 
+/// The message-passing tie words of the vertex with centrality rank `rank`
+/// in the round seeded `round_seed`: tie_sign_words(derive_seed(round_seed,
+/// rank), dimension).  Cached in `cache` below the cap (only the ranks that
+/// tie are derived), written to `scratch` past it.
+std::span<const std::uint64_t> round_tie_row(std::uint64_t round_seed, std::size_t dimension,
+                                             std::vector<std::vector<std::uint64_t>>& cache,
+                                             std::size_t rank,
+                                             std::vector<std::uint64_t>& scratch) {
+  const auto derive = [&] {
+    return hdc::tie_sign_words(hdc::derive_seed(round_seed, rank), dimension);
+  };
+  if (rank >= GraphHdEncoder::kPackedRankCacheCap) return scratch = derive();
+  if (rank >= cache.size()) cache.resize(rank + 1);
+  if (cache[rank].empty()) cache[rank] = derive();
+  return cache[rank];
+}
+
 }  // namespace
 
 hdc::PackedHypervector GraphHdEncoder::encode_rows(const Graph& graph,
@@ -145,8 +163,10 @@ hdc::PackedHypervector GraphHdEncoder::encode_rows(const Graph& graph,
   // tie-breaks are seeded per (round, centrality rank) — a single shared tie
   // vector would correlate every even-degree vertex of every graph and
   // collapse the class vectors.  Odd neighbourhood counts cannot tie, so
-  // only even ones derive their tie words.
+  // only even ones look up their tie words, which the encoder keeps per
+  // (round, rank) across graphs.
   std::vector<hdc::PackedHypervector> refined;
+  std::vector<std::uint64_t> tie_scratch;
   for (std::size_t round = 0; round < config_.neighborhood_rounds; ++round) {
     const std::uint64_t round_seed =
         hdc::derive_seed(tie_break_seed_, 0x6d70ULL + round);  // "mp" + round
@@ -156,10 +176,10 @@ hdc::PackedHypervector GraphHdEncoder::encode_rows(const Graph& graph,
       neighborhood.clear();
       neighborhood.add(*rows[v]);
       for (const graph::VertexId u : graph.neighbors(v)) neighborhood.add(*rows[u]);
-      const std::vector<std::uint64_t> tie =
+      const std::span<const std::uint64_t> tie =
           neighborhood.count() % 2 == 0
-              ? hdc::tie_sign_words(hdc::derive_seed(round_seed, ranks[v]), d)
-              : std::vector<std::uint64_t>{};
+              ? round_tie_row(round_seed, d, round_tie_cache_[round], ranks[v], tie_scratch)
+              : std::span<const std::uint64_t>{};
       next[v] = neighborhood.threshold_packed(tie);
     }
     refined = std::move(next);

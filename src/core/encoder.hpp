@@ -18,8 +18,7 @@
 /// is XOR and bundling is the bit-sliced majority of hdc/bitslice.hpp.
 /// Row k of a basis seeded s is the complement of the ceil(d/64) words
 /// Rng(derive_seed(s, k)) draws, tail bits masked: the packing of the
-/// bipolar vector Hypervector::random draws from that generator, which maps
-/// a set draw bit to +1.
+/// bipolar vector that maps each set draw bit to +1.
 /// encode() returns the bipolar image of encode_packed() for callers that
 /// want ±1 components; tests/support/dense_reference.hpp restates the whole
 /// pipeline on bipolar vectors as the independent oracle.
@@ -49,10 +48,12 @@ using hdc::Hypervector;
 /// encodings compatible.
 class GraphHdEncoder {
  public:
-  /// Hard cap on each packed basis cache (rank rows and label rows,
-  /// entries).  1024 entries at d = 10,000 is ~1.3 MB; ranks and labels
-  /// beyond the cap are derived into per-call scratch storage instead, so
-  /// one huge graph cannot grow the caches without bound.
+  /// Hard cap on each packed cache, in rows: the rank rows, the label rows,
+  /// and the message-passing tie words of each round (one row per rank, so
+  /// those hold at most neighborhood_rounds x kPackedRankCacheCap rows).
+  /// 1024 rows at d = 10,000 is ~1.3 MB; ranks and labels beyond the cap
+  /// are derived into per-call scratch storage instead, so one huge graph
+  /// cannot grow the caches without bound.
   static constexpr std::size_t kPackedRankCacheCap = 1024;
 
   explicit GraphHdEncoder(const GraphHdConfig& config);
@@ -96,6 +97,10 @@ class GraphHdEncoder {
   std::vector<std::uint64_t> tie_words_;  ///< tie_sign_words(tie_break_seed_, dimension).
   std::deque<hdc::PackedHypervector> packed_rank_cache_;
   std::deque<hdc::PackedHypervector> packed_label_cache_;
+  /// round_tie_cache_[round][rank]: the tie words of message-passing round
+  /// `round` for the vertex of centrality rank `rank`, derived on first use
+  /// (empty until then).
+  std::vector<std::vector<std::vector<std::uint64_t>>> round_tie_cache_;
 };
 
 /// Encodes every sample of `dataset` in parallel over the process-wide

@@ -20,11 +20,10 @@
 ///
 /// Queries are packed words; quantized_model alone picks the scoring.
 /// Quantized models score with XOR + popcount against the packed class words
-/// and hdc::similarity_from_hamming — bit-identical doubles to the dense
-/// quantized memory (dot == d - 2h on bipolar data); the others score the
-/// counter rows with hdc::counter_cosine, the trainer's own rule, which
-/// reproduces BundleAccumulator::cosine exactly.  Either way a snapshot's
-/// QueryResult is bit-identical to the trainer's.
+/// and hdc::similarity_from_hamming — bit-identical doubles to the paper's
+/// bipolar cosine (dot == d - 2h on bipolar data); the others score the
+/// counter rows with hdc::counter_cosine, the trainer's own rule.  Either
+/// way a snapshot's QueryResult is bit-identical to the trainer's.
 ///
 /// Storage is either owned (built from a trainer or a full artifact read) or
 /// *borrowed* from a memory-mapped v3 artifact, kept alive by a shared

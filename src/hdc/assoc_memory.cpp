@@ -51,44 +51,28 @@ AssociativeMemory::AssociativeMemory(std::size_t dimension, std::size_t num_clas
   counts_.assign(num_classes, 0);
 }
 
-template <typename Vector>
-void AssociativeMemory::add_sample(std::size_t label, const Vector& encoded) {
+void AssociativeMemory::add(std::size_t label, const PackedHypervector& encoded) {
   if (label >= accumulators_.size()) {
     throw std::out_of_range("AssociativeMemory::add: label out of range");
   }
   accumulators_[label].add(encoded, 1);
   ++counts_[label];
-  mark_dirty();
+  dirty_ = true;
 }
 
-template <typename Vector>
-void AssociativeMemory::retrain(std::size_t true_label, std::size_t predicted_label,
-                                const Vector& encoded) {
+void AssociativeMemory::add(std::size_t label, const Hypervector& encoded) {
+  add(label, PackedHypervector::from_bipolar(encoded));
+}
+
+void AssociativeMemory::retrain_update(std::size_t true_label, std::size_t predicted_label,
+                                       const PackedHypervector& encoded) {
   if (true_label >= accumulators_.size() || predicted_label >= accumulators_.size()) {
     throw std::out_of_range("AssociativeMemory::retrain_update: label out of range");
   }
   if (true_label == predicted_label) return;
   accumulators_[true_label].add(encoded, 1);
   accumulators_[predicted_label].add(encoded, -1);
-  mark_dirty();
-}
-
-void AssociativeMemory::add(std::size_t label, const Hypervector& encoded) {
-  add_sample(label, encoded);
-}
-
-void AssociativeMemory::add(std::size_t label, const PackedHypervector& encoded) {
-  add_sample(label, encoded);
-}
-
-void AssociativeMemory::retrain_update(std::size_t true_label, std::size_t predicted_label,
-                                       const Hypervector& encoded) {
-  retrain(true_label, predicted_label, encoded);
-}
-
-void AssociativeMemory::retrain_update(std::size_t true_label, std::size_t predicted_label,
-                                       const PackedHypervector& encoded) {
-  retrain(true_label, predicted_label, encoded);
+  dirty_ = true;
 }
 
 std::size_t AssociativeMemory::class_count(std::size_t label) const {
@@ -98,20 +82,12 @@ std::size_t AssociativeMemory::class_count(std::size_t label) const {
   return counts_[label];
 }
 
-Hypervector AssociativeMemory::class_vector(std::size_t label) const {
-  if (label >= accumulators_.size()) {
-    throw std::out_of_range("AssociativeMemory::class_vector: label out of range");
-  }
-  finalize_bipolar();
-  return cached_class_vectors_[label];
-}
-
 const PackedHypervector& AssociativeMemory::packed_class_vector(std::size_t label) const {
   if (label >= accumulators_.size()) {
     throw std::out_of_range("AssociativeMemory::packed_class_vector: label out of range");
   }
-  finalize_packed();
-  return cached_packed_vectors_[label];
+  finalize();
+  return cached_class_vectors_[label];
 }
 
 const BundleAccumulator& AssociativeMemory::accumulator(std::size_t label) const {
@@ -131,7 +107,7 @@ void AssociativeMemory::restore(std::size_t label, BundleAccumulator accumulator
   }
   accumulators_[label] = std::move(accumulator);
   counts_[label] = sample_count;
-  mark_dirty();
+  dirty_ = true;
 }
 
 void AssociativeMemory::merge(const AssociativeMemory& other) {
@@ -143,54 +119,19 @@ void AssociativeMemory::merge(const AssociativeMemory& other) {
     accumulators_[slot].merge(other.accumulators_[slot]);
     counts_[slot] += other.counts_[slot];
   }
-  mark_dirty();
-}
-
-void AssociativeMemory::mark_dirty() noexcept {
   dirty_ = true;
-  packed_dirty_ = true;
 }
 
 void AssociativeMemory::finalize() const {
-  finalize_bipolar();
-  finalize_packed();
-}
-
-void AssociativeMemory::finalize_bipolar() const {
   if (!dirty_) return;
   cached_class_vectors_.clear();
   cached_class_vectors_.reserve(accumulators_.size());
   for (std::size_t c = 0; c < accumulators_.size(); ++c) {
     // Per-class tie-break stream keeps empty classes distinct from each other.
     cached_class_vectors_.push_back(
-        accumulators_[c].threshold(derive_seed(kMajorityTieSeed, c)));
-  }
-  dirty_ = false;
-}
-
-void AssociativeMemory::finalize_packed() const {
-  if (!packed_dirty_) return;
-  cached_packed_vectors_.clear();
-  cached_packed_vectors_.reserve(accumulators_.size());
-  for (std::size_t c = 0; c < accumulators_.size(); ++c) {
-    cached_packed_vectors_.push_back(
         accumulators_[c].threshold_packed(derive_seed(kMajorityTieSeed, c)));
   }
-  packed_dirty_ = false;
-}
-
-QueryResult AssociativeMemory::query(const Hypervector& query_hv) const {
-  if (query_hv.dimension() != dimension_) {
-    throw std::invalid_argument("AssociativeMemory::query: dimension mismatch");
-  }
-  if (!quantized_) {
-    return scan_classes(accumulators_.size(),
-                        [&](std::size_t c) { return accumulators_[c].cosine(query_hv); });
-  }
-  finalize_bipolar();
-  return scan_classes(accumulators_.size(), [&](std::size_t c) {
-    return similarity(cached_class_vectors_[c], query_hv, metric_);
-  });
+  dirty_ = false;
 }
 
 QueryResult AssociativeMemory::query(const PackedHypervector& query_hv) const {
@@ -202,9 +143,9 @@ QueryResult AssociativeMemory::query(const PackedHypervector& query_hv) const {
       return counter_cosine(accumulators_[c].counts(), query_hv.words().data());
     });
   }
-  finalize_packed();
+  finalize();
   return scan_classes(accumulators_.size(), [&](std::size_t c) {
-    return similarity(cached_packed_vectors_[c], query_hv, metric_);
+    return similarity(cached_class_vectors_[c], query_hv, metric_);
   });
 }
 

@@ -151,7 +151,7 @@ PackedHypervector BitsliceBundler::threshold_packed(std::span<const std::uint64_
   }
 
   // Even count: tie components (neither greater nor less) take the seeded
-  // stream, one draw per component as in BundleAccumulator::threshold —
+  // stream, one draw per component as in BundleAccumulator::threshold_packed —
   // applied at the word level with the caller's tie_sign_words (from_words
   // masks the undecided tail slack).
   if (tie_words.size() != words_) {

@@ -14,7 +14,8 @@
 /// This is the "binarized bundling" hardware technique of Schmuck et al.
 /// (JETC 2019), which the paper cites as the efficiency motivation for HDC;
 /// here it serves the same role in software.  The result is bit-identical
-/// to BundleAccumulator + threshold (tested in tests/test_bitslice.cpp).
+/// to BundleAccumulator::threshold_packed over the same inputs (tested in
+/// tests/test_bitslice.cpp).
 
 #pragma once
 
@@ -22,7 +23,6 @@
 #include <span>
 #include <vector>
 
-#include "hdc/hypervector.hpp"
 #include "hdc/packed.hpp"
 
 namespace graphhd::hdc {
@@ -31,8 +31,8 @@ namespace graphhd::hdc {
 ///
 /// Counts, per component, how many added inputs had that component equal to
 /// -1 (bit set in the packed convention).  threshold_packed() reproduces
-/// exactly BundleAccumulator::threshold()'s majority + seeded-tie-break
-/// semantics.
+/// exactly BundleAccumulator::threshold_packed()'s majority + seeded-tie-
+/// break semantics.
 class BitsliceBundler {
  public:
   explicit BitsliceBundler(std::size_t dimension);
@@ -51,14 +51,13 @@ class BitsliceBundler {
   [[nodiscard]] std::vector<std::uint32_t> negative_counts();
 
   /// Majority threshold straight into packed words, with the convention of
-  /// BundleAccumulator::threshold: a component is -1 (bit set) when more
+  /// BundleAccumulator::threshold_packed: a component is -1 (bit set) when more
   /// than half of the added inputs had it set, and exact ties take the bit
   /// of `tie_words`, the seeded ±1 stream packed by tie_sign_words(seed,
   /// dimension()).  Odd add counts cannot tie and ignore `tie_words` (it may
   /// be empty); for even counts it must hold one word per 64 components
   /// (throws std::invalid_argument otherwise).  Bit-identical to
-  /// `PackedHypervector::from_bipolar(accumulator.threshold(seed))` over the
-  /// same inputs.
+  /// `accumulator.threshold_packed(seed)` over the same inputs.
   [[nodiscard]] PackedHypervector threshold_packed(std::span<const std::uint64_t> tie_words);
 
   void clear() noexcept;

@@ -1,13 +1,16 @@
 /// \file kernels.hpp
 /// Runtime-dispatched SIMD kernels for the HDC hot loops.
 ///
-/// GraphHD's efficiency claim reduces to five inner loops: packed XOR-bind,
-/// popcount-Hamming distance, the batched one-vs-all class-memory query,
-/// the bit-sliced majority (full adder + counter threshold), and the dense
-/// bipolar dot/accumulate paths.  This module provides one scalar reference
-/// implementation plus optional AVX2 / AVX-512 / NEON variants, selected
-/// once at startup from CPUID (overridable with GRAPHHD_KERNEL=scalar|avx2|
-/// avx512|neon|auto for testing and benchmarking).
+/// GraphHD's efficiency claim reduces to four inner loops on packed words:
+/// XOR-bind, popcount-Hamming distance (one row, or the batched one-vs-all
+/// class-memory query), the bit-sliced majority (full adder + counter
+/// threshold) and the signed-counter bundle add.  Every training, predict
+/// and serving path runs on them; the paper's bipolar arithmetic lives only
+/// in the test oracle (tests/support/dense_reference.hpp).  This module
+/// provides one scalar reference implementation plus optional AVX2 /
+/// AVX-512 / NEON variants, selected once at startup from CPUID
+/// (overridable with GRAPHHD_KERNEL=scalar|avx2|avx512|neon|auto for
+/// testing and benchmarking).
 ///
 /// Contract: every variant is *bit-identical* to the scalar reference on the
 /// documented input domain (randomized-equivalence-tested in
@@ -33,9 +36,6 @@ namespace graphhd::hdc::kernels {
 /// the word count.  Counter kernels operate on per-component int32 signed
 /// counters; `dimension` is the component count (bits beyond `dimension` in
 /// the last input word are ignored, output mask bits beyond it stay zero).
-/// Dense kernels operate on bipolar int8 components — inputs MUST be in
-/// {-1, +1} (the Hypervector invariant); behaviour on other bytes is
-/// variant-dependent.
 struct KernelOps {
   const char* name;     ///< "scalar", "avx2", "avx512", "neon".
   int priority;         ///< auto-selection rank (higher wins).
@@ -68,18 +68,6 @@ struct KernelOps {
   /// buffers; bits beyond `dimension` are left untouched (zero).
   void (*threshold_counters)(const std::int32_t* counts, std::size_t dimension,
                              std::uint64_t* negative, std::uint64_t* zero);
-
-  // --- dense bipolar (int8 components in {-1, +1}) ------------------------
-  /// Exact dot product sum a[i] * b[i], widened to int64.
-  std::int64_t (*dot_i8)(const std::int8_t* a, const std::int8_t* b, std::size_t n);
-  /// Number of positions where a[i] != b[i] (dense Hamming distance).
-  std::size_t (*mismatch_i8)(const std::int8_t* a, const std::int8_t* b, std::size_t n);
-  /// counts[i] += a[i] * b[i] — the fused bind-and-bundle edge loop.
-  void (*accumulate_bound_i8)(std::int32_t* counts, const std::int8_t* a, const std::int8_t* b,
-                              std::size_t n);
-  /// counts[i] += weight * comps[i] — the weighted dense bundle add.
-  void (*accumulate_weighted_i8)(std::int32_t* counts, const std::int8_t* comps, std::size_t n,
-                                 std::int32_t weight);
 };
 
 /// Variant getters.  Each returns the variant's ops table, or nullptr when

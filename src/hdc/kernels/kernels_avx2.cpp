@@ -177,63 +177,6 @@ void threshold_counters(const std::int32_t* counts, std::size_t dimension, std::
   }
 }
 
-std::size_t mismatch_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
-  std::size_t mismatches = 0;
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    const std::uint32_t eq =
-        static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_cmpeq_epi8(va, vb)));
-    mismatches += 32 - static_cast<std::size_t>(std::popcount(eq));
-  }
-  for (; i < n; ++i) mismatches += static_cast<std::size_t>(a[i] != b[i]);
-  return mismatches;
-}
-
-std::int64_t dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
-  // Bipolar contract: a[i] * b[i] is +1 on match, -1 on mismatch, so the
-  // exact dot product is n - 2 * mismatches.
-  return static_cast<std::int64_t>(n) - 2 * static_cast<std::int64_t>(mismatch_i8(a, b, n));
-}
-
-void accumulate_bound_i8(std::int32_t* counts, const std::int8_t* a, const std::int8_t* b,
-                         std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i va = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    // For b in {-1,+1}, sign(a, b) == a * b exactly.
-    const __m256i prod = _mm256_sign_epi8(va, vb);
-    const __m128i lo = _mm256_castsi256_si128(prod);
-    const __m128i hi = _mm256_extracti128_si256(prod, 1);
-    const __m128i chunks[4] = {lo, _mm_srli_si128(lo, 8), hi, _mm_srli_si128(hi, 8)};
-    for (std::size_t c = 0; c < 4; ++c) {
-      std::int32_t* dst = counts + i + c * 8;
-      const __m256i wide = _mm256_cvtepi8_epi32(chunks[c]);
-      const __m256i cur = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(dst));
-      _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), _mm256_add_epi32(cur, wide));
-    }
-  }
-  for (; i < n; ++i) {
-    counts[i] += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-}
-
-void accumulate_weighted_i8(std::int32_t* counts, const std::int8_t* comps, std::size_t n,
-                            std::int32_t weight) {
-  const __m256i vweight = _mm256_set1_epi32(weight);
-  std::size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(comps + i));
-    const __m256i wide = _mm256_cvtepi8_epi32(raw);
-    const __m256i cur = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(counts + i));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(counts + i),
-                        _mm256_add_epi32(cur, _mm256_mullo_epi32(wide, vweight)));
-  }
-  for (; i < n; ++i) counts[i] += weight * static_cast<std::int32_t>(comps[i]);
-}
-
 const KernelOps kAvx2Ops = {
     /*name=*/"avx2",
     /*priority=*/20,
@@ -244,10 +187,6 @@ const KernelOps kAvx2Ops = {
     /*full_adder=*/full_adder,
     /*accumulate_packed=*/accumulate_packed,
     /*threshold_counters=*/threshold_counters,
-    /*dot_i8=*/dot_i8,
-    /*mismatch_i8=*/mismatch_i8,
-    /*accumulate_bound_i8=*/accumulate_bound_i8,
-    /*accumulate_weighted_i8=*/accumulate_weighted_i8,
 };
 
 }  // namespace

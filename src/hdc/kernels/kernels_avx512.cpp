@@ -157,68 +157,6 @@ void threshold_counters(const std::int32_t* counts, std::size_t dimension, std::
   }
 }
 
-std::size_t mismatch_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
-  std::size_t mismatches = 0;
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    mismatches += static_cast<std::size_t>(
-        std::popcount(static_cast<std::uint64_t>(_mm512_cmpneq_epi8_mask(va, vb))));
-  }
-  for (; i < n; ++i) mismatches += static_cast<std::size_t>(a[i] != b[i]);
-  return mismatches;
-}
-
-std::int64_t dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
-  // Bipolar contract: dot == n - 2 * mismatches, exactly.
-  return static_cast<std::int64_t>(n) - 2 * static_cast<std::int64_t>(mismatch_i8(a, b, n));
-}
-
-void accumulate_bound_i8(std::int32_t* counts, const std::int8_t* a, const std::int8_t* b,
-                         std::size_t n) {
-  // Bipolar contract: the product is -1 exactly where a and b differ, so the
-  // mismatch mask drives a +-1 blend per int32 lane.
-  const __m512i vone = _mm512_set1_epi32(1);
-  const __m512i vminus = _mm512_set1_epi32(-1);
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i va = _mm512_loadu_si512(a + i);
-    const __m512i vb = _mm512_loadu_si512(b + i);
-    const std::uint64_t neq = static_cast<std::uint64_t>(_mm512_cmpneq_epi8_mask(va, vb));
-    for (std::size_t block = 0; block < 4; ++block) {
-      const __mmask16 mask = static_cast<__mmask16>((neq >> (block * 16)) & 0xffff);
-      std::int32_t* dst = counts + i + block * 16;
-      const __m512i cur = _mm512_loadu_si512(dst);
-      _mm512_storeu_si512(dst, _mm512_add_epi32(cur, _mm512_mask_blend_epi32(mask, vone, vminus)));
-    }
-  }
-  for (; i < n; ++i) {
-    counts[i] += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-}
-
-void accumulate_weighted_i8(std::int32_t* counts, const std::int8_t* comps, std::size_t n,
-                            std::int32_t weight) {
-  // Bipolar contract: weight * comp is +-weight, selected by the sign of the
-  // component byte.
-  const __m512i vpos = _mm512_set1_epi32(weight);
-  const __m512i vneg = _mm512_set1_epi32(-weight);
-  const __m512i vzero = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 64 <= n; i += 64) {
-    const __m512i v = _mm512_loadu_si512(comps + i);
-    const std::uint64_t neg = static_cast<std::uint64_t>(_mm512_cmplt_epi8_mask(v, vzero));
-    for (std::size_t block = 0; block < 4; ++block) {
-      const __mmask16 mask = static_cast<__mmask16>((neg >> (block * 16)) & 0xffff);
-      std::int32_t* dst = counts + i + block * 16;
-      const __m512i cur = _mm512_loadu_si512(dst);
-      _mm512_storeu_si512(dst, _mm512_add_epi32(cur, _mm512_mask_blend_epi32(mask, vpos, vneg)));
-    }
-  }
-  for (; i < n; ++i) counts[i] += weight * static_cast<std::int32_t>(comps[i]);
-}
-
 const KernelOps kAvx512Ops = {
     /*name=*/"avx512",
     /*priority=*/30,
@@ -229,10 +167,6 @@ const KernelOps kAvx512Ops = {
     /*full_adder=*/full_adder,
     /*accumulate_packed=*/accumulate_packed,
     /*threshold_counters=*/threshold_counters,
-    /*dot_i8=*/dot_i8,
-    /*mismatch_i8=*/mismatch_i8,
-    /*accumulate_bound_i8=*/accumulate_bound_i8,
-    /*accumulate_weighted_i8=*/accumulate_weighted_i8,
 };
 
 }  // namespace

@@ -25,11 +25,5 @@ void accumulate_packed(std::int32_t* counts, const std::uint64_t* bits, std::siz
                        std::int32_t weight);
 void threshold_counters(const std::int32_t* counts, std::size_t dimension, std::uint64_t* negative,
                         std::uint64_t* zero);
-std::int64_t dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n);
-std::size_t mismatch_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n);
-void accumulate_bound_i8(std::int32_t* counts, const std::int8_t* a, const std::int8_t* b,
-                         std::size_t n);
-void accumulate_weighted_i8(std::int32_t* counts, const std::int8_t* comps, std::size_t n,
-                            std::int32_t weight);
 
 }  // namespace graphhd::hdc::kernels::ref

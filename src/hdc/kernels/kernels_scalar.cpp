@@ -58,36 +58,6 @@ void threshold_counters(const std::int32_t* counts, std::size_t dimension, std::
   }
 }
 
-std::int64_t dot_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
-  std::int64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc += static_cast<std::int64_t>(a[i]) * b[i];
-  }
-  return acc;
-}
-
-std::size_t mismatch_i8(const std::int8_t* a, const std::int8_t* b, std::size_t n) {
-  std::size_t mismatches = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mismatches += static_cast<std::size_t>(a[i] != b[i]);
-  }
-  return mismatches;
-}
-
-void accumulate_bound_i8(std::int32_t* counts, const std::int8_t* a, const std::int8_t* b,
-                         std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    counts[i] += static_cast<std::int32_t>(a[i]) * static_cast<std::int32_t>(b[i]);
-  }
-}
-
-void accumulate_weighted_i8(std::int32_t* counts, const std::int8_t* comps, std::size_t n,
-                            std::int32_t weight) {
-  for (std::size_t i = 0; i < n; ++i) {
-    counts[i] += weight * static_cast<std::int32_t>(comps[i]);
-  }
-}
-
 }  // namespace ref
 
 namespace {
@@ -104,10 +74,6 @@ const KernelOps kScalarOps = {
     /*full_adder=*/ref::full_adder,
     /*accumulate_packed=*/ref::accumulate_packed,
     /*threshold_counters=*/ref::threshold_counters,
-    /*dot_i8=*/ref::dot_i8,
-    /*mismatch_i8=*/ref::mismatch_i8,
-    /*accumulate_bound_i8=*/ref::accumulate_bound_i8,
-    /*accumulate_weighted_i8=*/ref::accumulate_weighted_i8,
 };
 
 }  // namespace

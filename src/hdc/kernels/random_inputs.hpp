@@ -1,17 +1,16 @@
 /// \file random_inputs.hpp
-/// Shared random input domains for the kernel equivalence harnesses — the
+/// Shared random input domain for the kernel equivalence harnesses — the
 /// single source of truth used by both tests/test_kernels.cpp and
 /// bench/micro_kernels.cpp, so the unit tests and the CI bench gate always
-/// verify the same domain.  Both helpers delegate to the library's own
-/// random constructors, which establish the invariants the kernels rely on
-/// (masked tail words; strictly bipolar components).
+/// verify the same domain.  It delegates to the library's own random
+/// constructor, which establishes the masked-tail invariant the kernels rely
+/// on.
 
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "hdc/hypervector.hpp"
 #include "hdc/packed.hpp"
 #include "hdc/random.hpp"
 
@@ -22,13 +21,6 @@ namespace graphhd::hdc::kernels {
 inline std::vector<std::uint64_t> random_words(std::size_t dimension, Rng& rng) {
   const auto hv = PackedHypervector::random(dimension, rng);
   return {hv.words().begin(), hv.words().end()};
-}
-
-/// `n` random components drawn from {-1, +1} (the Hypervector invariant —
-/// the documented domain of the dense int8 kernels).
-inline std::vector<std::int8_t> random_bipolar(std::size_t n, Rng& rng) {
-  const auto hv = Hypervector::random(n, rng);
-  return {hv.components().begin(), hv.components().end()};
 }
 
 }  // namespace graphhd::hdc::kernels

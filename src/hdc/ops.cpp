@@ -17,23 +17,6 @@ const char* to_string(Similarity metric) noexcept {
   return "unknown";
 }
 
-double similarity(const Hypervector& a, const Hypervector& b, Similarity metric) {
-  switch (metric) {
-    case Similarity::kCosine:
-      return a.cosine(b);
-    case Similarity::kInverseHamming: {
-      if (a.dimension() == 0) return 0.0;
-      return 1.0 - static_cast<double>(a.hamming_distance(b)) /
-                       static_cast<double>(a.dimension());
-    }
-    case Similarity::kDot: {
-      if (a.dimension() == 0) return 0.0;
-      return static_cast<double>(a.dot(b)) / static_cast<double>(a.dimension());
-    }
-  }
-  throw std::invalid_argument("similarity: unknown metric");
-}
-
 double similarity(const PackedHypervector& a, const PackedHypervector& b, Similarity metric) {
   if (a.dimension() != b.dimension()) {
     throw std::invalid_argument("similarity: dimension mismatch");

@@ -127,6 +127,14 @@ double PackedHypervector::similarity(const PackedHypervector& other) const {
   return 1.0 - 2.0 * h / static_cast<double>(dimension_);
 }
 
+PackedHypervector PackedHypervector::with_noise(std::size_t count, Rng& rng) const {
+  PackedHypervector noisy = *this;
+  for (const std::size_t i : rng.sample_without_replacement(dimension_, count)) {
+    noisy.words_[i >> 6] ^= std::uint64_t{1} << (i & 63);
+  }
+  return noisy;
+}
+
 PackedHypervector PackedHypervector::permute(std::ptrdiff_t shift) const {
   if (dimension_ == 0) return *this;
   const auto d = static_cast<std::ptrdiff_t>(dimension_);
@@ -150,6 +158,59 @@ void PackedHypervector::mask_tail() noexcept {
   if (tail_bits != 0 && !words_.empty()) {
     words_.back() &= (std::uint64_t{1} << tail_bits) - 1;
   }
+}
+
+BundleAccumulator::BundleAccumulator(std::size_t dimension) : counts_(dimension, 0) {}
+
+BundleAccumulator BundleAccumulator::from_raw(std::vector<std::int32_t> counts,
+                                              std::size_t count, bool weight_parity_odd) {
+  BundleAccumulator acc;
+  acc.counts_ = std::move(counts);
+  acc.count_ = count;
+  acc.weight_parity_odd_ = weight_parity_odd;
+  return acc;
+}
+
+void BundleAccumulator::add(const PackedHypervector& hv, std::int32_t weight) {
+  require_same_dimension(counts_.size(), hv.dimension(), "BundleAccumulator::add");
+  kernels::active().accumulate_packed(counts_.data(), hv.words().data(), counts_.size(), weight);
+  ++count_;
+  // Every component moves by ±weight, so all counters share one parity.
+  if ((weight & 1) != 0) weight_parity_odd_ = !weight_parity_odd_;
+}
+
+void BundleAccumulator::merge(const BundleAccumulator& other) {
+  require_same_dimension(counts_.size(), other.counts_.size(), "BundleAccumulator::merge");
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  count_ += other.count_;
+  // Total absolute weight adds, so its parity XORs — tie-freedom of the
+  // merged bundle equals that of the sequential equivalent.
+  weight_parity_odd_ = weight_parity_odd_ != other.weight_parity_odd_;
+}
+
+PackedHypervector BundleAccumulator::threshold_packed(std::uint64_t tie_break_seed) const {
+  const std::size_t dimension = counts_.size();
+  const std::size_t num_words = words_for(dimension);
+  std::vector<std::uint64_t> negative(num_words, 0);
+  std::vector<std::uint64_t> zero(num_words, 0);
+  kernels::active().threshold_counters(counts_.data(), dimension, negative.data(), zero.data());
+  if (weight_parity_odd_) {
+    // Odd total weight leaves no zero counter, so the tie stream is skipped;
+    // a zero restored through from_raw maps to a set bit (bipolar -1).
+    for (std::size_t w = 0; w < num_words; ++w) negative[w] |= zero[w];
+  } else {
+    // Zero counters are ties, resolved by the seeded stream with one sign
+    // per component.
+    const std::vector<std::uint64_t> tie = tie_sign_words(tie_break_seed, dimension);
+    for (std::size_t w = 0; w < num_words; ++w) negative[w] |= zero[w] & tie[w];
+  }
+  return PackedHypervector::from_words(std::move(negative), dimension);
+}
+
+void BundleAccumulator::clear() noexcept {
+  std::fill(counts_.begin(), counts_.end(), 0);
+  count_ = 0;
+  weight_parity_odd_ = false;
 }
 
 }  // namespace graphhd::hdc

@@ -9,7 +9,9 @@
 /// single-clock-cycle-style bit parallelism the paper appeals to.
 ///
 /// The mapping between representations is bit b = (component == -1), so that
-/// XOR of bits corresponds exactly to multiplication of signs.
+/// XOR of bits corresponds exactly to multiplication of signs.  This is the
+/// library's one numeric representation: the encoder, the class memory, the
+/// inference snapshot and the server all compute on these words.
 
 #pragma once
 
@@ -22,6 +24,12 @@
 #include "hdc/random.hpp"
 
 namespace graphhd::hdc {
+
+/// Default seed of the majority tie-break stream used when thresholding
+/// bundles.  Every consumer of the convention — BundleAccumulator, the class
+/// memory and the inference snapshot — must derive its per-slot streams from
+/// this one constant, or quantized class vectors stop being reproducible.
+inline constexpr std::uint64_t kMajorityTieSeed = 0x7fb5d329728ea185ULL;
 
 /// Dense binary hypervector packed 64 components per uint64 word.
 class PackedHypervector {
@@ -82,6 +90,11 @@ class PackedHypervector {
   /// the cosine of the corresponding bipolar vectors.
   [[nodiscard]] double similarity(const PackedHypervector& other) const;
 
+  /// Returns a copy with `count` distinct components flipped, at the
+  /// positions rng.sample_without_replacement(dimension(), count) draws —
+  /// the corruption of the noise-robustness experiments.
+  [[nodiscard]] PackedHypervector with_noise(std::size_t count, Rng& rng) const;
+
   /// Cyclic rotation by `shift` positions — the HDC *permutation* operator:
   /// bit i moves to (i + shift) mod dimension.  Permutation preserves
   /// distances and decorrelates a vector from itself, which is what the
@@ -99,6 +112,61 @@ class PackedHypervector {
 
   std::vector<std::uint64_t> words_;
   std::size_t dimension_ = 0;
+};
+
+/// Integer accumulator used to bundle (majority-vote) many packed vectors
+/// without losing counts: one signed counter per component, where a clear
+/// bit (bipolar +1) adds the weight and a set bit subtracts it.  Bundling in
+/// HDC is the element-wise majority; this class accumulates signed counts
+/// and thresholds at the end, breaking ties with a seeded random vector so
+/// that an even number of inputs still yields a valid result (the
+/// convention used by torchhd and most HDC implementations).
+class BundleAccumulator {
+ public:
+  BundleAccumulator() = default;
+  explicit BundleAccumulator(std::size_t dimension);
+
+  /// Reconstructs an accumulator from its serialized state (counters, add
+  /// count, weight parity).  Used by model persistence.
+  [[nodiscard]] static BundleAccumulator from_raw(std::vector<std::int32_t> counts,
+                                                  std::size_t count, bool weight_parity_odd);
+
+  [[nodiscard]] std::size_t dimension() const noexcept { return counts_.size(); }
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
+  [[nodiscard]] std::span<const std::int32_t> counts() const noexcept { return counts_; }
+
+  /// Adds a packed vector with an integer weight (1 = one bundle member;
+  /// retraining adds the encoded sample to the correct class and subtracts
+  /// it from the mispredicted one), through the accumulate_packed kernel.
+  void add(const PackedHypervector& hv, std::int32_t weight = 1);
+
+  /// Folds another accumulator in: element-wise counter addition, add counts
+  /// summed, weight parities XOR'd.  Because bundling is commutative and
+  /// associative over the signed counters, the result is *exactly* the
+  /// accumulator that adding both operands' inputs into one accumulator (in
+  /// any order) would produce — the primitive of sharded map-reduce
+  /// training (GraphHdModel::merge).  Dimensions must match (throws
+  /// std::invalid_argument).
+  void merge(const BundleAccumulator& other);
+
+  /// Majority threshold in packed form: bit i is set when counter i is
+  /// negative; zero counters are ties, resolved by the seeded stream of
+  /// tie_sign_words(tie_break_seed, dimension()) (one draw per component).
+  /// When the accumulated weight parity is odd no counter can be zero and
+  /// the tie stream is skipped entirely (identical output, faster).
+  [[nodiscard]] PackedHypervector threshold_packed(
+      std::uint64_t tie_break_seed = kMajorityTieSeed) const;
+
+  /// True when ties are impossible (odd total absolute weight).
+  [[nodiscard]] bool tie_free() const noexcept { return weight_parity_odd_; }
+
+  /// Resets to all-zero counters (dimension preserved).
+  void clear() noexcept;
+
+ private:
+  std::vector<std::int32_t> counts_;
+  std::size_t count_ = 0;
+  bool weight_parity_odd_ = false;  ///< parity of the total absolute weight.
 };
 
 }  // namespace graphhd::hdc

@@ -142,9 +142,9 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
 std::vector<std::uint64_t> tie_sign_words(std::uint64_t seed, std::size_t dimension) {
   std::vector<std::uint64_t> words((dimension + 63) / 64, 0);
   Rng rng(seed);
-  // One draw per component, in component order — the exact stream the dense
-  // BundleAccumulator::threshold consumes, so packing the signs here keeps
-  // every bundling backend bit-identical.  next_sign() is -1 exactly when
+  // One draw per component, in component order — the exact stream the
+  // bipolar threshold of the test oracle consumes, so packing the signs here
+  // keeps every bundler bit-identical to it.  next_sign() is -1 exactly when
   // next_double() >= 0.5, i.e. when the draw is >= 2^63, so the sign bit is
   // the draw's top bit and needs no branch.
   for (std::size_t w = 0; w < words.size(); ++w) {

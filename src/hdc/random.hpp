@@ -110,7 +110,7 @@ class Rng {
 /// "one draw per component" bundling tie-break convention:
 /// BundleAccumulator::threshold_packed ORs it into its majority mask, and
 /// GraphHdEncoder derives it once per seed and hands it to
-/// BitsliceBundler::threshold_packed (see hdc/hypervector.cpp and
+/// BitsliceBundler::threshold_packed (see hdc/packed.cpp and
 /// core/encoder.cpp).
 [[nodiscard]] std::vector<std::uint64_t> tie_sign_words(std::uint64_t seed,
                                                         std::size_t dimension);

@@ -1,24 +1,31 @@
 /// \file dense_reference.hpp
 /// The paper-exact dense reference that the bit-identity suites hold the
-/// packed library against: a bipolar encoder and a bipolar-fed trainer.
+/// packed library against: bipolar arithmetic, a bipolar encoder, a bipolar
+/// class memory and a bipolar-fed trainer.
 ///
-/// GraphHdEncoder computes in packed words and GraphHdModel bundles them
-/// with the packed counter kernels.  This reference runs the same pipeline
-/// the way the paper states it, on bipolar ±1 components: DenseEncoder
-/// restates the encoder (Section IV plus extensions VII.1c and VII.2) with
-/// ItemMemory bases (support/item_memory.hpp, drawn through
-/// Hypervector::random), BundleAccumulator bundling, bipolar bind and its
-/// own bipolar permute, and DenseReference runs Algorithm 1 on an
-/// hdc::AssociativeMemory fed and queried with bipolar vectors.  The basis
-/// seeds, the tie-break seeds, the model's slot layout (class c, prototype
-/// r -> slot c * vectors_per_class + r), its round-robin prototype
+/// The library computes in packed words only: GraphHdEncoder bundles through
+/// the bit-sliced majority, and GraphHdModel keeps signed counters fed by
+/// the packed kernels and scores by popcount or hdc::counter_cosine.  This
+/// reference runs the same pipeline the way the paper states it, on bipolar
+/// ±1 components, with its own scalar code:
+///   - bind, dot, permute and similarity on hdc::Hypervector values;
+///   - DenseAccumulator: weighted signed counters, a threshold that draws
+///     one Rng::next_sign() per component, and the raw-counter cosine;
+///   - DenseMemory: the class memory (per-slot counters, per-class tie
+///     seeds, first-maximum argmax, the three metrics);
+///   - DenseEncoder: Section IV plus extensions VII.1c and VII.2, with
+///     ItemMemory bases (support/item_memory.hpp);
+///   - DenseReference: Algorithm 1 plus retraining on a DenseMemory.
+/// The basis seeds, the tie-break seeds, the model's slot layout (class c,
+/// prototype r -> slot c * vectors_per_class + r), its round-robin prototype
 /// assignment, its retraining rule and its Prediction shape are restated
 /// here independently, so a test comparing the two checks the packed path
-/// against the dense one rather than against itself.
+/// against the bipolar one rather than against itself.
 
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -31,10 +38,55 @@
 #include "data/dataset.hpp"
 #include "graph/graph.hpp"
 #include "graph/pagerank.hpp"
-#include "hdc/assoc_memory.hpp"
 #include "item_memory.hpp"
 
 namespace graphhd::testsupport {
+
+/// Seed of the class memory's per-class tie-break streams (slot c draws
+/// from derive_seed(kClassTieSeed, c)).  Restated, not taken from the
+/// library's hdc::kMajorityTieSeed, so that a change there shows.
+inline constexpr std::uint64_t kClassTieSeed = 0x7fb5d329728ea185ULL;
+
+inline void require_same_dimension(std::size_t a, std::size_t b) {
+  if (a != b) throw std::invalid_argument("dense reference: dimension mismatch");
+}
+
+/// Element-wise product — the bipolar binding operator.
+[[nodiscard]] inline hdc::Hypervector bind(const hdc::Hypervector& a, const hdc::Hypervector& b) {
+  require_same_dimension(a.dimension(), b.dimension());
+  std::vector<std::int8_t> out(a.dimension());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = static_cast<std::int8_t>(a[i] * b[i]);
+  return hdc::Hypervector(std::move(out));
+}
+
+/// Exact dot product sum a[i] * b[i].
+[[nodiscard]] inline std::int64_t dot(const hdc::Hypervector& a, const hdc::Hypervector& b) {
+  require_same_dimension(a.dimension(), b.dimension());
+  std::int64_t sum = 0;
+  for (std::size_t i = 0; i < a.dimension(); ++i) sum += a[i] * b[i];
+  return sum;
+}
+
+/// δ(a, b) on bipolar vectors.  Both norms are sqrt(d), so the cosine is
+/// dot / d; kDot is scaled by 1/d too, and inverse Hamming is 1 - h/d with
+/// h the number of differing components.  Dimension 0 scores 0.
+[[nodiscard]] inline double similarity(const hdc::Hypervector& a, const hdc::Hypervector& b,
+                                       hdc::Similarity metric = hdc::Similarity::kCosine) {
+  require_same_dimension(a.dimension(), b.dimension());
+  if (a.dimension() == 0) return 0.0;
+  const auto d = static_cast<double>(a.dimension());
+  switch (metric) {
+    case hdc::Similarity::kCosine:
+    case hdc::Similarity::kDot:
+      return static_cast<double>(dot(a, b)) / d;
+    case hdc::Similarity::kInverseHamming: {
+      std::size_t differing = 0;
+      for (std::size_t i = 0; i < a.dimension(); ++i) differing += a[i] != b[i] ? 1 : 0;
+      return 1.0 - static_cast<double>(differing) / d;
+    }
+  }
+  throw std::logic_error("dense reference: unknown metric");
+}
 
 /// Cyclic rotation of the components by `shift` positions: component i
 /// moves to (i + shift) mod d.  The bipolar permutation that
@@ -48,8 +100,133 @@ namespace graphhd::testsupport {
   return hdc::Hypervector(std::move(out));
 }
 
+/// Signed per-component counters: the bipolar bundling accumulator.
+class DenseAccumulator {
+ public:
+  explicit DenseAccumulator(std::size_t dimension = 0) : counts_(dimension, 0) {}
+
+  [[nodiscard]] std::size_t count() const noexcept { return count_; }
+  [[nodiscard]] std::span<const std::int32_t> counts() const noexcept { return counts_; }
+  /// True when the total absolute weight added is odd (no counter can be 0).
+  [[nodiscard]] bool tie_free() const noexcept { return odd_weight_; }
+
+  /// counts[i] += weight * hv[i].
+  void add(const hdc::Hypervector& hv, std::int32_t weight = 1) {
+    require_same_dimension(counts_.size(), hv.dimension());
+    for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += weight * hv[i];
+    ++count_;
+    if (weight % 2 != 0) odd_weight_ = !odd_weight_;
+  }
+
+  /// Majority: the sign of each counter.  A zero counter takes the i-th
+  /// draw of Rng(tie_seed).next_sign(); the stream advances one draw per
+  /// component, tied or not.
+  [[nodiscard]] hdc::Hypervector threshold(std::uint64_t tie_seed) const {
+    hdc::Rng tie(tie_seed);
+    std::vector<std::int8_t> out(counts_.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+      const int sign = tie.next_sign();
+      out[i] = static_cast<std::int8_t>(counts_[i] > 0 ? 1 : counts_[i] < 0 ? -1 : sign);
+    }
+    return hdc::Hypervector(std::move(out));
+  }
+
+  /// Cosine between the raw counters and a bipolar vector:
+  /// dot / (sqrt(|c|^2) * sqrt(d)), 0 for empty or all-zero counters.
+  [[nodiscard]] double cosine(const hdc::Hypervector& hv) const {
+    require_same_dimension(counts_.size(), hv.dimension());
+    std::int64_t dot_product = 0;
+    std::int64_t norm_sq = 0;
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      dot_product += static_cast<std::int64_t>(counts_[i]) * hv[i];
+      norm_sq += static_cast<std::int64_t>(counts_[i]) * counts_[i];
+    }
+    if (norm_sq == 0) return 0.0;
+    const double denom =
+        std::sqrt(static_cast<double>(norm_sq)) * std::sqrt(static_cast<double>(counts_.size()));
+    return static_cast<double>(dot_product) / denom;
+  }
+
+ private:
+  std::vector<std::int32_t> counts_;
+  std::size_t count_ = 0;
+  bool odd_weight_ = false;
+};
+
+/// One class-memory query: every slot's similarity and the first maximum.
+struct DenseQuery {
+  std::size_t best_class = 0;
+  double best_similarity = -2.0;
+  std::vector<double> similarities;
+};
+
+/// The class memory on bipolar vectors: one DenseAccumulator per slot.  A
+/// quantized memory scores δ against each slot's majority vector (ties from
+/// derive_seed(kClassTieSeed, slot)); a counter memory scores the
+/// raw-counter cosine.
+class DenseMemory {
+ public:
+  DenseMemory(std::size_t dimension, std::size_t slots, hdc::Similarity metric, bool quantized)
+      : metric_(metric),
+        quantized_(quantized),
+        accumulators_(slots, DenseAccumulator(dimension)),
+        counts_(slots, 0) {}
+
+  [[nodiscard]] std::size_t num_classes() const noexcept { return accumulators_.size(); }
+  [[nodiscard]] const DenseAccumulator& accumulator(std::size_t slot) const {
+    return accumulators_.at(slot);
+  }
+  [[nodiscard]] std::size_t class_count(std::size_t slot) const { return counts_.at(slot); }
+
+  void add(std::size_t slot, const hdc::Hypervector& hv) {
+    accumulators_.at(slot).add(hv);
+    ++counts_.at(slot);
+    class_vectors_.clear();
+  }
+
+  /// Perceptron update: +hv on the true slot, -hv on the predicted one.
+  void retrain_update(std::size_t true_slot, std::size_t predicted_slot,
+                      const hdc::Hypervector& hv) {
+    if (true_slot == predicted_slot) return;
+    accumulators_.at(true_slot).add(hv, 1);
+    accumulators_.at(predicted_slot).add(hv, -1);
+    class_vectors_.clear();
+  }
+
+  /// The quantized class vector of `slot`.
+  [[nodiscard]] const hdc::Hypervector& class_vector(std::size_t slot) const {
+    if (class_vectors_.empty()) {
+      for (std::size_t c = 0; c < accumulators_.size(); ++c) {
+        class_vectors_.push_back(accumulators_[c].threshold(hdc::derive_seed(kClassTieSeed, c)));
+      }
+    }
+    return class_vectors_.at(slot);
+  }
+
+  [[nodiscard]] DenseQuery query(const hdc::Hypervector& hv) const {
+    DenseQuery result;
+    for (std::size_t slot = 0; slot < accumulators_.size(); ++slot) {
+      const double s = quantized_ ? similarity(class_vector(slot), hv, metric_)
+                                  : accumulators_[slot].cosine(hv);
+      result.similarities.push_back(s);
+      if (s > result.best_similarity) {
+        result.best_similarity = s;
+        result.best_class = slot;
+      }
+    }
+    return result;
+  }
+
+ private:
+  hdc::Similarity metric_;
+  bool quantized_;
+  std::vector<DenseAccumulator> accumulators_;
+  std::vector<std::size_t> counts_;
+  mutable std::vector<hdc::Hypervector> class_vectors_;  ///< empty after any update.
+};
+
 /// GraphHD's encoder on bipolar vectors: rank (and label) basis vectors from
-/// ItemMemory, majority bundling through BundleAccumulator.
+/// ItemMemory, majority bundling through DenseAccumulator.
 class DenseEncoder {
  public:
   explicit DenseEncoder(const core::GraphHdConfig& config)
@@ -70,7 +247,7 @@ class DenseEncoder {
     std::vector<hdc::Hypervector> vertex(n);
     for (graph::VertexId v = 0; v < n; ++v) {
       vertex[v] = rank_memory_.get(ranks[v]);
-      if (bind_labels) vertex[v] = vertex[v].bind(label_memory_.get(labels[v]));
+      if (bind_labels) vertex[v] = bind(vertex[v], label_memory_.get(labels[v]));
     }
     // Message passing: each round, every vertex becomes the majority of its
     // closed neighbourhood, ties seeded per (round, rank).
@@ -78,7 +255,7 @@ class DenseEncoder {
       const std::uint64_t round_seed = hdc::derive_seed(tie_seed_, 0x6d70ULL + round);
       std::vector<hdc::Hypervector> refined(n);
       for (graph::VertexId v = 0; v < n; ++v) {
-        hdc::BundleAccumulator neighborhood(config_.dimension);
+        DenseAccumulator neighborhood(config_.dimension);
         neighborhood.add(vertex[v]);
         for (const graph::VertexId u : graph.neighbors(v)) neighborhood.add(vertex[u]);
         refined[v] = neighborhood.threshold(hdc::derive_seed(round_seed, ranks[v]));
@@ -86,18 +263,18 @@ class DenseEncoder {
       vertex = std::move(refined);
     }
 
-    hdc::BundleAccumulator bundle(config_.dimension);
+    DenseAccumulator bundle(config_.dimension);
     if (graph.num_edges() == 0) {
       for (const hdc::Hypervector& hv : vertex) bundle.add(hv);
     } else if (!bind_labels && config_.neighborhood_rounds == 0) {
-      for (const auto& e : graph.edges()) bundle.add(vertex[e.u].bind(vertex[e.v]));
+      for (const auto& e : graph.edges()) bundle.add(bind(vertex[e.u], vertex[e.v]));
     } else {
       // Extensions: the higher-ranked endpoint is permuted by one position.
       for (const auto& e : graph.edges()) {
         const bool u_first = ranks[e.u] <= ranks[e.v];
         const hdc::Hypervector& lo = vertex[u_first ? e.u : e.v];
         const hdc::Hypervector& hi = vertex[u_first ? e.v : e.u];
-        bundle.add(lo.bind(permute(hi, 1)));
+        bundle.add(bind(lo, permute(hi, 1)));
       }
     }
     return bundle.threshold(tie_seed_);
@@ -156,7 +333,7 @@ class DenseReference {
     for (std::size_t epoch = 0; epoch < config_.retrain_epochs; ++epoch) {
       std::size_t mistakes = 0;
       for (std::size_t i = 0; i < train.size(); ++i) {
-        const hdc::QueryResult result = memory_.query(encoded[i]);
+        const DenseQuery result = memory_.query(encoded[i]);
         const std::size_t label = train.label(i);
         if (result.best_class / config_.vectors_per_class == label) continue;
         ++mistakes;
@@ -178,7 +355,7 @@ class DenseReference {
   }
 
   [[nodiscard]] core::Prediction predict_encoded(const hdc::Hypervector& encoded) const {
-    const hdc::QueryResult result = memory_.query(encoded);
+    const DenseQuery result = memory_.query(encoded);
     core::Prediction prediction;
     prediction.class_scores.assign(cursor_.size(), -2.0);
     for (std::size_t slot = 0; slot < result.similarities.size(); ++slot) {
@@ -203,8 +380,8 @@ class DenseReference {
     return predictions;
   }
 
-  /// The bipolar-fed class memory: counters and quantized class vectors.
-  [[nodiscard]] const hdc::AssociativeMemory& memory() const noexcept { return memory_; }
+  /// The bipolar class memory: counters and quantized class vectors.
+  [[nodiscard]] const DenseMemory& memory() const noexcept { return memory_; }
 
  private:
   void bundle(std::size_t label, const hdc::Hypervector& encoded) {
@@ -215,7 +392,7 @@ class DenseReference {
 
   core::GraphHdConfig config_;
   DenseEncoder encoder_;
-  hdc::AssociativeMemory memory_;
+  DenseMemory memory_;
   std::vector<std::size_t> cursor_;  ///< round-robin prototype per class.
 };
 

@@ -14,20 +14,35 @@
 /// The memory grows lazily: vector k is derived from seed and index k alone
 /// (counter-based generation), so `get(5)` yields the same vector whether or
 /// not `get(0..4)` were ever requested.  Vector k is
-/// Hypervector::random(d, Rng(derive_seed(seed, k))); GraphHdEncoder derives
-/// the packed form of the same rows straight from the generator's words, and
-/// the bit-identity suites hold the two against each other.
+/// random_bipolar(d, Rng(derive_seed(seed, k))); GraphHdEncoder derives the
+/// packed form of the same rows straight from the generator's words, and the
+/// bit-identity suites hold the two against each other.
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <stdexcept>
+#include <vector>
 
 #include "hdc/hypervector.hpp"
 #include "hdc/random.hpp"
 
 namespace graphhd::testsupport {
+
+/// Draws a uniformly random bipolar vector, the "basis hypervector"
+/// primitive: each component is ±1 i.i.d. with probability 1/2.  One draw
+/// supplies 64 components in order, lowest bit first, and a set bit is +1.
+[[nodiscard]] inline hdc::Hypervector random_bipolar(std::size_t dimension, hdc::Rng& rng) {
+  std::vector<std::int8_t> components(dimension);
+  for (std::size_t i = 0; i < dimension;) {
+    std::uint64_t bits = rng();
+    const std::size_t end = std::min<std::size_t>(dimension, i + 64);
+    for (; i < end; ++i, bits >>= 1) components[i] = (bits & 1u) ? 1 : -1;
+  }
+  return hdc::Hypervector(std::move(components));
+}
 
 /// Lazily grown, seed-deterministic table of random bipolar basis vectors.
 class ItemMemory {
@@ -57,7 +72,7 @@ class ItemMemory {
   /// Stateless variant: computes vector `index` without storing it.
   [[nodiscard]] hdc::Hypervector make(std::size_t index) const {
     hdc::Rng rng(hdc::derive_seed(seed_, static_cast<std::uint64_t>(index)));
-    return hdc::Hypervector::random(dimension_, rng);
+    return random_bipolar(dimension_, rng);
   }
 
  private:

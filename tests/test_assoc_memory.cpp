@@ -12,13 +12,13 @@ using namespace graphhd::hdc;
 /// class.
 AssociativeMemory make_trained_memory(std::size_t dimension, std::size_t classes,
                                       std::size_t per_class, std::uint64_t seed,
-                                      std::vector<Hypervector>* prototypes_out = nullptr,
+                                      std::vector<PackedHypervector>* prototypes_out = nullptr,
                                       bool quantized = true) {
   Rng rng(seed);
   AssociativeMemory memory(dimension, classes, Similarity::kCosine, quantized);
-  std::vector<Hypervector> prototypes;
+  std::vector<PackedHypervector> prototypes;
   for (std::size_t c = 0; c < classes; ++c) {
-    prototypes.push_back(Hypervector::random(dimension, rng));
+    prototypes.push_back(PackedHypervector::random(dimension, rng));
     for (std::size_t s = 0; s < per_class; ++s) {
       memory.add(c, prototypes.back().with_noise(dimension / 10, rng));
     }
@@ -33,7 +33,7 @@ TEST(AssociativeMemory, RejectsDegenerateConstruction) {
 }
 
 TEST(AssociativeMemory, ClassifiesNoisyPrototypes) {
-  std::vector<Hypervector> prototypes;
+  std::vector<PackedHypervector> prototypes;
   auto memory = make_trained_memory(10000, 4, 5, 3, &prototypes);
   Rng rng(99);
   for (std::size_t c = 0; c < 4; ++c) {
@@ -47,12 +47,12 @@ TEST(AssociativeMemory, ClassifiesNoisyPrototypes) {
 TEST(AssociativeMemory, SimilaritiesVectorCoversAllClasses) {
   auto memory = make_trained_memory(1000, 3, 2, 5);
   Rng rng(7);
-  const auto result = memory.query(Hypervector::random(1000, rng));
+  const auto result = memory.query(PackedHypervector::random(1000, rng));
   EXPECT_EQ(result.similarities.size(), 3u);
 }
 
 TEST(AssociativeMemory, MarginPositiveForCleanQueries) {
-  std::vector<Hypervector> prototypes;
+  std::vector<PackedHypervector> prototypes;
   auto memory = make_trained_memory(10000, 2, 3, 11, &prototypes);
   const auto result = memory.query(prototypes[0]);
   EXPECT_EQ(result.best_class, 0u);
@@ -62,13 +62,13 @@ TEST(AssociativeMemory, MarginPositiveForCleanQueries) {
 TEST(AssociativeMemory, QueryDimensionMismatchThrows) {
   AssociativeMemory memory(64, 2);
   Rng rng(13);
-  EXPECT_THROW((void)memory.query(Hypervector::random(32, rng)), std::invalid_argument);
+  EXPECT_THROW((void)memory.query(PackedHypervector::random(32, rng)), std::invalid_argument);
 }
 
 TEST(AssociativeMemory, AddLabelOutOfRangeThrows) {
   AssociativeMemory memory(64, 2);
   Rng rng(17);
-  EXPECT_THROW(memory.add(2, Hypervector::random(64, rng)), std::out_of_range);
+  EXPECT_THROW(memory.add(2, PackedHypervector::random(64, rng)), std::out_of_range);
 }
 
 TEST(AssociativeMemory, ClassCountsTrackAdds) {
@@ -82,10 +82,10 @@ TEST(AssociativeMemory, ClassCountsTrackAdds) {
 TEST(AssociativeMemory, ClassVectorIsMajorityOfAdds) {
   AssociativeMemory memory(512, 2);
   Rng rng(23);
-  const auto a = Hypervector::random(512, rng);
+  const auto a = PackedHypervector::random(512, rng);
   memory.add(0, a);
   // Single sample: the class vector must be the sample itself.
-  EXPECT_EQ(memory.class_vector(0), a);
+  EXPECT_EQ(memory.packed_class_vector(0), a);
 }
 
 TEST(AssociativeMemory, RetrainUpdateMovesDecisionBoundary) {
@@ -93,8 +93,8 @@ TEST(AssociativeMemory, RetrainUpdateMovesDecisionBoundary) {
   // retraining with the misclassified sample must flip the prediction.
   const std::size_t d = 10000;
   Rng rng(29);
-  const auto proto0 = Hypervector::random(d, rng);
-  const auto proto1 = Hypervector::random(d, rng);
+  const auto proto0 = PackedHypervector::random(d, rng);
+  const auto proto1 = PackedHypervector::random(d, rng);
   AssociativeMemory memory(d, 2, Similarity::kCosine, /*quantized=*/false);
   memory.add(0, proto0);
   memory.add(1, proto1);
@@ -112,22 +112,22 @@ TEST(AssociativeMemory, RetrainUpdateMovesDecisionBoundary) {
 
 TEST(AssociativeMemory, RetrainUpdateNoopWhenLabelsEqual) {
   auto memory = make_trained_memory(256, 2, 2, 31);
-  const auto before = memory.class_vector(0);
+  const auto before = memory.packed_class_vector(0);
   Rng rng(37);
-  memory.retrain_update(0, 0, Hypervector::random(256, rng));
-  EXPECT_EQ(memory.class_vector(0), before);
+  memory.retrain_update(0, 0, PackedHypervector::random(256, rng));
+  EXPECT_EQ(memory.packed_class_vector(0), before);
 }
 
 TEST(AssociativeMemory, RetrainUpdateValidatesLabels) {
   auto memory = make_trained_memory(64, 2, 1, 41);
   Rng rng(43);
-  const auto hv = Hypervector::random(64, rng);
+  const auto hv = PackedHypervector::random(64, rng);
   EXPECT_THROW(memory.retrain_update(5, 0, hv), std::out_of_range);
   EXPECT_THROW(memory.retrain_update(0, 5, hv), std::out_of_range);
 }
 
 TEST(AssociativeMemory, QuantizedAndCounterModelsAgreeOnEasyQueries) {
-  std::vector<Hypervector> prototypes;
+  std::vector<PackedHypervector> prototypes;
   auto quantized = make_trained_memory(10000, 3, 5, 47, &prototypes, /*quantized=*/true);
   auto counters = make_trained_memory(10000, 3, 5, 47, nullptr, /*quantized=*/false);
   Rng rng(53);
@@ -140,7 +140,7 @@ TEST(AssociativeMemory, QuantizedAndCounterModelsAgreeOnEasyQueries) {
 TEST(AssociativeMemory, EmptyClassDoesNotWinAgainstTrainedClass) {
   const std::size_t d = 10000;
   Rng rng(59);
-  const auto proto = Hypervector::random(d, rng);
+  const auto proto = PackedHypervector::random(d, rng);
   AssociativeMemory memory(d, 3);
   memory.add(1, proto);
   const auto result = memory.query(proto.with_noise(500, rng));
@@ -151,9 +151,9 @@ TEST(AssociativeMemory, MetricIsConfigurable) {
   AssociativeMemory memory(128, 2, Similarity::kInverseHamming);
   EXPECT_EQ(memory.metric(), Similarity::kInverseHamming);
   Rng rng(61);
-  const auto a = Hypervector::random(128, rng);
+  const auto a = PackedHypervector::random(128, rng);
   memory.add(0, a);
-  memory.add(1, Hypervector::random(128, rng));
+  memory.add(1, PackedHypervector::random(128, rng));
   const auto result = memory.query(a);
   EXPECT_EQ(result.best_class, 0u);
   // Inverse-Hamming similarity of identical vectors is exactly 1.

@@ -1,10 +1,10 @@
 /// Tests of the trainer against the paper-exact dense reference, and of the
 /// `backend` config field, which is a recorded tag.  A model fitted under
 /// either tag must hold the counters and class words of the dense reference
-/// (tests/support/dense_reference.hpp: bipolar encode + bipolar-fed
-/// AssociativeMemory) and predict bit-identically to it (labels and
-/// similarity doubles), on synthetic and TUDataset-format fixtures, at any
-/// thread count, through every extension and under both scoring rules.
+/// (tests/support/dense_reference.hpp: bipolar encode + bipolar DenseMemory)
+/// and predict bit-identically to it (labels and similarity doubles), on
+/// synthetic and TUDataset-format fixtures, at any thread count, through
+/// every extension and under both scoring rules.
 /// Models fitted under the two tags must also write v3 artifacts that differ
 /// only in the tag.  The equivalence matrix is property-based
 /// (tests/support/proptest.hpp): the leading cases pin the historical config
@@ -361,8 +361,13 @@ TEST(PackedBackend, EncoderPackedMatchesPackedDenseEncoding) {
   // on the baseline, with vertex labels bound in (VII.2), with message
   // passing (VII.1c), with both, and with the bitslice field cleared —
   // including the edgeless-graph fallback; encode must be its bipolar image.
+  // One encoder runs every graph, so message passing reads the tie words it
+  // kept from earlier graphs (star leaves tie); the big star puts leaf ranks
+  // past the cache cap.
   const auto edgeless = graphhd::graph::Graph::from_edges(5, {});
-  const std::vector<graphhd::graph::Graph> graphs{star_graph(9), cycle_graph(12), edgeless};
+  const std::vector<graphhd::graph::Graph> graphs{
+      star_graph(9), cycle_graph(12), edgeless,
+      star_graph(GraphHdEncoder::kPackedRankCacheCap + 50), star_graph(9)};
   std::vector<GraphHdConfig> configs(5, base_config());
   configs[1].use_vertex_labels = true;
   configs[2].neighborhood_rounds = 2;

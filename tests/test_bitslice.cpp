@@ -11,6 +11,8 @@
 namespace {
 
 using namespace graphhd::hdc;
+using graphhd::testsupport::DenseAccumulator;
+using graphhd::testsupport::random_bipolar;
 
 TEST(BitsliceBundler, RejectsZeroDimension) {
   EXPECT_THROW(BitsliceBundler bundler(0), std::invalid_argument);
@@ -18,7 +20,7 @@ TEST(BitsliceBundler, RejectsZeroDimension) {
 
 TEST(BitsliceBundler, SingleAddThresholdsToInput) {
   Rng rng(3);
-  const auto hv = Hypervector::random(500, rng);
+  const auto hv = random_bipolar(500, rng);
   BitsliceBundler bundler(500);
   bundler.add(PackedHypervector::from_bipolar(hv));
   EXPECT_EQ(bundler.threshold_packed({}), PackedHypervector::from_bipolar(hv));
@@ -28,7 +30,7 @@ TEST(BitsliceBundler, SingleAddThresholdsToInput) {
 TEST(BitsliceBundler, NegativeCountsMatchBruteForce) {
   Rng rng(5);
   std::vector<Hypervector> batch;
-  for (int i = 0; i < 9; ++i) batch.push_back(Hypervector::random(300, rng));
+  for (int i = 0; i < 9; ++i) batch.push_back(random_bipolar(300, rng));
   BitsliceBundler bundler(300);
   for (const auto& hv : batch) bundler.add(PackedHypervector::from_bipolar(hv));
   const auto counts = bundler.negative_counts();
@@ -44,9 +46,9 @@ TEST(BitsliceBundler, MatchesBundleAccumulatorIncludingTies) {
   // they share the tie-break convention.
   Rng rng(7);
   std::vector<Hypervector> batch;
-  for (int i = 0; i < 6; ++i) batch.push_back(Hypervector::random(1000, rng));
+  for (int i = 0; i < 6; ++i) batch.push_back(random_bipolar(1000, rng));
 
-  BundleAccumulator reference(1000);
+  DenseAccumulator reference(1000);
   BitsliceBundler bitslice(1000);
   for (const auto& hv : batch) {
     reference.add(hv);
@@ -58,21 +60,21 @@ TEST(BitsliceBundler, MatchesBundleAccumulatorIncludingTies) {
 
 TEST(BitsliceBundler, AddBoundMatchesBindThenAdd) {
   Rng rng(11);
-  const auto a = Hypervector::random(700, rng);
-  const auto b = Hypervector::random(700, rng);
+  const auto a = random_bipolar(700, rng);
+  const auto b = random_bipolar(700, rng);
   BitsliceBundler via_bound(700), via_add(700);
   via_bound.add_bound(PackedHypervector::from_bipolar(a), PackedHypervector::from_bipolar(b));
-  via_add.add(PackedHypervector::from_bipolar(a.bind(b)));
+  via_add.add(PackedHypervector::from_bipolar(graphhd::testsupport::bind(a, b)));
   EXPECT_EQ(via_bound.threshold_packed({}), via_add.threshold_packed({}));
 }
 
 TEST(BitsliceBundler, ManyAddsStressCarryPropagation) {
   // 1000 adds exercise carry chains up to 10 planes.
   Rng rng(13);
-  BundleAccumulator reference(256);
+  DenseAccumulator reference(256);
   BitsliceBundler bitslice(256);
   for (int i = 0; i < 1000; ++i) {
-    const auto hv = Hypervector::random(256, rng);
+    const auto hv = random_bipolar(256, rng);
     reference.add(hv);
     bitslice.add(PackedHypervector::from_bipolar(hv));
   }
@@ -129,7 +131,7 @@ TEST_P(BitsliceEncoderEquivalence, FastPathBitIdenticalToReference) {
 INSTANTIATE_TEST_SUITE_P(Seeds, BitsliceEncoderEquivalence, ::testing::Values(1, 2, 3));
 
 /// threshold_packed is the encoder's output: it must be the exact packing of
-/// BundleAccumulator::threshold over the same inputs — same majority, same
+/// the dense reference's majority over the same inputs — same majority, same
 /// seeded tie-break — for both odd (tie-free) and even (tie-bearing) add
 /// counts and at non-word-multiple dimensions.
 TEST(BitsliceBundler, ThresholdPackedMatchesBipolarOddAndEven) {
@@ -137,7 +139,7 @@ TEST(BitsliceBundler, ThresholdPackedMatchesBipolarOddAndEven) {
   for (const std::size_t d : {70u, 300u, 1024u}) {
     for (const std::size_t adds : {1u, 3u, 4u, 8u}) {
       BitsliceBundler a(d);
-      BundleAccumulator b(d);
+      DenseAccumulator b(d);
       for (std::size_t i = 0; i < adds; ++i) {
         const auto hv = PackedHypervector::random(d, rng);
         a.add(hv);
@@ -153,15 +155,15 @@ TEST(BitsliceBundler, ThresholdPackedMatchesBipolarOddAndEven) {
 TEST(BitsliceBundler, ThresholdPackedOnBoundPairs) {
   Rng rng(73);
   BitsliceBundler a(500);
-  BundleAccumulator b(500);
+  DenseAccumulator b(500);
   for (int i = 0; i < 6; ++i) {
     const auto x = PackedHypervector::random(500, rng);
     const auto y = PackedHypervector::random(500, rng);
     a.add_bound(x, y);
-    b.add(x.to_bipolar().bind(y.to_bipolar()));
+    b.add(graphhd::testsupport::bind(x.to_bipolar(), y.to_bipolar()));
   }
   EXPECT_EQ(a.threshold_packed(tie_sign_words(kMajorityTieSeed, 500)),
-            PackedHypervector::from_bipolar(b.threshold()));
+            PackedHypervector::from_bipolar(b.threshold(kMajorityTieSeed)));
 }
 
 TEST(BitsliceBundler, ThresholdPackedChecksTieWordsOnlyForEvenCounts) {

@@ -4,42 +4,49 @@
 #include <stdexcept>
 #include <vector>
 
-#include "hdc/hypervector.hpp"
+#include "hdc/ops.hpp"
+#include "hdc/packed.hpp"
+#include "support/dense_reference.hpp"
 
 namespace {
 
-using graphhd::hdc::bundle;
 using graphhd::hdc::BundleAccumulator;
+using graphhd::hdc::counter_cosine;
 using graphhd::hdc::Hypervector;
+using graphhd::hdc::PackedHypervector;
 using graphhd::hdc::Rng;
+using graphhd::hdc::similarity;
 
-std::vector<Hypervector> random_batch(std::size_t count, std::size_t dimension,
-                                      std::uint64_t seed) {
+std::vector<PackedHypervector> random_batch(std::size_t count, std::size_t dimension,
+                                            std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<Hypervector> batch;
+  std::vector<PackedHypervector> batch;
   batch.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) batch.push_back(Hypervector::random(dimension, rng));
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push_back(PackedHypervector::random(dimension, rng));
+  }
   return batch;
+}
+
+PackedHypervector packed(std::vector<std::int8_t> components) {
+  return PackedHypervector::from_bipolar(Hypervector(std::move(components)));
 }
 
 TEST(BundleAccumulator, SingleInputThresholdsToItself) {
   Rng rng(3);
-  const auto hv = Hypervector::random(512, rng);
+  const auto hv = PackedHypervector::random(512, rng);
   BundleAccumulator acc(512);
   acc.add(hv);
-  EXPECT_EQ(acc.threshold(), hv);
+  EXPECT_EQ(acc.threshold_packed(), hv);
 }
 
 TEST(BundleAccumulator, OddMajorityIsExact) {
   // Three vectors: the majority of each component must win.
-  const Hypervector a(std::vector<std::int8_t>{1, 1, -1, -1});
-  const Hypervector b(std::vector<std::int8_t>{1, -1, -1, 1});
-  const Hypervector c(std::vector<std::int8_t>{1, 1, 1, -1});
   BundleAccumulator acc(4);
-  acc.add(a);
-  acc.add(b);
-  acc.add(c);
-  const auto bundled = acc.threshold();
+  acc.add(packed({1, 1, -1, -1}));
+  acc.add(packed({1, -1, -1, 1}));
+  acc.add(packed({1, 1, 1, -1}));
+  const auto bundled = acc.threshold_packed().to_bipolar();
   EXPECT_EQ(bundled[0], 1);
   EXPECT_EQ(bundled[1], 1);
   EXPECT_EQ(bundled[2], -1);
@@ -51,20 +58,18 @@ TEST(BundleAccumulator, TieBreakIsDeterministicPerSeed) {
   BundleAccumulator acc(1000);
   acc.add(batch[0]);
   acc.add(batch[1]);
-  EXPECT_EQ(acc.threshold(123), acc.threshold(123));
+  EXPECT_EQ(acc.threshold_packed(123), acc.threshold_packed(123));
   // Ties exist with 2 random inputs (≈half the components), so distinct
   // seeds should disagree somewhere.
-  EXPECT_NE(acc.threshold(123), acc.threshold(456));
+  EXPECT_NE(acc.threshold_packed(123), acc.threshold_packed(456));
 }
 
 TEST(BundleAccumulator, TieBreakOnlyAffectsTiedComponents) {
-  const Hypervector a(std::vector<std::int8_t>{1, -1, 1, -1});
-  const Hypervector b(std::vector<std::int8_t>{1, -1, -1, 1});
   BundleAccumulator acc(4);
-  acc.add(a);
-  acc.add(b);
+  acc.add(packed({1, -1, 1, -1}));
+  acc.add(packed({1, -1, -1, 1}));
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 99ULL}) {
-    const auto bundled = acc.threshold(seed);
+    const auto bundled = acc.threshold_packed(seed).to_bipolar();
     EXPECT_EQ(bundled[0], 1);   // 2 votes for +1
     EXPECT_EQ(bundled[1], -1);  // 2 votes for -1
   }
@@ -86,7 +91,7 @@ TEST(BundleAccumulator, SubtractCancelsAdd) {
   with.add(batch[0]);
   with.add(batch[1]);
   with.add(batch[2]);
-  with.subtract(batch[2]);
+  with.add(batch[2], -1);
   without.add(batch[0]);
   without.add(batch[1]);
   for (std::size_t i = 0; i < 256; ++i) {
@@ -98,16 +103,20 @@ TEST(BundleAccumulator, WeightedAddScalesCounts) {
   const auto batch = random_batch(1, 64, 19);
   BundleAccumulator acc(64);
   acc.add(batch[0], 3);
+  const auto bipolar = batch[0].to_bipolar();
   for (std::size_t i = 0; i < 64; ++i) {
-    EXPECT_EQ(acc.counts()[i], 3 * batch[0][i]);
+    EXPECT_EQ(acc.counts()[i], 3 * bipolar[i]);
   }
 }
 
 TEST(BundleAccumulator, AddBoundMatchesBindThenAdd) {
+  // An edge term: the counters of the packed XOR-bind equal those of the
+  // bipolar product in the dense reference.
   const auto batch = random_batch(2, 512, 23);
-  BundleAccumulator fused(512), naive(512);
-  fused.add_bound(batch[0], batch[1]);
-  naive.add(batch[0].bind(batch[1]));
+  BundleAccumulator fused(512);
+  graphhd::testsupport::DenseAccumulator naive(512);
+  fused.add(batch[0].bind(batch[1]));
+  naive.add(graphhd::testsupport::bind(batch[0].to_bipolar(), batch[1].to_bipolar()));
   for (std::size_t i = 0; i < 512; ++i) {
     EXPECT_EQ(fused.counts()[i], naive.counts()[i]);
   }
@@ -127,33 +136,22 @@ TEST(BundleAccumulator, ClearResets) {
 TEST(BundleAccumulator, DimensionMismatchThrows) {
   BundleAccumulator acc(16);
   Rng rng(31);
-  EXPECT_THROW(acc.add(Hypervector::random(8, rng)), std::invalid_argument);
+  EXPECT_THROW(acc.add(PackedHypervector::random(8, rng)), std::invalid_argument);
 }
 
 TEST(BundleAccumulator, CosineAgainstRawCounts) {
   const auto batch = random_batch(1, 1024, 37);
   BundleAccumulator acc(1024);
   acc.add(batch[0]);
-  // Accumulator holds exactly batch[0]; cosine with itself must be 1.
-  EXPECT_NEAR(acc.cosine(batch[0]), 1.0, 1e-12);
+  // Accumulator holds exactly batch[0]; its counter cosine with itself is 1.
+  EXPECT_NEAR(counter_cosine(acc.counts(), batch[0].words().data()), 1.0, 1e-12);
 }
 
 TEST(BundleAccumulator, CosineOfEmptyAccumulatorIsZero) {
   BundleAccumulator acc(64);
   Rng rng(41);
-  EXPECT_DOUBLE_EQ(acc.cosine(Hypervector::random(64, rng)), 0.0);
-}
-
-TEST(BundleFree, EmptyBatchThrows) {
-  std::vector<Hypervector> empty;
-  EXPECT_THROW((void)bundle(empty), std::invalid_argument);
-}
-
-TEST(BundleFree, MatchesAccumulatorPath) {
-  const auto batch = random_batch(7, 300, 43);
-  BundleAccumulator acc(300);
-  for (const auto& hv : batch) acc.add(hv);
-  EXPECT_EQ(bundle(batch, 5), acc.threshold(5));
+  const auto query = PackedHypervector::random(64, rng);
+  EXPECT_DOUBLE_EQ(counter_cosine(acc.counts(), query.words().data()), 0.0);
 }
 
 /// Core HDC property: a bundle is similar to each of its members and
@@ -166,14 +164,16 @@ TEST_P(BundleMembership, MembersScoreHigherThanOutsiders) {
   const std::size_t d = 10000;
   const auto members = random_batch(k, d, 47 + k);
   Rng rng(1000 + k);
-  const auto outsider = Hypervector::random(d, rng);
-  const auto bundled = bundle(members);
+  const auto outsider = PackedHypervector::random(d, rng);
+  BundleAccumulator acc(d);
+  for (const auto& member : members) acc.add(member);
+  const auto bundled = acc.threshold_packed();
 
   double min_member = 1.0;
   for (const auto& member : members) {
-    min_member = std::min(min_member, bundled.cosine(member));
+    min_member = std::min(min_member, similarity(bundled, member));
   }
-  const double outsider_sim = std::abs(bundled.cosine(outsider));
+  const double outsider_sim = std::abs(similarity(bundled, outsider));
   EXPECT_GT(min_member, 0.05);
   EXPECT_LT(outsider_sim, 0.05);
   EXPECT_GT(min_member, outsider_sim);
@@ -182,7 +182,7 @@ TEST_P(BundleMembership, MembersScoreHigherThanOutsiders) {
   if (k % 2 == 1) {
     const double expected = std::sqrt(2.0 / (3.14159265358979 * static_cast<double>(k)));
     for (const auto& member : members) {
-      EXPECT_NEAR(bundled.cosine(member), expected, 0.35 * expected);
+      EXPECT_NEAR(similarity(bundled, member), expected, 0.35 * expected);
     }
   }
 }

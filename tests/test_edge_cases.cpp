@@ -128,7 +128,8 @@ TEST(EncoderEdge, SingleEdgeGraph) {
       2, std::vector<graphhd::graph::Edge>{{0, 1}});
   // One edge: the graph hypervector is exactly the bound pair of rank basis
   // vectors (single-input majority).
-  const auto expected = reference.rank_basis(0).bind(reference.rank_basis(1));
+  const auto expected =
+      graphhd::testsupport::bind(reference.rank_basis(0), reference.rank_basis(1));
   EXPECT_EQ(encoder.encode(pair), expected);
 }
 

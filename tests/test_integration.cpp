@@ -183,7 +183,7 @@ TEST(Integration, NoiseRobustnessOfGraphHdPredictions) {
   graphhd::hdc::Rng rng(5);
   std::size_t stable = 0, total = 0;
   for (std::size_t i = 0; i < std::min<std::size_t>(dataset.size(), 20); ++i) {
-    auto encoded = model.encoder().encode(dataset.graph(i));
+    const auto encoded = model.encoder().encode_packed(dataset.graph(i));
     const auto clean = model.predict_encoded(encoded).label;
     const auto noisy =
         model.predict_encoded(encoded.with_noise(encoded.dimension() / 10, rng)).label;

@@ -1,4 +1,4 @@
-#include "support/item_memory.hpp"
+#include "support/dense_reference.hpp"
 
 #include <gtest/gtest.h>
 
@@ -54,7 +54,7 @@ TEST(ItemMemory, VectorsAreQuasiOrthogonal) {
   // property GraphHD relies on to keep distinct ranks distinguishable.
   for (std::size_t i = 0; i < 12; ++i) {
     for (std::size_t j = i + 1; j < 12; ++j) {
-      EXPECT_LT(std::abs(memory.get(i).cosine(memory.get(j))), 0.05)
+      EXPECT_LT(std::abs(graphhd::testsupport::similarity(memory.get(i), memory.get(j))), 0.05)
           << "pair (" << i << "," << j << ")";
     }
   }

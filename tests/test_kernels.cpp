@@ -2,7 +2,7 @@
 /// override) plus fuzz-style randomized equivalence: every compiled-in,
 /// CPU-supported SIMD variant must be bit-identical to the scalar reference
 /// across odd dimensions, tail words and signed weights — the contract that
-/// lets the packed/dense pipelines swap kernels without changing a single
+/// lets the packed pipeline swap kernels without changing a single
 /// prediction.
 
 #include "hdc/kernels/kernels.hpp"
@@ -17,10 +17,11 @@
 #include <vector>
 
 #include "hdc/bitslice.hpp"
-#include "hdc/hypervector.hpp"
 #include "hdc/kernels/random_inputs.hpp"
+#include "hdc/ops.hpp"
 #include "hdc/packed.hpp"
 #include "hdc/random.hpp"
+#include "support/dense_reference.hpp"
 #include "support/proptest.hpp"
 
 namespace {
@@ -28,7 +29,6 @@ namespace {
 namespace kernels = graphhd::hdc::kernels;
 using graphhd::hdc::BitsliceBundler;
 using graphhd::hdc::BundleAccumulator;
-using graphhd::hdc::Hypervector;
 using graphhd::hdc::kMajorityTieSeed;
 using graphhd::hdc::PackedHypervector;
 using graphhd::hdc::Rng;
@@ -54,7 +54,6 @@ class KernelGuard {
 /// tail bits — exercises both the vector body and the scalar tail).
 const std::vector<std::size_t> kDimensions = {1, 7, 63, 64, 65, 127, 128, 200, 1000, 4099, 10000};
 
-using kernels::random_bipolar;
 using kernels::random_words;
 
 std::vector<std::int32_t> random_counts(std::size_t n, Rng& rng) {
@@ -359,69 +358,6 @@ TEST(KernelEquivalence, CounterKernelsMatchScalarAcrossWeights) {
       });
 }
 
-struct DenseCase {
-  std::size_t dimension = 0;
-  std::vector<std::int8_t> a, b;
-  std::vector<std::int32_t> base;
-  std::int32_t weight = 1;
-};
-
-TEST(KernelEquivalence, DenseBipolarKernelsMatchScalar) {
-  proptest::check<DenseCase>(
-      "dense bipolar kernels match scalar",
-      [](Rng& rng, std::size_t case_index) {
-        const std::size_t d = case_dimension(rng, case_index);
-        return DenseCase{d, random_bipolar(d, rng), random_bipolar(d, rng),
-                         random_counts(d, rng), static_cast<std::int32_t>(rng.next_int(-3, 5))};
-      },
-      [](const DenseCase& failing) {
-        std::vector<DenseCase> candidates;
-        for (const std::size_t d : shrunk_dimensions(failing.dimension)) {
-          DenseCase smaller = failing;
-          smaller.dimension = d;
-          smaller.a.resize(d);
-          smaller.b.resize(d);
-          smaller.base.resize(d);
-          candidates.push_back(std::move(smaller));
-        }
-        if (failing.weight != 1) {
-          DenseCase unit = failing;
-          unit.weight = 1;
-          candidates.push_back(std::move(unit));
-        }
-        return candidates;
-      },
-      [](const DenseCase& c, std::ostream& diag) {
-        diag << "d=" << c.dimension << " weight=" << c.weight;
-        const std::size_t d = c.dimension;
-        const std::int64_t ref_dot = kernels::scalar().dot_i8(c.a.data(), c.b.data(), d);
-        const std::size_t ref_mismatch =
-            kernels::scalar().mismatch_i8(c.a.data(), c.b.data(), d);
-        auto ref_bound = c.base;
-        kernels::scalar().accumulate_bound_i8(ref_bound.data(), c.a.data(), c.b.data(), d);
-        auto ref_weighted = c.base;
-        kernels::scalar().accumulate_weighted_i8(ref_weighted.data(), c.a.data(), d, c.weight);
-        bool ok = true;
-        for (const KernelOps* ops : supported_variants()) {
-          if (ops->dot_i8(c.a.data(), c.b.data(), d) != ref_dot) {
-            diag << " [" << ops->name << " dot_i8]", ok = false;
-          }
-          if (ops->mismatch_i8(c.a.data(), c.b.data(), d) != ref_mismatch) {
-            diag << " [" << ops->name << " mismatch_i8]", ok = false;
-          }
-          auto bound = c.base;
-          ops->accumulate_bound_i8(bound.data(), c.a.data(), c.b.data(), d);
-          if (bound != ref_bound) diag << " [" << ops->name << " accumulate_bound_i8]", ok = false;
-          auto weighted = c.base;
-          ops->accumulate_weighted_i8(weighted.data(), c.a.data(), d, c.weight);
-          if (weighted != ref_weighted) {
-            diag << " [" << ops->name << " accumulate_weighted_i8]", ok = false;
-          }
-        }
-        return ok;
-      });
-}
-
 // ---------------------------------------------------------------------------
 // End-to-end equivalence through the consolidated accumulator/bundler paths
 // (packed BundleAccumulator adds and threshold_packed): random weighted adds,
@@ -470,12 +406,13 @@ TEST(KernelEquivalence, BitsliceThresholdPackedMatchesScalarVariantAndDense) {
       KernelGuard guard;
       kernels::set_active(kernels::scalar());
       const PackedHypervector reference = run();
-      // The scalar bitslice result still matches the dense accumulator path.
-      BundleAccumulator dense(d);
+      // The scalar bitslice result still matches the dense reference.
+      graphhd::testsupport::DenseAccumulator dense(d);
       for (std::size_t i = 0; i < adds; ++i) {
-        dense.add_bound(pairs[2 * i].to_bipolar(), pairs[2 * i + 1].to_bipolar());
+        dense.add(graphhd::testsupport::bind(pairs[2 * i].to_bipolar(),
+                                             pairs[2 * i + 1].to_bipolar()));
       }
-      EXPECT_EQ(reference, PackedHypervector::from_bipolar(dense.threshold()))
+      EXPECT_EQ(reference, PackedHypervector::from_bipolar(dense.threshold(kMajorityTieSeed)))
           << "bitslice vs dense d=" << d << " adds=" << adds;
       for (const KernelOps* ops : supported_variants()) {
         kernels::set_active(*ops);
@@ -486,20 +423,22 @@ TEST(KernelEquivalence, BitsliceThresholdPackedMatchesScalarVariantAndDense) {
 }
 
 TEST(KernelEquivalence, DenseHypervectorOpsMatchScalarVariant) {
+  // The hypervector ops the library ships — bind, Hamming distance and the
+  // cosine — give the same words and doubles under every variant.
   Rng rng(0x5eed7);
   for (const std::size_t d : {7u, 1000u, 10000u}) {
-    const auto a = Hypervector::random(d, rng);
-    const auto b = Hypervector::random(d, rng);
+    const auto a = PackedHypervector::random(d, rng);
+    const auto b = PackedHypervector::random(d, rng);
     KernelGuard guard;
     kernels::set_active(kernels::scalar());
-    const std::int64_t ref_dot = a.dot(b);
+    const PackedHypervector ref_bound = a.bind(b);
     const std::size_t ref_hamming = a.hamming_distance(b);
-    const double ref_cosine = a.cosine(b);
+    const double ref_cosine = graphhd::hdc::similarity(a, b);
     for (const KernelOps* ops : supported_variants()) {
       kernels::set_active(*ops);
-      EXPECT_EQ(a.dot(b), ref_dot) << ops->name;
+      EXPECT_EQ(a.bind(b), ref_bound) << ops->name;
       EXPECT_EQ(a.hamming_distance(b), ref_hamming) << ops->name;
-      EXPECT_EQ(a.cosine(b), ref_cosine) << ops->name;
+      EXPECT_EQ(graphhd::hdc::similarity(a, b), ref_cosine) << ops->name;
     }
   }
 }

@@ -19,7 +19,7 @@
 #include "core/serialize.hpp"
 #include "data/stream.hpp"
 #include "graph/generators.hpp"
-#include "hdc/hypervector.hpp"
+#include "hdc/packed.hpp"
 #include "hdc/kernels/kernels.hpp"
 #include "support/proptest.hpp"
 
@@ -29,7 +29,6 @@ using namespace graphhd;
 using data::DatasetStream;
 using data::GraphDataset;
 using hdc::BundleAccumulator;
-using hdc::Hypervector;
 
 /// The model's serialized v3 artifact — the bit-identity yardstick (covers
 /// config, every counter, add counts, parities and replica cursors).
@@ -72,8 +71,8 @@ using hdc::Hypervector;
 
 TEST(BundleAccumulatorMerge, EqualsInterleavedAdds) {
   hdc::Rng rng(101);
-  std::vector<Hypervector> inputs;
-  for (int i = 0; i < 7; ++i) inputs.push_back(Hypervector::random(128, rng));
+  std::vector<hdc::PackedHypervector> inputs;
+  for (int i = 0; i < 7; ++i) inputs.push_back(hdc::PackedHypervector::random(128, rng));
 
   BundleAccumulator left(128);
   BundleAccumulator right(128);

@@ -5,15 +5,19 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "support/dense_reference.hpp"
+
 namespace {
 
 using namespace graphhd::hdc;
 
-std::vector<Hypervector> random_batch(std::size_t count, std::size_t dimension,
-                                      std::uint64_t seed) {
+std::vector<PackedHypervector> random_batch(std::size_t count, std::size_t dimension,
+                                            std::uint64_t seed) {
   Rng rng(seed);
-  std::vector<Hypervector> batch;
-  for (std::size_t i = 0; i < count; ++i) batch.push_back(Hypervector::random(dimension, rng));
+  std::vector<PackedHypervector> batch;
+  for (std::size_t i = 0; i < count; ++i) {
+    batch.push_back(PackedHypervector::random(dimension, rng));
+  }
   return batch;
 }
 
@@ -46,15 +50,14 @@ TEST(Similarity, SelfSimilarityIsMaximal) {
 TEST(Similarity, PackedOverloadBitIdenticalToDenseAcrossMetrics) {
   Rng rng(0x9acced);
   for (const std::size_t d : {1u, 63u, 64u, 65u, 1000u, 10000u}) {
-    const auto a = Hypervector::random(d, rng);
-    const auto b = Hypervector::random(d, rng);
-    const auto pa = PackedHypervector::from_bipolar(a);
-    const auto pb = PackedHypervector::from_bipolar(b);
+    const auto pa = PackedHypervector::random(d, rng);
+    const auto pb = PackedHypervector::random(d, rng);
     for (const Similarity metric :
          {Similarity::kCosine, Similarity::kInverseHamming, Similarity::kDot}) {
-      // Bit-identical doubles, not approximate: the packed overload must
-      // reproduce the dense arithmetic exactly (see ops.cpp).
-      EXPECT_EQ(similarity(pa, pb, metric), similarity(a, b, metric))
+      // Bit-identical doubles, not approximate: the packed scorer must
+      // reproduce the dense reference's bipolar arithmetic exactly.
+      EXPECT_EQ(similarity(pa, pb, metric),
+                graphhd::testsupport::similarity(pa.to_bipolar(), pb.to_bipolar(), metric))
           << to_string(metric) << " d=" << d;
     }
   }

@@ -16,6 +16,9 @@ using graphhd::hdc::BundleAccumulator;
 using graphhd::hdc::Hypervector;
 using graphhd::hdc::PackedHypervector;
 using graphhd::hdc::Rng;
+using graphhd::testsupport::DenseAccumulator;
+using graphhd::testsupport::random_bipolar;
+namespace dense = graphhd::testsupport;
 namespace proptest = graphhd::proptest;
 
 // ---------------------------------------------------------------------------
@@ -77,15 +80,18 @@ TEST(PackedHypervector, PropertyOpsMatchBipolar) {
       [](const OpsCase& c, std::ostream& diag) {
         diag << c;
         Rng rng(c.data_seed);
-        const auto a = Hypervector::random(c.dimension, rng);
-        const auto b = Hypervector::random(c.dimension, rng);
+        const auto a = random_bipolar(c.dimension, rng);
+        const auto b = random_bipolar(c.dimension, rng);
         const auto pa = PackedHypervector::from_bipolar(a);
         const auto pb = PackedHypervector::from_bipolar(b);
         bool ok = true;
         if (pa.to_bipolar() != a) diag << " [roundtrip]", ok = false;
-        if (pa.bind(pb).to_bipolar() != a.bind(b)) diag << " [bind]", ok = false;
-        if (pa.hamming_distance(pb) != a.hamming_distance(b)) diag << " [hamming]", ok = false;
-        if (std::abs(pa.similarity(pb) - a.cosine(b)) > 1e-12) {
+        if (pa.bind(pb).to_bipolar() != dense::bind(a, b)) diag << " [bind]", ok = false;
+        const auto hamming = static_cast<std::int64_t>(pa.hamming_distance(pb));
+        if (static_cast<std::int64_t>(c.dimension) - 2 * hamming != dense::dot(a, b)) {
+          diag << " [hamming]", ok = false;
+        }
+        if (std::abs(pa.similarity(pb) - dense::similarity(a, b)) > 1e-12) {
           diag << " [similarity]", ok = false;
         }
         // The drawn shift plus the rotation's boundary inputs: a whole
@@ -151,11 +157,11 @@ TEST(PackedBundle, PropertyMatchesBipolarAccumulator) {
       [](const BundleCase& c, std::ostream& diag) {
         diag << c;
         Rng rng(c.data_seed);
-        BundleAccumulator bipolar_acc(c.dimension);
+        DenseAccumulator bipolar_acc(c.dimension);
         BundleAccumulator packed_acc(c.dimension);
         bool ok = true;
         for (std::size_t i = 0; i < c.weights.size(); ++i) {
-          const auto hv = Hypervector::random(c.dimension, rng);
+          const auto hv = random_bipolar(c.dimension, rng);
           bipolar_acc.add(hv, c.weights[i]);
           packed_acc.add(PackedHypervector::from_bipolar(hv), c.weights[i]);
           if (packed_acc.tie_free() != bipolar_acc.tie_free()) {
@@ -227,21 +233,23 @@ TEST(PackedBundle, OddMajorityExact) {
   // path the seeded property above does not touch.
   Rng rng(31);
   std::vector<Hypervector> batch;
-  for (int i = 0; i < 5; ++i) batch.push_back(Hypervector::random(512, rng));
-  BundleAccumulator bipolar_acc(512);
+  for (int i = 0; i < 5; ++i) batch.push_back(random_bipolar(512, rng));
+  DenseAccumulator bipolar_acc(512);
   BundleAccumulator packed_acc(512);
   for (const auto& hv : batch) {
     bipolar_acc.add(hv);
     packed_acc.add(PackedHypervector::from_bipolar(hv));
   }
-  EXPECT_EQ(packed_acc.threshold_packed().to_bipolar(), bipolar_acc.threshold());
+  EXPECT_EQ(packed_acc.threshold_packed().to_bipolar(),
+            bipolar_acc.threshold(graphhd::hdc::kMajorityTieSeed));
 }
 
 TEST(PackedBundle, RestoredZeroUnderOddParityMatchesBipolarThreshold) {
   // A raw state with odd parity but a zero counter (only from_raw makes one):
-  // both thresholds map the zero to -1.
+  // odd parity skips the tie stream, so the zero maps to -1 (a set bit).
   const auto acc = BundleAccumulator::from_raw({3, 0, -1, 0, 5}, 1, /*weight_parity_odd=*/true);
-  EXPECT_EQ(acc.threshold_packed().to_bipolar(), acc.threshold());
+  EXPECT_EQ(acc.threshold_packed().to_bipolar(),
+            Hypervector(std::vector<std::int8_t>{1, -1, -1, -1, 1}));
 }
 
 TEST(PackedBundle, CountsAdds) {

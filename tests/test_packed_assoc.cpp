@@ -1,11 +1,10 @@
-/// Packed-vs-dense equivalence of hdc::AssociativeMemory, the trainer's one
-/// class memory.  The PackedAssociativeMemory suite checks the packed query
-/// path against the bipolar reference query on the same memory, plus the
-/// packed class rows a trained model deploys in its InferenceSnapshot; the
-/// PackedClassMemory suites bundle one memory with packed samples and a twin
-/// with the same samples in bipolar form, and require identical counters,
-/// class vectors and similarity doubles (not just the same argmax) under
-/// every metric and under counter-cosine scoring.
+/// hdc::AssociativeMemory, the one class memory, against the dense
+/// reference's DenseMemory (tests/support/dense_reference.hpp).  The
+/// ClassMemory suites bundle the library memory with packed samples and the
+/// reference with the same samples in bipolar form, and require identical
+/// counters, class vectors and similarity doubles (not just the same argmax)
+/// under every metric and under counter-cosine scoring; they also cover the
+/// packed class rows a trained model deploys in its InferenceSnapshot.
 
 #include "hdc/assoc_memory.hpp"
 
@@ -18,59 +17,64 @@
 
 #include "core/model.hpp"
 #include "graph/generators.hpp"
+#include "support/dense_reference.hpp"
 
 namespace {
 
 using namespace graphhd::hdc;
+using graphhd::testsupport::DenseMemory;
 
-AssociativeMemory trained_memory(std::size_t dimension, std::size_t classes,
-                                 std::uint64_t seed,
-                                 std::vector<Hypervector>* prototypes_out = nullptr) {
+/// A library memory and its reference twin, both fed three noisy copies of
+/// one random prototype per class.
+std::pair<AssociativeMemory, DenseMemory> trained_memory(
+    std::size_t dimension, std::size_t classes, std::uint64_t seed,
+    std::vector<PackedHypervector>* prototypes_out = nullptr) {
   Rng rng(seed);
   AssociativeMemory memory(dimension, classes);
-  std::vector<Hypervector> prototypes;
+  DenseMemory reference(dimension, classes, Similarity::kCosine, /*quantized=*/true);
+  std::vector<PackedHypervector> prototypes;
   for (std::size_t c = 0; c < classes; ++c) {
-    prototypes.push_back(Hypervector::random(dimension, rng));
+    prototypes.push_back(PackedHypervector::random(dimension, rng));
     for (int s = 0; s < 3; ++s) {
-      memory.add(c, prototypes.back().with_noise(dimension / 10, rng));
+      const auto sample = prototypes.back().with_noise(dimension / 10, rng);
+      memory.add(c, sample);
+      reference.add(c, sample.to_bipolar());
     }
   }
   if (prototypes_out != nullptr) *prototypes_out = std::move(prototypes);
-  return memory;
+  return {std::move(memory), std::move(reference)};
 }
 
-TEST(PackedAssociativeMemory, AgreesWithBipolarMemoryOnArgmax) {
-  std::vector<Hypervector> prototypes;
-  const auto memory = trained_memory(4096, 4, 3, &prototypes);
+TEST(ClassMemory, AgreesWithBipolarMemoryOnArgmax) {
+  std::vector<PackedHypervector> prototypes;
+  const auto [memory, reference] = trained_memory(4096, 4, 3, &prototypes);
   Rng rng(7);
   for (int trial = 0; trial < 20; ++trial) {
     const auto query = prototypes[trial % 4].with_noise(800, rng);
-    EXPECT_EQ(memory.query(PackedHypervector::from_bipolar(query)).best_class,
-              memory.query(query).best_class)
+    EXPECT_EQ(memory.query(query).best_class, reference.query(query.to_bipolar()).best_class)
         << "trial " << trial;
   }
 }
 
-TEST(PackedAssociativeMemory, SimilaritiesEqualBipolarCosine) {
-  const auto memory = trained_memory(2048, 3, 5);
+TEST(ClassMemory, SimilaritiesEqualBipolarCosine) {
+  const auto [memory, reference] = trained_memory(2048, 3, 5);
   Rng rng(11);
-  const auto query = Hypervector::random(2048, rng);
+  const auto query = PackedHypervector::random(2048, rng);
   // Exact double equality: the packed scorer reproduces the dense arithmetic.
-  EXPECT_EQ(memory.query(PackedHypervector::from_bipolar(query)).similarities,
-            memory.query(query).similarities);
+  EXPECT_EQ(memory.query(query).similarities, reference.query(query.to_bipolar()).similarities);
 }
 
-TEST(PackedAssociativeMemory, QueryValidatesDimension) {
-  const auto memory = trained_memory(256, 2, 13);
+TEST(ClassMemory, QueryValidatesDimension) {
+  const auto memory = trained_memory(256, 2, 13).first;
   Rng rng(17);
   EXPECT_THROW((void)memory.query(PackedHypervector::random(128, rng)),
                std::invalid_argument);
 }
 
-TEST(PackedAssociativeMemory, ClassVectorsMatchSource) {
-  const auto memory = trained_memory(512, 2, 19);
+TEST(ClassMemory, ClassVectorsMatchSource) {
+  const auto [memory, reference] = trained_memory(512, 2, 19);
   for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(memory.packed_class_vector(c).to_bipolar(), memory.class_vector(c));
+    EXPECT_EQ(memory.packed_class_vector(c).to_bipolar(), reference.class_vector(c));
   }
   EXPECT_THROW((void)memory.packed_class_vector(2), std::out_of_range);
 }
@@ -86,7 +90,7 @@ graphhd::core::GraphHdModel star_model(std::size_t dimension, std::size_t classe
   return model;
 }
 
-TEST(PackedAssociativeMemory, SnapshotIsFrozen) {
+TEST(ClassMemory, SnapshotIsFrozen) {
   // The deployed packed rows live in the snapshot: training on does not
   // reach a snapshot already handed out.
   auto model = star_model(1024, 2);
@@ -98,17 +102,17 @@ TEST(PackedAssociativeMemory, SnapshotIsFrozen) {
   EXPECT_FALSE(std::ranges::equal(model.snapshot()->packed_words(0), before));
 }
 
-TEST(PackedAssociativeMemory, FootprintIsBitsNotBytes) {
+TEST(ClassMemory, FootprintIsBitsNotBytes) {
   // 6 classes x ceil(10000/8) = 7500 bytes — the deployable-model size the
   // paper's IoT argument relies on.
   EXPECT_EQ(star_model(10000, 6).snapshot()->footprint_bytes(), 6u * 1250u);
 }
 
-TEST(PackedAssociativeMemory, CopiesQueryIdentically) {
+TEST(ClassMemory, CopiesQueryIdentically) {
   Rng rng(223);
   AssociativeMemory memory(129, 2);
   for (std::size_t i = 0; i < 6; ++i) {
-    memory.add(i % 2, Hypervector::random(129, rng));
+    memory.add(i % 2, PackedHypervector::random(129, rng));
   }
   const auto query = PackedHypervector::random(129, rng);
   const auto reference = memory.query(query);
@@ -120,38 +124,37 @@ TEST(PackedAssociativeMemory, CopiesQueryIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Packed training: a memory bundled with packed samples must stay
-// bit-identical to its twin bundled with the same samples in bipolar form.
+// Training: the library memory bundled with packed samples must stay
+// bit-identical to the reference bundled with the same samples in bipolar
+// form.
 // ---------------------------------------------------------------------------
 
-/// Bundles the same random stream into a bipolar-fed and a packed-fed memory.
-std::pair<AssociativeMemory, AssociativeMemory> twin_memories(std::size_t dimension,
-                                                              std::size_t classes,
-                                                              std::uint64_t seed,
-                                                              Similarity metric,
-                                                              bool quantized = true) {
+/// Bundles the same random stream into the reference and the library memory.
+std::pair<DenseMemory, AssociativeMemory> twin_memories(std::size_t dimension, std::size_t classes,
+                                                        std::uint64_t seed, Similarity metric,
+                                                        bool quantized = true) {
   Rng rng(seed);
-  AssociativeMemory dense(dimension, classes, metric, quantized);
+  DenseMemory dense(dimension, classes, metric, quantized);
   AssociativeMemory packed(dimension, classes, metric, quantized);
   for (std::size_t c = 0; c < classes; ++c) {
     for (int s = 0; s < 4; ++s) {  // even count: exercises the tie stream.
-      const auto hv = Hypervector::random(dimension, rng);
-      dense.add(c, hv);
-      packed.add(c, PackedHypervector::from_bipolar(hv));
+      const auto hv = PackedHypervector::random(dimension, rng);
+      dense.add(c, hv.to_bipolar());
+      packed.add(c, hv);
     }
   }
   return {std::move(dense), std::move(packed)};
 }
 
-class PackedClassMemoryMetric : public ::testing::TestWithParam<Similarity> {};
+class ClassMemoryMetric : public ::testing::TestWithParam<Similarity> {};
 
-TEST_P(PackedClassMemoryMetric, SimilaritiesBitIdenticalToDense) {
+TEST_P(ClassMemoryMetric, SimilaritiesBitIdenticalToDense) {
   auto [dense, packed] = twin_memories(1030, 3, 83, GetParam());
   Rng rng(89);
   for (int trial = 0; trial < 10; ++trial) {
-    const auto query = Hypervector::random(1030, rng);
-    const auto d = dense.query(query);
-    const auto p = packed.query(PackedHypervector::from_bipolar(query));
+    const auto query = PackedHypervector::random(1030, rng);
+    const auto d = dense.query(query.to_bipolar());
+    const auto p = packed.query(query);
     EXPECT_EQ(p.best_class, d.best_class) << "trial " << trial;
     EXPECT_EQ(p.best_similarity, d.best_similarity) << "trial " << trial;
     ASSERT_EQ(p.similarities.size(), d.similarities.size());
@@ -163,11 +166,11 @@ TEST_P(PackedClassMemoryMetric, SimilaritiesBitIdenticalToDense) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Metrics, PackedClassMemoryMetric,
+INSTANTIATE_TEST_SUITE_P(Metrics, ClassMemoryMetric,
                          ::testing::Values(Similarity::kCosine, Similarity::kInverseHamming,
                                            Similarity::kDot));
 
-TEST(PackedClassMemory, CounterScoringBitIdenticalToDense) {
+TEST(ClassMemory, CounterScoringBitIdenticalToDense) {
   // The non-quantized memory scores raw counters by cosine (the model the
   // CLI's --retrain selects under the dense tag).  Packed samples and packed
   // queries must give the bipolar twin's counters and doubles, through
@@ -180,9 +183,9 @@ TEST(PackedClassMemory, CounterScoringBitIdenticalToDense) {
           << phase << " class " << c;
     }
     for (int trial = 0; trial < 10; ++trial) {
-      const auto query = Hypervector::random(1030, rng);
-      const auto d = dense.query(query);
-      const auto p = packed.query(PackedHypervector::from_bipolar(query));
+      const auto query = PackedHypervector::random(1030, rng);
+      const auto d = dense.query(query.to_bipolar());
+      const auto p = packed.query(query);
       EXPECT_EQ(p.best_class, d.best_class) << phase << " trial " << trial;
       EXPECT_EQ(p.best_similarity, d.best_similarity) << phase << " trial " << trial;
       EXPECT_EQ(p.similarities, d.similarities) << phase << " trial " << trial;
@@ -190,14 +193,14 @@ TEST(PackedClassMemory, CounterScoringBitIdenticalToDense) {
   };
   expect_same("bundled");
   for (std::size_t step = 0; step < 6; ++step) {
-    const auto sample = Hypervector::random(1030, rng);
-    dense.retrain_update(step % 3, (step + 1) % 3, sample);
-    packed.retrain_update(step % 3, (step + 1) % 3, PackedHypervector::from_bipolar(sample));
+    const auto sample = PackedHypervector::random(1030, rng);
+    dense.retrain_update(step % 3, (step + 1) % 3, sample.to_bipolar());
+    packed.retrain_update(step % 3, (step + 1) % 3, sample);
   }
   expect_same("retrained");
 }
 
-TEST(PackedClassMemory, ClassVectorsAreExactPackingsOfDense) {
+TEST(ClassMemory, ClassVectorsAreExactPackingsOfDense) {
   auto [dense, packed] = twin_memories(700, 2, 97, Similarity::kCosine);
   for (std::size_t c = 0; c < 2; ++c) {
     EXPECT_TRUE(std::ranges::equal(packed.accumulator(c).counts(), dense.accumulator(c).counts()));
@@ -205,22 +208,22 @@ TEST(PackedClassMemory, ClassVectorsAreExactPackingsOfDense) {
   }
 }
 
-TEST(PackedClassMemory, RetrainUpdateTracksDense) {
+TEST(ClassMemory, RetrainUpdateTracksDense) {
   auto [dense, packed] = twin_memories(512, 2, 101, Similarity::kCosine);
   Rng rng(103);
-  const auto sample = Hypervector::random(512, rng);
-  dense.retrain_update(0, 1, sample);
-  packed.retrain_update(0, 1, PackedHypervector::from_bipolar(sample));
+  const auto sample = PackedHypervector::random(512, rng);
+  dense.retrain_update(0, 1, sample.to_bipolar());
+  packed.retrain_update(0, 1, sample);
   for (std::size_t c = 0; c < 2; ++c) {
     EXPECT_EQ(packed.packed_class_vector(c).to_bipolar(), dense.class_vector(c));
   }
   // Self-update is a no-op on both sides.
-  dense.retrain_update(1, 1, sample);
-  packed.retrain_update(1, 1, PackedHypervector::from_bipolar(sample));
+  dense.retrain_update(1, 1, sample.to_bipolar());
+  packed.retrain_update(1, 1, sample);
   EXPECT_EQ(packed.packed_class_vector(1).to_bipolar(), dense.class_vector(1));
 }
 
-TEST(PackedClassMemory, RestoreRebuildsClassVectors) {
+TEST(ClassMemory, RestoreRebuildsClassVectors) {
   auto [dense, packed] = twin_memories(256, 2, 107, Similarity::kCosine);
   AssociativeMemory restored(256, 2);
   for (std::size_t c = 0; c < 2; ++c) {
@@ -237,7 +240,7 @@ TEST(PackedClassMemory, RestoreRebuildsClassVectors) {
   }
 }
 
-TEST(PackedClassMemory, ValidatesArguments) {
+TEST(ClassMemory, ValidatesArguments) {
   AssociativeMemory memory(64, 2);
   Rng rng(109);
   const auto hv = PackedHypervector::random(64, rng);
@@ -251,15 +254,15 @@ TEST(PackedClassMemory, ValidatesArguments) {
   EXPECT_THROW(memory.restore(0, BundleAccumulator(32), 1), std::invalid_argument);
 }
 
-TEST(PackedClassMemory, FootprintMatchesSnapshot) {
+TEST(ClassMemory, FootprintMatchesSnapshot) {
   // Every prototype slot deploys one packed row: 2 classes x 2 prototypes.
   EXPECT_EQ(star_model(10000, 2, /*vectors_per_class=*/2).snapshot()->footprint_bytes(),
             4u * 1250u);
 }
 
-TEST(PackedClassMemory, CopiesAndMovesQueryIdentically) {
-  // Copies and moves carry the cached packed class vectors (or the dirty
-  // flag that rebuilds them), so packed queries on any copy agree.
+TEST(ClassMemory, CopiesAndMovesQueryIdentically) {
+  // Copies and moves carry the cached class vectors (or the dirty flag that
+  // rebuilds them), so queries on any copy agree.
   Rng rng(211);
   AssociativeMemory memory(257, 3);
   for (std::size_t i = 0; i < 9; ++i) {

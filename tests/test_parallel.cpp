@@ -136,8 +136,8 @@ TEST(ParallelModel, ClassVectorsBitIdenticalAcrossThreadCounts) {
     parallel::set_threads(threads);
     GraphHd classifier(config);
     classifier.fit(dataset);
-    return std::pair{classifier.model().memory().class_vector(0),
-                     classifier.model().memory().class_vector(1)};
+    return std::pair{classifier.model().memory().packed_class_vector(0),
+                     classifier.model().memory().packed_class_vector(1)};
   };
   const auto serial = class_vectors(1);
   EXPECT_EQ(class_vectors(2), serial);
