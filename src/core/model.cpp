@@ -493,10 +493,6 @@ Prediction GraphHdModel::predict(const graph::Graph& graph) {
   return snapshot()->predict_encoded(encoder_.encode_packed(graph));
 }
 
-Prediction GraphHdModel::predict_encoded(const hdc::Hypervector& encoded) const {
-  return snapshot()->predict_encoded(encoded);
-}
-
 Prediction GraphHdModel::predict_encoded(const hdc::PackedHypervector& encoded) const {
   return snapshot()->predict_encoded(encoded);
 }

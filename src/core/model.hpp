@@ -177,9 +177,8 @@ class GraphHdModel {
                                                        const StreamOptions& options = {});
 
   /// Predicts a pre-encoded hypervector (lets callers amortize encoding).
-  /// Both representations give the same prediction; the snapshot converts
-  /// the query to its scoring representation exactly.
-  [[nodiscard]] Prediction predict_encoded(const hdc::Hypervector& encoded) const;
+  /// A bipolar query goes through the snapshot:
+  /// `snapshot()->predict_encoded(hv)` gives the same prediction.
   [[nodiscard]] Prediction predict_encoded(const hdc::PackedHypervector& encoded) const;
 
   /// Batch accuracy against a labeled dataset.

@@ -1,15 +1,14 @@
 #include "core/runtime.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
 
-#if !defined(_WIN32)
-#include <unistd.h>
 extern char** environ;
-#endif
 
 namespace graphhd::core::runtime {
 
@@ -223,7 +222,6 @@ std::optional<std::string> current_value(const EnvKnob& knob) {
 
 std::vector<std::string> unknown_env_vars() {
   std::vector<std::string> unknown;
-#if !defined(_WIN32)
   for (char** entry = environ; entry != nullptr && *entry != nullptr; ++entry) {
     const std::string_view pair(*entry);
     if (pair.rfind("GRAPHHD_", 0) != 0) continue;
@@ -233,7 +231,6 @@ std::vector<std::string> unknown_env_vars() {
   }
   std::sort(unknown.begin(), unknown.end());
   unknown.erase(std::unique(unknown.begin(), unknown.end()), unknown.end());
-#endif
   return unknown;
 }
 

@@ -1,7 +1,11 @@
 #include "core/serialize.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
@@ -13,31 +17,25 @@
 #include <utility>
 #include <vector>
 
-#if !defined(_WIN32)
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include "core/codec.hpp"
+#include "hdc/random.hpp"
 
 namespace graphhd::core {
 
 namespace {
 
-// ---- shared artifact sanity bounds (all versions) ----
-//
-// A single corrupted digit/byte in `dimension`, `num_classes` or
-// `vectors_per_class` must surface as a parse error, not as a
-// multi-terabyte allocation attempt inside the model constructor (which
-// sanitizer allocators abort on rather than throw).  Real models sit orders
-// of magnitude below these caps (the paper uses d = 10000).
-constexpr std::uint64_t kMaxDimension = 100'000'000;       // 400 MB of counters per slot.
-constexpr std::uint64_t kMaxSlots = 1'000'000;
-constexpr std::uint64_t kMaxTotalCounters = 1'000'000'000; // 4 GB of counters overall.
+/// What every artifact check throws: a std::runtime_error whose message
+/// starts with "load_model: ".
+class LoadError : public std::runtime_error {
+ public:
+  explicit LoadError(const std::string& message) : std::runtime_error("load_model: " + message) {}
+};
+
+using Reader = codec::ByteReader<LoadError>;
 
 void require(bool condition, const std::string& message) {
   if (!condition) {
-    throw std::runtime_error("load_model: " + message);
+    throw LoadError(message);
   }
 }
 
@@ -112,9 +110,9 @@ struct TextHeader {
   bool fitted = false;
 };
 
-/// Parses a text artifact's header with every check — enum ranges,
-/// GraphHdConfig::validate() and the artifact bounds — so load_model and
-/// inspect_model accept exactly the same files.
+/// Parses a text artifact's header with the codec's checks (enum tags,
+/// check_config, check_layout), so load_model and inspect_model accept
+/// exactly the same files, and the same configs as a v3 artifact.
 [[nodiscard]] TextHeader parse_text_header(std::istream& in) {
   TextHeader parsed;
   int& version = parsed.version;
@@ -130,30 +128,15 @@ struct TextHeader {
   const auto read_value = [&in](const char* key) {
     return expect_key(read_line(in, key), key);
   };
-  if (version >= 2) {
-    const int backend_raw = parse_int(read_value("backend"), "backend");
-    require(backend_raw >= 0 && backend_raw <= static_cast<int>(Backend::kPackedBinary),
-            "backend enum value " + std::to_string(backend_raw) + " out of range");
-    config.backend = static_cast<Backend>(backend_raw);
-  }  // version 1 predates the backend knob: implicit dense.
+  // Version 1 predates the backend knob: implicit dense.
+  const int backend = version >= 2 ? parse_int(read_value("backend"), "backend") : 0;
   config.dimension = parse_u64(read_value("dimension"), "dimension");
   config.pagerank_iterations =
       parse_u64(read_value("pagerank_iterations"), "pagerank_iterations");
   config.pagerank_damping = parse_double(read_value("pagerank_damping"), "pagerank_damping");
-
-  // Enums arrive as raw ints; an out-of-range value would otherwise produce
-  // an enumerator with no meaning and undefined behavior in every later
-  // switch over it.
-  const int identifier_raw = parse_int(read_value("identifier"), "identifier");
-  require(identifier_raw >= 0 &&
-              identifier_raw <= static_cast<int>(VertexIdentifier::kHarmonic),
-          "identifier enum value " + std::to_string(identifier_raw) + " out of range");
-  config.identifier = static_cast<VertexIdentifier>(identifier_raw);
-  const int metric_raw = parse_int(read_value("metric"), "metric");
-  require(metric_raw >= 0 && metric_raw <= static_cast<int>(hdc::Similarity::kDot),
-          "metric enum value " + std::to_string(metric_raw) + " out of range");
-  config.metric = static_cast<hdc::Similarity>(metric_raw);
-
+  const int identifier = parse_int(read_value("identifier"), "identifier");
+  const int metric = parse_int(read_value("metric"), "metric");
+  codec::set_tags<LoadError>(config, identifier, metric, backend);
   config.quantized_model = parse_int(read_value("quantized"), "quantized") != 0;
   config.use_bitslice_bundling = parse_int(read_value("bitslice"), "bitslice") != 0;
   config.retrain_epochs = parse_u64(read_value("retrain_epochs"), "retrain_epochs");
@@ -162,25 +145,10 @@ struct TextHeader {
   config.neighborhood_rounds =
       parse_u64(read_value("neighborhood_rounds"), "neighborhood_rounds");
   config.seed = parse_u64(read_value("seed"), "seed");
-  try {
-    config.validate();
-  } catch (const std::exception& error) {
-    throw std::runtime_error(std::string("load_model: invalid config: ") + error.what());
-  }
-  const std::size_t num_classes = parse_u64(read_value("num_classes"), "num_classes");
-  require(num_classes >= 2, "num_classes must be >= 2, got " + std::to_string(num_classes));
-  parsed.num_classes = num_classes;
+  codec::check_config<LoadError>(config);
+  parsed.num_classes = parse_u64(read_value("num_classes"), "num_classes");
+  codec::check_layout<LoadError>(config, parsed.num_classes);
   parsed.fitted = parse_int(read_value("fitted"), "fitted") != 0;
-
-  require(config.dimension <= kMaxDimension,
-          "dimension " + std::to_string(config.dimension) + " exceeds the artifact bound " +
-              std::to_string(kMaxDimension));
-  require(num_classes <= kMaxSlots && config.vectors_per_class <= kMaxSlots &&
-              num_classes * config.vectors_per_class <= kMaxSlots,
-          "class slot count exceeds the artifact bound " + std::to_string(kMaxSlots));
-  require(num_classes * config.vectors_per_class <= kMaxTotalCounters / config.dimension,
-          "total counter count exceeds the artifact bound " +
-              std::to_string(kMaxTotalCounters));
   return parsed;
 }
 
@@ -244,84 +212,14 @@ constexpr std::uint32_t kSectionProgress = 4;
 constexpr std::uint32_t kMaxSectionCount = 16;
 constexpr std::size_t kHeaderFixedBytes = 16;   // magic + version + section count.
 constexpr std::size_t kSectionEntryBytes = 32;  // id + reserved + offset + length + checksum.
-constexpr std::size_t kConfigFixedBytes = 80;   // everything before cursors/slot metadata.
+// The config block, then num_classes: everything before cursors/slot metadata.
+constexpr std::size_t kConfigFixedBytes = codec::kConfigBytes + 8;
+constexpr std::uint32_t kFlagFitted = 1u << 3;  // config flag bit 3: the model is fitted.
 constexpr std::size_t kSectionAlign = 8;
-
-/// FNV-1a 64: tiny, dependency-free, good enough to catch bit rot and
-/// truncation (this is an integrity check, not an authenticity check).
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-[[nodiscard]] std::uint64_t fnv1a(const unsigned char* data, std::size_t size) {
-  std::uint64_t hash = kFnvBasis;
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= data[i];
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
 
 [[nodiscard]] constexpr std::size_t align_up(std::size_t value) {
   return (value + (kSectionAlign - 1)) & ~(kSectionAlign - 1);
 }
-
-/// Little-endian byte appender.  The format is defined as little-endian on
-/// disk; on little-endian hosts (every deployment target we have) the bulk
-/// appends compile to memcpy.
-struct ByteBuffer {
-  std::string bytes;
-
-  void put_u32(std::uint32_t value) {
-    for (int i = 0; i < 4; ++i) bytes.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-  void put_u64(std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-  }
-  void put_i32_span(std::span<const std::int32_t> values) {
-    if constexpr (std::endian::native == std::endian::little) {
-      bytes.append(reinterpret_cast<const char*>(values.data()), values.size() * 4);
-    } else {
-      for (const std::int32_t v : values) put_u32(static_cast<std::uint32_t>(v));
-    }
-  }
-  void put_u64_span(std::span<const std::uint64_t> values) {
-    if constexpr (std::endian::native == std::endian::little) {
-      bytes.append(reinterpret_cast<const char*>(values.data()), values.size() * 8);
-    } else {
-      for (const std::uint64_t v : values) put_u64(v);
-    }
-  }
-};
-
-/// Bounds-checked little-endian reader over a byte range.
-class ByteReader {
- public:
-  ByteReader(const unsigned char* data, std::size_t size) : data_(data), size_(size) {}
-
-  [[nodiscard]] std::uint32_t u32(const char* what) {
-    check(4, what);
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) value |= static_cast<std::uint32_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 4;
-    return value;
-  }
-  [[nodiscard]] std::uint64_t u64(const char* what) {
-    check(8, what);
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) value |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    pos_ += 8;
-    return value;
-  }
-  [[nodiscard]] std::size_t remaining() const noexcept { return size_ - pos_; }
-
- private:
-  void check(std::size_t need, const char* what) {
-    require(size_ - pos_ >= need, std::string("truncated while reading ") + what);
-  }
-  const unsigned char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
 
 struct SectionEntry {
   std::uint32_t id = 0;
@@ -349,7 +247,7 @@ struct BinaryTable {
 /// verifies all; the mmap fast path verifies config only).
 [[nodiscard]] BinaryTable parse_binary_table(const unsigned char* data, std::size_t size) {
   require(looks_binary(data, size), "bad magic (not a model artifact)");
-  ByteReader reader(data + sizeof(kBinaryMagic), size - sizeof(kBinaryMagic));
+  Reader reader({data + sizeof(kBinaryMagic), size - sizeof(kBinaryMagic)});
   const std::uint32_t version = reader.u32("version");
   require(version == kBinaryVersion,
           "unsupported binary artifact version " + std::to_string(version));
@@ -408,7 +306,7 @@ constexpr std::size_t kProgressBytes = 32;    // v1 fields + shard_count + shard
   require(length == kProgressBytesV1 || length == kProgressBytes,
           "progress section length " + std::to_string(length) + " (expected " +
               std::to_string(kProgressBytesV1) + " or " + std::to_string(kProgressBytes) + ")");
-  ByteReader reader(data, length);
+  Reader reader({data, length});
   const std::uint32_t version = reader.u32("progress version");
   require(version == 1 || version == kProgressVersion,
           "unsupported progress section version " + std::to_string(version));
@@ -449,57 +347,16 @@ struct ParsedConfig {
 
 [[nodiscard]] ParsedConfig parse_config_section(const unsigned char* data, std::size_t length) {
   require(length >= kConfigFixedBytes, "config section too short");
-  ByteReader reader(data, length);
+  Reader reader({data, length});
   ParsedConfig parsed;
-  GraphHdConfig& config = parsed.config;
-  config.dimension = reader.u64("dimension");
-  config.pagerank_iterations = reader.u64("pagerank_iterations");
-  config.pagerank_damping = std::bit_cast<double>(reader.u64("pagerank_damping"));
-
-  const std::uint32_t identifier_raw = reader.u32("identifier");
-  require(identifier_raw <= static_cast<std::uint32_t>(VertexIdentifier::kHarmonic),
-          "identifier enum value " + std::to_string(identifier_raw) + " out of range");
-  config.identifier = static_cast<VertexIdentifier>(identifier_raw);
-  const std::uint32_t metric_raw = reader.u32("metric");
-  require(metric_raw <= static_cast<std::uint32_t>(hdc::Similarity::kDot),
-          "metric enum value " + std::to_string(metric_raw) + " out of range");
-  config.metric = static_cast<hdc::Similarity>(metric_raw);
-  const std::uint32_t backend_raw = reader.u32("backend");
-  require(backend_raw <= static_cast<std::uint32_t>(Backend::kPackedBinary),
-          "backend enum value " + std::to_string(backend_raw) + " out of range");
-  config.backend = static_cast<Backend>(backend_raw);
-
-  const std::uint32_t flags = reader.u32("flags");
-  require((flags >> 4) == 0, "unknown config flag bits set");
-  config.quantized_model = (flags & 1u) != 0;
-  config.use_bitslice_bundling = (flags & 2u) != 0;
-  config.use_vertex_labels = (flags & 4u) != 0;
-  parsed.fitted = (flags & 8u) != 0;
-
-  config.retrain_epochs = reader.u64("retrain_epochs");
-  config.vectors_per_class = reader.u64("vectors_per_class");
-  config.neighborhood_rounds = reader.u64("neighborhood_rounds");
-  config.seed = reader.u64("seed");
+  const codec::ConfigBlock block = codec::read_config(reader);
+  require((block.format_flags & ~kFlagFitted) == 0, "unknown config flag bits set");
+  parsed.config = block.config;
+  parsed.fitted = (block.format_flags & kFlagFitted) != 0;
   parsed.num_classes = reader.u64("num_classes");
-
-  require(parsed.num_classes >= 2,
-          "num_classes must be >= 2, got " + std::to_string(parsed.num_classes));
-  require(config.dimension <= kMaxDimension,
-          "dimension " + std::to_string(config.dimension) + " exceeds the artifact bound " +
-              std::to_string(kMaxDimension));
-  require(parsed.num_classes <= kMaxSlots && config.vectors_per_class <= kMaxSlots &&
-              parsed.num_classes * config.vectors_per_class <= kMaxSlots,
-          "class slot count exceeds the artifact bound " + std::to_string(kMaxSlots));
-  require(config.dimension > 0 &&
-              parsed.num_classes * config.vectors_per_class <=
-                  kMaxTotalCounters / config.dimension,
-          "total counter count exceeds the artifact bound " +
-              std::to_string(kMaxTotalCounters));
-  try {
-    config.validate();
-  } catch (const std::exception& error) {
-    throw std::runtime_error(std::string("load_model: invalid config: ") + error.what());
-  }
+  const GraphHdConfig& config = parsed.config;
+  codec::check_config<LoadError>(config);
+  codec::check_layout<LoadError>(config, parsed.num_classes);
 
   parsed.slots = parsed.num_classes * config.vectors_per_class;
   parsed.words_per_slot = (config.dimension + 63) / 64;
@@ -528,102 +385,95 @@ struct ParsedConfig {
   return parsed;
 }
 
-/// Serializes a snapshot into the complete v3 artifact byte string.  A
+/// Serializes a snapshot into the complete v3 artifact bytes.  A
 /// non-null `progress` appends the checkpoint progress section (id 4).
-[[nodiscard]] std::string build_v3_artifact(const InferenceSnapshot& snapshot,
-                                            const CheckpointProgress* progress = nullptr) {
+[[nodiscard]] std::vector<std::uint8_t> build_v3_artifact(
+    const InferenceSnapshot& snapshot, const CheckpointProgress* progress = nullptr) {
   const GraphHdConfig& config = snapshot.config();
   const std::size_t slots = snapshot.slots();
 
-  ByteBuffer config_section;
-  config_section.put_u64(config.dimension);
-  config_section.put_u64(config.pagerank_iterations);
-  config_section.put_u64(std::bit_cast<std::uint64_t>(config.pagerank_damping));
-  config_section.put_u32(static_cast<std::uint32_t>(config.identifier));
-  config_section.put_u32(static_cast<std::uint32_t>(config.metric));
-  config_section.put_u32(static_cast<std::uint32_t>(config.backend));
-  const std::uint32_t flags = (config.quantized_model ? 1u : 0u) |
-                              (config.use_bitslice_bundling ? 2u : 0u) |
-                              (config.use_vertex_labels ? 4u : 0u) |
-                              (snapshot.fitted() ? 8u : 0u);
-  config_section.put_u32(flags);
-  config_section.put_u64(config.retrain_epochs);
-  config_section.put_u64(config.vectors_per_class);
-  config_section.put_u64(config.neighborhood_rounds);
-  config_section.put_u64(config.seed);
-  config_section.put_u64(snapshot.num_classes());
-  for (const std::size_t cursor : snapshot.replica_cursors()) config_section.put_u64(cursor);
+  std::vector<std::uint8_t> config_section;
+  codec::ByteWriter config_out(config_section);
+  codec::write_config(config_out, config, snapshot.fitted() ? kFlagFitted : 0);
+  config_out.u64(snapshot.num_classes());
+  for (const std::size_t cursor : snapshot.replica_cursors()) config_out.u64(cursor);
   for (std::size_t slot = 0; slot < slots; ++slot) {
     const InferenceSnapshot::SlotMeta& meta = snapshot.slot_meta(slot);
-    config_section.put_u64(meta.sample_count);
-    config_section.put_u64(meta.add_count);
-    config_section.put_u64(meta.tie_free ? 1 : 0);
+    config_out.u64(meta.sample_count);
+    config_out.u64(meta.add_count);
+    config_out.u64(meta.tie_free ? 1 : 0);
   }
 
-  ByteBuffer counters_section;
-  counters_section.bytes.reserve(slots * config.dimension * 4);
+  std::vector<std::uint8_t> counters_section;
+  counters_section.reserve(slots * config.dimension * 4);
+  codec::ByteWriter counters_out(counters_section);
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    counters_section.put_i32_span(snapshot.counters(slot));
+    const std::span<const std::int32_t> counts = snapshot.counters(slot);
+    counters_out.bytes(counts.data(), counts.size_bytes());
   }
-  ByteBuffer words_section;
-  words_section.bytes.reserve(slots * snapshot.words_per_slot() * 8);
+  std::vector<std::uint8_t> words_section;
+  words_section.reserve(slots * snapshot.words_per_slot() * 8);
+  codec::ByteWriter words_out(words_section);
   for (std::size_t slot = 0; slot < slots; ++slot) {
-    words_section.put_u64_span(snapshot.packed_words(slot));
+    const std::span<const std::uint64_t> words = snapshot.packed_words(slot);
+    words_out.bytes(words.data(), words.size_bytes());
   }
 
-  ByteBuffer progress_section;
+  std::vector<std::uint8_t> progress_section;
   if (progress != nullptr) {
-    progress_section.put_u32(kProgressVersion);
-    progress_section.put_u32(progress->bundle_complete ? 1u : 0u);
-    progress_section.put_u64(progress->samples_consumed);
-    progress_section.put_u64(progress->shard_count);
-    progress_section.put_u64(progress->shard_index);
+    codec::ByteWriter progress_out(progress_section);
+    progress_out.u32(kProgressVersion);
+    progress_out.u32(progress->bundle_complete ? 1u : 0u);
+    progress_out.u64(progress->samples_consumed);
+    progress_out.u64(progress->shard_count);
+    progress_out.u64(progress->shard_index);
   }
 
   const std::uint32_t count = progress != nullptr ? 4 : 3;
   const std::size_t header_bytes = kHeaderFixedBytes + count * kSectionEntryBytes;
   const std::size_t config_offset = align_up(header_bytes);
-  const std::size_t counters_offset = align_up(config_offset + config_section.bytes.size());
-  const std::size_t words_offset = align_up(counters_offset + counters_section.bytes.size());
-  const std::size_t progress_offset = align_up(words_offset + words_section.bytes.size());
+  const std::size_t counters_offset = align_up(config_offset + config_section.size());
+  const std::size_t words_offset = align_up(counters_offset + counters_section.size());
+  const std::size_t progress_offset = align_up(words_offset + words_section.size());
 
-  ByteBuffer artifact;
-  artifact.bytes.reserve(progress_offset + progress_section.bytes.size());
-  artifact.bytes.append(kBinaryMagic, sizeof(kBinaryMagic));
-  artifact.put_u32(kBinaryVersion);
-  artifact.put_u32(count);
-  const auto table_entry = [&artifact](std::uint32_t id, std::size_t offset,
-                                       const std::string& section) {
-    artifact.put_u32(id);
-    artifact.put_u32(0);  // reserved.
-    artifact.put_u64(offset);
-    artifact.put_u64(section.size());
-    artifact.put_u64(fnv1a(reinterpret_cast<const unsigned char*>(section.data()),
-                           section.size()));
+  std::vector<std::uint8_t> artifact;
+  artifact.reserve(progress_offset + progress_section.size());
+  codec::ByteWriter out(artifact);
+  out.bytes(kBinaryMagic, sizeof(kBinaryMagic));
+  out.u32(kBinaryVersion);
+  out.u32(count);
+  const auto table_entry = [&out](std::uint32_t id, std::size_t offset,
+                                  const std::vector<std::uint8_t>& section) {
+    out.u32(id);
+    out.u32(0);  // reserved.
+    out.u64(offset);
+    out.u64(section.size());
+    out.u64(hdc::fnv1a(section));
   };
-  table_entry(kSectionConfig, config_offset, config_section.bytes);
-  table_entry(kSectionCounters, counters_offset, counters_section.bytes);
-  table_entry(kSectionWords, words_offset, words_section.bytes);
+  table_entry(kSectionConfig, config_offset, config_section);
+  table_entry(kSectionCounters, counters_offset, counters_section);
+  table_entry(kSectionWords, words_offset, words_section);
   if (progress != nullptr) {
-    table_entry(kSectionProgress, progress_offset, progress_section.bytes);
+    table_entry(kSectionProgress, progress_offset, progress_section);
   }
   // Zero padding between sections keeps every offset 8-byte aligned so an
   // mmap'd file can be addressed as int32/u64 arrays in place.
-  artifact.bytes.resize(config_offset, '\0');
-  artifact.bytes += config_section.bytes;
-  artifact.bytes.resize(counters_offset, '\0');
-  artifact.bytes += counters_section.bytes;
-  artifact.bytes.resize(words_offset, '\0');
-  artifact.bytes += words_section.bytes;
+  const auto append_at = [&artifact, &out](std::size_t offset,
+                                           const std::vector<std::uint8_t>& section) {
+    artifact.resize(offset, 0);
+    out.bytes(section.data(), section.size());
+  };
+  append_at(config_offset, config_section);
+  append_at(counters_offset, counters_section);
+  append_at(words_offset, words_section);
   if (progress != nullptr) {
-    artifact.bytes.resize(progress_offset, '\0');
-    artifact.bytes += progress_section.bytes;
+    append_at(progress_offset, progress_section);
   }
-  return std::move(artifact.bytes);
+  return artifact;
 }
 
 void verify_checksum(const unsigned char* data, const SectionEntry& entry, const char* name) {
-  require(fnv1a(data + entry.offset, entry.length) == entry.checksum,
+  require(hdc::fnv1a({data + entry.offset, entry.length}) == entry.checksum,
           std::string(name) + " section checksum mismatch");
 }
 
@@ -635,7 +485,7 @@ void check_payload_lengths(const BinaryTable& table, const ParsedConfig& parsed)
 }
 
 /// Full-read load: verifies every checksum and copies the payload into
-/// snapshot-owned buffers (endian-converted on big-endian hosts).
+/// snapshot-owned buffers.
 [[nodiscard]] std::shared_ptr<const InferenceSnapshot> snapshot_from_binary(
     const unsigned char* data, std::size_t size) {
   const BinaryTable table = parse_binary_table(data, size);
@@ -647,17 +497,8 @@ void check_payload_lengths(const BinaryTable& table, const ParsedConfig& parsed)
 
   std::vector<std::int32_t> counters(parsed.slots * parsed.config.dimension);
   std::vector<std::uint64_t> words(parsed.slots * parsed.words_per_slot);
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(counters.data(), data + table.counters->offset, table.counters->length);
-    std::memcpy(words.data(), data + table.words->offset, table.words->length);
-  } else {
-    ByteReader counter_reader(data + table.counters->offset, table.counters->length);
-    for (auto& value : counters) {
-      value = static_cast<std::int32_t>(counter_reader.u32("counter"));
-    }
-    ByteReader word_reader(data + table.words->offset, table.words->length);
-    for (auto& value : words) value = word_reader.u64("packed word");
-  }
+  std::memcpy(counters.data(), data + table.counters->offset, table.counters->length);
+  std::memcpy(words.data(), data + table.words->offset, table.words->length);
   try {
     return std::make_shared<const InferenceSnapshot>(
         parsed.config, parsed.num_classes, parsed.fitted, std::move(parsed.cursors),
@@ -667,7 +508,6 @@ void check_payload_lengths(const BinaryTable& table, const ParsedConfig& parsed)
   }
 }
 
-#if !defined(_WIN32)
 /// RAII read-only memory mapping; held by borrowing snapshots via a
 /// shared_ptr so the mapping outlives every view into it.
 class MappedFile {
@@ -729,17 +569,6 @@ class MappedFile {
     throw std::runtime_error(std::string("load_model: invalid artifact state: ") + error.what());
   }
 }
-#endif  // !defined(_WIN32)
-
-[[nodiscard]] bool host_supports_mmap_load() noexcept {
-#if defined(_WIN32)
-  return false;
-#else
-  // The on-disk format is little-endian; a big-endian host must decode
-  // value by value, which the full-read path does.
-  return std::endian::native == std::endian::little;
-#endif
-}
 
 [[nodiscard]] std::string read_file_bytes(const std::filesystem::path& path, const char* who) {
   std::ifstream in(path, std::ios::binary);
@@ -771,14 +600,15 @@ class MappedFile {
     }
     section.offset = entry.offset;
     section.length = entry.length;
-    section.checksum_ok = fnv1a(as_bytes(blob) + entry.offset, entry.length) == entry.checksum;
+    section.checksum_ok =
+        hdc::fnv1a({as_bytes(blob) + entry.offset, entry.length}) == entry.checksum;
     info.checksums_ok = info.checksums_ok && section.checksum_ok;
     info.sections.push_back(std::move(section));
   }
   // Header fields need only the config section to be intact, so model-info
   // still identifies an artifact whose payload sections are corrupt.
   const bool config_ok =
-      fnv1a(as_bytes(blob) + table.config->offset, table.config->length) ==
+      hdc::fnv1a({as_bytes(blob) + table.config->offset, table.config->length}) ==
       table.config->checksum;
   if (config_ok) {
     const ParsedConfig parsed =
@@ -858,8 +688,9 @@ void save_model_text(const GraphHdModel& model, const std::filesystem::path& pat
 }
 
 void save_snapshot(const InferenceSnapshot& snapshot, std::ostream& out) {
-  const std::string artifact = build_v3_artifact(snapshot);
-  out.write(artifact.data(), static_cast<std::streamsize>(artifact.size()));
+  const std::vector<std::uint8_t> artifact = build_v3_artifact(snapshot);
+  out.write(reinterpret_cast<const char*>(artifact.data()),
+            static_cast<std::streamsize>(artifact.size()));
   if (!out) {
     throw std::runtime_error("save_model: stream failure while writing");
   }
@@ -887,8 +718,9 @@ void save_checkpoint(const GraphHdModel& model, const CheckpointProgress& progre
   }
   const auto snapshot = model.snapshot();
   atomic_write_file(path, [&snapshot, &progress](std::ostream& out) {
-    const std::string artifact = build_v3_artifact(*snapshot, &progress);
-    out.write(artifact.data(), static_cast<std::streamsize>(artifact.size()));
+    const std::vector<std::uint8_t> artifact = build_v3_artifact(*snapshot, &progress);
+    out.write(reinterpret_cast<const char*>(artifact.data()),
+              static_cast<std::streamsize>(artifact.size()));
     if (!out) {
       throw std::runtime_error("save_checkpoint: stream failure while writing");
     }
@@ -1012,13 +844,9 @@ std::shared_ptr<const InferenceSnapshot> load_snapshot(const std::filesystem::pa
     // take its snapshot (also the migration path for v1/v2 files).
     return load_model(path).snapshot();
   }
-#if !defined(_WIN32)
-  if (mode != SnapshotLoad::kRead && host_supports_mmap_load()) {
+  if (mode != SnapshotLoad::kRead) {
     return snapshot_from_mmap(path);
   }
-#else
-  (void)mode;
-#endif
   const std::string blob = read_file_bytes(path, "load_snapshot");
   return snapshot_from_binary(as_bytes(blob), blob.size());
 }
@@ -1037,11 +865,7 @@ void atomic_write_file(const std::filesystem::path& path,
   // within a filesystem, and pid + counter keeps concurrent writers (or a
   // crashed predecessor's leftovers) from colliding.
   static std::atomic<unsigned long> sequence{0};
-#if defined(_WIN32)
-  const unsigned long pid = 0;
-#else
   const auto pid = static_cast<unsigned long>(::getpid());
-#endif
   std::filesystem::path tmp = path;
   tmp += ".tmp" + std::to_string(pid) + "." +
          std::to_string(sequence.fetch_add(1, std::memory_order_relaxed));

@@ -23,8 +23,10 @@
 ///                   {u32 id, u32 reserved, u64 offset, u64 length,
 ///                    u64 checksum (FNV-1a 64 over the section bytes)}
 ///        ...        sections, each 8-byte aligned:
-///                   id 1  config — every GraphHdConfig field, num_classes,
-///                         fitted, replica cursors, per-slot metadata
+///                   id 1  config — the 72-byte config block of
+///                         core/codec.hpp (the ServerHello's config bytes,
+///                         plus `fitted` in flag bit 3), num_classes,
+///                         replica cursors, per-slot metadata
 ///                         (sample count, add count, tie parity)
 ///                   id 2  counters — raw int32 signed counters,
 ///                         slots x dimension, row-major
@@ -68,9 +70,8 @@ namespace graphhd::core {
 enum class SnapshotLoad {
   kRead,  ///< read the whole file, own the buffers, verify every checksum.
   kMmap,  ///< zero-copy: borrow the mapped sections (header/config checksum
-          ///< only).  Falls back to kRead for text artifacts and on
-          ///< big-endian hosts (the format is little-endian).
-  kAuto,  ///< kMmap when possible, else kRead.
+          ///< only).  Text artifacts are parsed instead.
+  kAuto,  ///< the same as kMmap.
 };
 
 /// Writes `model` as a v3 binary artifact.  Throws std::runtime_error on

@@ -57,7 +57,11 @@ class PackedHypervector {
 
   [[nodiscard]] std::size_t dimension() const noexcept { return dimension_; }
   [[nodiscard]] bool empty() const noexcept { return dimension_ == 0; }
-  [[nodiscard]] std::span<const std::uint64_t> words() const noexcept { return words_; }
+  /// The words, viewed in place: lvalues only, since a view of a temporary
+  /// would dangle (`for (w : encoder.encode_packed(g).words())`).
+  [[nodiscard]] std::span<const std::uint64_t> words() const& noexcept { return words_; }
+  std::span<const std::uint64_t> words() && = delete;
+  std::span<const std::uint64_t> words() const&& = delete;
 
   /// Reads bit `i` (true means bipolar component -1).  Throws
   /// std::out_of_range when `i >= dimension()` — an unchecked read past the

@@ -13,15 +13,6 @@ constexpr std::uint64_t kSplitmixGamma = 0x9e3779b97f4a7c15ULL;
   return (x << k) | (x >> (64 - k));
 }
 
-[[nodiscard]] constexpr std::uint64_t fnv1a(std::string_view s) noexcept {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<std::uint64_t>(static_cast<unsigned char>(c));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 }  // namespace
 
 std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
@@ -39,7 +30,17 @@ std::uint64_t derive_seed(std::uint64_t seed, std::uint64_t stream) noexcept {
 }
 
 std::uint64_t derive_seed(std::uint64_t seed, std::string_view label) noexcept {
-  return derive_seed(seed, fnv1a(label));
+  return derive_seed(seed, fnv1a({reinterpret_cast<const std::uint8_t*>(label.data()),
+                                  label.size()}));
+}
+
+std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;  // the FNV-1a 64 offset basis and prime.
+  for (const std::uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
 }
 
 Rng::Rng(std::uint64_t seed) noexcept : seed_(seed) {

@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -31,6 +32,11 @@ namespace graphhd::hdc {
 /// Derives a child seed from a parent seed and a label, e.g. "vertex-basis".
 /// FNV-1a over the label is mixed into the splitmix64 stream.
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t seed, std::string_view label) noexcept;
+
+/// FNV-1a 64 over `bytes`, the library's one byte hash: derive_seed hashes
+/// labels with it, and it is the v3 artifact's section checksum and the wire
+/// handshake's config hash (an integrity check, not an authenticity check).
+[[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept;
 
 /// xoshiro256** 1.0 — a 256-bit-state generator with 64-bit output.
 ///

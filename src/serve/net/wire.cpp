@@ -1,85 +1,18 @@
 #include "serve/net/wire.hpp"
 
-#include <bit>
 #include <cstring>
+
+#include "core/codec.hpp"
+#include "hdc/random.hpp"
 
 namespace graphhd::serve::net {
 
 namespace {
 
-// FNV-1a 64 — the same digest the v3 artifact uses for section checksums
-// (core/serialize.cpp keeps its copy internal, so the wire layer carries its
-// own; the constants are the canonical Fowler–Noll–Vo parameters).
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
+namespace codec = core::codec;
 
-std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) {
-  std::uint64_t hash = kFnvBasis;
-  for (const std::uint8_t byte : bytes) {
-    hash ^= byte;
-    hash *= kFnvPrime;
-  }
-  return hash;
-}
-
-/// Little-endian appender over a byte vector.
-class Writer {
- public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
-
-  void u32(std::uint32_t value) { put(&value, sizeof value); }
-  void u64(std::uint64_t value) { put(&value, sizeof value); }
-  void f64_bits(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
-  void bytes(const void* data, std::size_t size) { put(data, size); }
-
- private:
-  void put(const void* data, std::size_t size) {
-    static_assert(std::endian::native == std::endian::little,
-                  "wire format assumes a little-endian host");
-    if (size == 0) return;
-    const std::size_t offset = out_.size();
-    out_.resize(offset + size);
-    std::memcpy(out_.data() + offset, data, size);
-  }
-
-  std::vector<std::uint8_t>& out_;
-};
-
-/// Bounds-checked little-endian reader; every overrun is a WireError.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  [[nodiscard]] std::size_t remaining() const { return bytes_.size() - offset_; }
-
-  std::uint32_t u32() {
-    std::uint32_t value = 0;
-    get(&value, sizeof value, "u32");
-    return value;
-  }
-
-  std::uint64_t u64() {
-    std::uint64_t value = 0;
-    get(&value, sizeof value, "u64");
-    return value;
-  }
-
-  double f64_bits() { return std::bit_cast<double>(u64()); }
-
-  void bytes(void* out, std::size_t size, const char* what) { get(out, size, what); }
-
- private:
-  void get(void* out, std::size_t size, const char* what) {
-    if (remaining() < size) {
-      throw WireError(std::string("truncated frame: expected ") + what);
-    }
-    std::memcpy(out, bytes_.data() + offset_, size);
-    offset_ += size;
-  }
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
-};
+using Writer = codec::ByteWriter;
+using Reader = codec::ByteReader<WireError>;
 
 /// Reserves the u32 length prefix, then back-patches it once the body is
 /// written — every encoder funnels through this so the prefix can never
@@ -103,69 +36,27 @@ std::vector<std::uint8_t> begin_frame(FrameType type, std::uint64_t request_id) 
   return frame;
 }
 
-constexpr std::uint32_t kConfigFlagQuantized = 1u << 0;
-constexpr std::uint32_t kConfigFlagBitslice = 1u << 1;
-constexpr std::uint32_t kConfigFlagVertexLabels = 1u << 2;
-
 }  // namespace
 
 std::vector<std::uint8_t> encode_config(const core::GraphHdConfig& config) {
   std::vector<std::uint8_t> bytes;
-  bytes.reserve(72);
+  bytes.reserve(codec::kConfigBytes);
   Writer writer(bytes);
-  writer.u64(config.dimension);
-  writer.u64(config.pagerank_iterations);
-  writer.f64_bits(config.pagerank_damping);
-  writer.u32(static_cast<std::uint32_t>(config.identifier));
-  writer.u32(static_cast<std::uint32_t>(config.metric));
-  writer.u32(static_cast<std::uint32_t>(config.backend));
-  std::uint32_t flags = 0;
-  if (config.quantized_model) flags |= kConfigFlagQuantized;
-  if (config.use_bitslice_bundling) flags |= kConfigFlagBitslice;
-  if (config.use_vertex_labels) flags |= kConfigFlagVertexLabels;
-  writer.u32(flags);
-  writer.u64(config.retrain_epochs);
-  writer.u64(config.vectors_per_class);
-  writer.u64(config.neighborhood_rounds);
-  writer.u64(config.seed);
+  codec::write_config(writer, config);
   return bytes;
 }
 
 core::GraphHdConfig decode_config(std::span<const std::uint8_t> bytes) {
   Reader reader(bytes);
-  core::GraphHdConfig config;
-  config.dimension = reader.u64();
-  config.pagerank_iterations = reader.u64();
-  config.pagerank_damping = reader.f64_bits();
-  const std::uint32_t identifier = reader.u32();
-  const std::uint32_t metric = reader.u32();
-  const std::uint32_t backend = reader.u32();
-  const std::uint32_t flags = reader.u32();
-  config.retrain_epochs = reader.u64();
-  config.vectors_per_class = reader.u64();
-  config.neighborhood_rounds = reader.u64();
-  config.seed = reader.u64();
-  if (identifier > static_cast<std::uint32_t>(core::VertexIdentifier::kHarmonic)) {
-    throw WireError("config: unknown vertex-identifier tag");
-  }
-  if (metric > static_cast<std::uint32_t>(hdc::Similarity::kDot)) {
-    throw WireError("config: unknown similarity tag");
-  }
-  if (backend > static_cast<std::uint32_t>(core::Backend::kPackedBinary)) {
-    throw WireError("config: unknown backend tag");
-  }
-  config.identifier = static_cast<core::VertexIdentifier>(identifier);
-  config.metric = static_cast<hdc::Similarity>(metric);
-  config.backend = static_cast<core::Backend>(backend);
-  config.quantized_model = (flags & kConfigFlagQuantized) != 0;
-  config.use_bitslice_bundling = (flags & kConfigFlagBitslice) != 0;
-  config.use_vertex_labels = (flags & kConfigFlagVertexLabels) != 0;
+  // Flag bits past the config's own are ignored, like trailing bytes: both
+  // belong to future protocol versions.
+  const core::GraphHdConfig config = codec::read_config(reader).config;
+  codec::check_config<WireError>(config);
   return config;
 }
 
 std::uint64_t config_hash(const core::GraphHdConfig& config) {
-  const std::vector<std::uint8_t> bytes = encode_config(config);
-  return fnv1a(bytes);
+  return hdc::fnv1a(encode_config(config));
 }
 
 std::vector<std::uint8_t> encode_client_hello() {
@@ -198,7 +89,7 @@ std::vector<std::uint8_t> encode_server_hello(const core::GraphHdConfig& config,
   writer.u32(kProtocolVersion);
   writer.u32(static_cast<std::uint32_t>(Representation::kPacked));
   writer.u32(0);  // reserved
-  writer.u64(fnv1a(config_bytes));
+  writer.u64(hdc::fnv1a(config_bytes));
   writer.u64(num_classes);
   writer.u64(config_bytes.size());
   writer.bytes(config_bytes.data(), config_bytes.size());
@@ -243,7 +134,7 @@ ServerHello decode_server_hello(std::span<const std::uint8_t> fixed,
   }
   hello.representation = static_cast<Representation>(representation);
   hello.config = decode_config(config_bytes);
-  if (fnv1a(config_bytes) != hello.config_hash) {
+  if (hdc::fnv1a(config_bytes) != hello.config_hash) {
     throw WireError("handshake: config hash does not match config bytes");
   }
   return hello;

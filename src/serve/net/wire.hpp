@@ -17,7 +17,10 @@
 /// (wire::encode_config) plus its FNV-1a 64 hash, so a client detects an
 /// encoder mismatch before submitting anything — and can construct a local
 /// GraphHdEncoder from the handshake alone, without ever reading the model
-/// artifact (that is how `graphhd_cli predict --remote` encodes).
+/// artifact (that is how `graphhd_cli predict --remote` encodes).  The
+/// config bytes are the 72-byte block of core/codec.hpp, the same bytes as
+/// v3 config section 1, and a hello's config passes the same checks as an
+/// artifact's.
 ///
 /// Frame bodies (the u32 length counts every byte after the length field):
 ///
@@ -139,8 +142,10 @@ struct ServerHello {
 /// Canonical fixed-width encoding of every GraphHdConfig field (72 bytes) —
 /// the bytes the handshake carries and config_hash() digests.
 [[nodiscard]] std::vector<std::uint8_t> encode_config(const core::GraphHdConfig& config);
-/// Inverse of encode_config; throws WireError on truncation or invalid enum
-/// tags.  Accepts (and ignores) trailing bytes from future protocol versions.
+/// Inverse of encode_config; throws WireError on truncation, invalid enum
+/// tags, or a config the artifact loaders would reject (a failed
+/// GraphHdConfig::validate() or a dimension above their bound).  Accepts
+/// (and ignores) trailing bytes and flag bits from future protocol versions.
 [[nodiscard]] core::GraphHdConfig decode_config(std::span<const std::uint8_t> bytes);
 
 /// FNV-1a 64 digest of encode_config(config) — the encoder-compatibility
@@ -159,7 +164,8 @@ void check_client_hello(std::span<const std::uint8_t> bytes);
 /// Parses the fixed part of a ServerHello; returns the number of trailing
 /// config bytes to read next.  Throws WireError on bad magic/version.
 [[nodiscard]] std::uint64_t check_server_hello_fixed(std::span<const std::uint8_t> fixed);
-/// Completes ServerHello decoding from the fixed part + config bytes.
+/// Completes ServerHello decoding from the fixed part + config bytes (the
+/// config checked as decode_config does).
 [[nodiscard]] ServerHello decode_server_hello(std::span<const std::uint8_t> fixed,
                                               std::span<const std::uint8_t> config_bytes);
 

@@ -497,7 +497,7 @@ TEST(PackedBackend, PredictEncodedAcceptsEitherRepresentation) {
   model.partial_fit(cycle_graph(8), 1);
   const auto dense_hv = model.encoder().encode(star_graph(10));
   const auto packed_hv = model.encoder().encode_packed(star_graph(10));
-  const auto via_dense = model.predict_encoded(dense_hv);
+  const auto via_dense = model.snapshot()->predict_encoded(dense_hv);
   const auto via_packed = model.predict_encoded(packed_hv);
   EXPECT_EQ(via_dense.label, via_packed.label);
   EXPECT_EQ(via_dense.score, via_packed.score);

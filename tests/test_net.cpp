@@ -160,6 +160,12 @@ TEST(Wire, ConfigEncodesCanonicallyAndRoundTrips) {
   EXPECT_THROW((void)decode_config(std::span(bytes).first(71)), WireError);
 }
 
+TEST(Wire, ConfigHashOfTheDefaultConfigIsPinned) {
+  // A changed config encoding or hash would turn every deployed client's
+  // expect_config_hash into a handshake mismatch.
+  EXPECT_EQ(config_hash(GraphHdConfig{}), 0x12b300ac09be9c8dULL);
+}
+
 TEST(Wire, RequestFrameRoundTripsBothRepresentations) {
   hdc::Rng rng(0x11);
   const auto packed = hdc::PackedHypervector::random(300, rng);  // non-multiple of 64

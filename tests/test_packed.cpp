@@ -5,6 +5,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "support/dense_reference.hpp"
@@ -198,6 +199,13 @@ TEST(PackedHypervector, BitConventionMapsMinusOneToSetBit) {
   EXPECT_FALSE(packed.bit(2));
   EXPECT_TRUE(packed.bit(3));
 }
+
+// words() is a view into the vector, so it is callable on lvalues only:
+// `for (w : encoder.encode_packed(g).words())` would read freed memory.
+template <typename T>
+concept HasWords = requires { std::declval<T>().words(); };
+static_assert(HasWords<PackedHypervector&> && HasWords<const PackedHypervector&>);
+static_assert(!HasWords<PackedHypervector> && !HasWords<const PackedHypervector>);
 
 TEST(PackedHypervector, RandomIsDeterministic) {
   Rng a(17), b(17);

@@ -6,10 +6,13 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <span>
+#include <string_view>
 
 namespace {
 
 using graphhd::hdc::derive_seed;
+using graphhd::hdc::fnv1a;
 using graphhd::hdc::Rng;
 using graphhd::hdc::splitmix64_next;
 
@@ -40,6 +43,17 @@ TEST(DeriveSeed, LabelsHashDistinctly) {
 
 TEST(DeriveSeed, DependsOnParentSeed) {
   EXPECT_NE(derive_seed(1, "x"), derive_seed(2, "x"));
+}
+
+TEST(DeriveSeed, LabelsHashWithFnv1a64) {
+  const auto bytes = [](std::string_view text) {
+    return std::span(reinterpret_cast<const std::uint8_t*>(text.data()), text.size());
+  };
+  // The published FNV-1a 64 test vectors.
+  EXPECT_EQ(fnv1a(bytes("")), 0xcbf29ce484222325ULL);
+  EXPECT_EQ(fnv1a(bytes("a")), 0xaf63dc4c8601ec8cULL);
+  EXPECT_EQ(fnv1a(bytes("foobar")), 0x85944171f73967e8ULL);
+  EXPECT_EQ(derive_seed(7, "foobar"), derive_seed(7, std::uint64_t{0x85944171f73967e8ULL}));
 }
 
 TEST(Rng, SameSeedSameStream) {

@@ -44,7 +44,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 # The ratchet: the number of library functions no shipped program keeps
 # (gcc 12.2).  Lower it when a change removes unreached code; never raise it
 # to admit new code that nothing calls.
-CEILING = 37
+CEILING = 36
 
 COMPILE_FLAGS = "-ffunction-sections -fdata-sections"
 LINK_FLAGS = "-Wl,--gc-sections"
