@@ -42,7 +42,7 @@ enum class NetErrorKind {
   kRefused,            ///< connection refused / unreachable.
   kConnectTimeout,     ///< connect() did not complete in time.
   kTimeout,            ///< read deadline expired mid-protocol.
-  kHandshakeMismatch,  ///< wrong magic/version, or config hash != expected.
+  kHandshakeMismatch,  ///< wrong magic/version, an invalid config, or config hash != expected.
   kProtocol,           ///< undecodable bytes from the server.
   kOversizedFrame,     ///< peer declared a frame above the configured limit.
   kClosed,             ///< mid-stream EOF (server closed the connection).

@@ -21,6 +21,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -466,9 +468,10 @@ TEST(NetErrors, ConnectionRefused) {
   }
 }
 
-TEST(NetErrors, MidStreamEofDuringHandshake) {
-  // A listener that accepts and immediately closes: the client's ServerHello
-  // read hits EOF mid-stream.
+/// Runs a TcpClient handshake against a one-shot loopback server that reads
+/// the ClientHello, sends `reply` and closes.  `error` receives the NetError
+/// the handshake raised, and stays empty when the client connected.
+void handshake_against(const std::vector<std::uint8_t>& reply, std::optional<NetError>& error) {
   const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
@@ -479,12 +482,12 @@ TEST(NetErrors, MidStreamEofDuringHandshake) {
   ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len), 0);
   const std::uint16_t port = ntohs(addr.sin_port);
 
-  std::thread acceptor([listener] {
+  std::thread acceptor([listener, &reply] {
     const int conn = ::accept(listener, nullptr, nullptr);
     if (conn >= 0) {
       // Consume the ClientHello before closing: an unread receive buffer
       // would turn the close into an RST (ECONNRESET) instead of a clean
-      // FIN, and the point here is the mid-stream-EOF path specifically.
+      // FIN, and an empty reply tests the mid-stream-EOF path specifically.
       std::uint8_t hello[kClientHelloBytes];
       std::size_t got = 0;
       while (got < sizeof hello) {
@@ -492,19 +495,44 @@ TEST(NetErrors, MidStreamEofDuringHandshake) {
         if (n <= 0) break;
         got += static_cast<std::size_t>(n);
       }
+      std::size_t sent = 0;
+      while (sent < reply.size()) {
+        const ssize_t n = ::send(conn, reply.data() + sent, reply.size() - sent, MSG_NOSIGNAL);
+        if (n <= 0) break;
+        sent += static_cast<std::size_t>(n);
+      }
       ::close(conn);
     }
   });
 
   try {
     TcpClient client("127.0.0.1", port, TcpClientConfig{.read_timeout_ms = 2000});
-    ADD_FAILURE() << "expected NetError";
-  } catch (const NetError& error) {
-    EXPECT_EQ(error.kind(), NetErrorKind::kClosed) << error.what();
-    EXPECT_NE(std::string(error.what()).find("EOF"), std::string::npos) << error.what();
+  } catch (const NetError& caught) {
+    error = caught;
   }
   acceptor.join();
   ::close(listener);
+}
+
+TEST(NetErrors, MidStreamEofDuringHandshake) {
+  // A server that sends nothing and closes: the client's ServerHello read
+  // hits EOF mid-stream.
+  std::optional<NetError> error;
+  handshake_against({}, error);
+  ASSERT_TRUE(error) << "expected NetError";
+  EXPECT_EQ(error->kind(), NetErrorKind::kClosed) << error->what();
+  EXPECT_NE(std::string(error->what()).find("EOF"), std::string::npos) << error->what();
+}
+
+TEST(NetErrors, HelloConfigFailingTheArtifactChecksFailsHandshake) {
+  // A hello hashed consistently over a config that load_model would reject:
+  // the client refuses it before building anything from it.
+  GraphHdConfig invalid = sample_config();
+  invalid.dimension = 0;
+  std::optional<NetError> error;
+  handshake_against(encode_server_hello(invalid, kClasses), error);
+  ASSERT_TRUE(error) << "expected NetError";
+  EXPECT_EQ(error->kind(), NetErrorKind::kHandshakeMismatch) << error->what();
 }
 
 TEST_F(NetEndToEnd, ShutdownDrainsInFlightRequests) {
