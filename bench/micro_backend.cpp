@@ -11,7 +11,9 @@
 /// encodings, counters, labels and scores; exit code 1 otherwise, CI runs
 /// this as a gate — then times:
 ///   * encode throughput  — graphs/s through DenseEncoder::encode vs
-///     GraphHdEncoder::encode_packed;
+///     GraphHdEncoder::encode_packed, timed in alternating rounds of one
+///     pass per side; the speedup is the median per-round ratio (a packed
+///     pass lasts ~2 ms, too short to time on its own);
 ///   * query  throughput  — class-memory queries/s on pre-encoded vectors
 ///     (bipolar DenseMemory vs packed AssociativeMemory query), the
 ///     associative-memory op the paper's hardware argument is about.
@@ -24,7 +26,8 @@
 ///   GRAPHHD_MICRO_DIM          hypervector dimension   (default 10000)
 ///   GRAPHHD_MICRO_VERTICES     vertices per graph      (default 80)
 ///   GRAPHHD_MICRO_GRAPHS       graphs in the dataset   (default 40)
-///   GRAPHHD_MICRO_ENCODE_REPS  timed encode passes     (default 3)
+///   GRAPHHD_MICRO_ENCODE_REPS  least timed encode rounds   (default 5; the
+///                              rounds also last at least 1 s in total)
 ///   GRAPHHD_MICRO_QUERY_REPS   timed query passes      (default 200)
 ///   GRAPHHD_MIN_QUERY_SPEEDUP  fail (exit 1) when the packed query speedup
 ///                              falls below this factor (default 0 = report
@@ -63,7 +66,8 @@ int main() {
   const std::size_t dimension = env_size("GRAPHHD_MICRO_DIM", 10000);
   const std::size_t vertices = env_size("GRAPHHD_MICRO_VERTICES", 80);
   const std::size_t graphs = env_size("GRAPHHD_MICRO_GRAPHS", 40);
-  const std::size_t encode_reps = env_size("GRAPHHD_MICRO_ENCODE_REPS", 3);
+  const std::size_t encode_reps =
+      std::max<std::size_t>(1, env_size("GRAPHHD_MICRO_ENCODE_REPS", 5));
   const std::size_t query_reps = env_size("GRAPHHD_MICRO_QUERY_REPS", 200);
   const double min_speedup = env_double("GRAPHHD_MIN_QUERY_SPEEDUP", 0.0);
 
@@ -111,21 +115,39 @@ int main() {
     std::fprintf(stderr, "micro_backend: FAIL — trainer diverges from the dense reference\n");
   }
 
-  // --- encode throughput (fresh encoders so both start with cold caches).
-  const auto time_encode = [&](auto&& encode) {
-    const auto start = Clock::now();
-    for (std::size_t rep = 0; rep < encode_reps; ++rep) {
-      for (std::size_t i = 0; i < dataset.size(); ++i) (void)encode(dataset.graph(i));
-    }
-    const double elapsed = seconds_since(start);
-    return static_cast<double>(encode_reps * dataset.size()) / elapsed;
-  };
+  // --- encode throughput, timed in rounds: one pass over the dataset per
+  // side, dense then packed, so both sides of a round see the same host
+  // load.  Rounds repeat until both floors (rounds and one second) are met;
+  // the readings are the median pass rates and the median per-round ratio,
+  // so a slow or cold round cannot move them.  Fresh encoders: the first
+  // round warms both caches.
+  constexpr double kMinEncodeSeconds = 1.0;
   testsupport::DenseEncoder dense_encoder(config);
-  const double dense_encode_gps =
-      time_encode([&](const graph::Graph& g) { return dense_encoder.encode(g); });
   core::GraphHdEncoder packed_encoder(config);
-  const double packed_encode_gps =
-      time_encode([&](const graph::Graph& g) { return packed_encoder.encode_packed(g); });
+  const auto pass_rate = [&](auto&& encode) {
+    const auto start = Clock::now();
+    for (std::size_t i = 0; i < dataset.size(); ++i) (void)encode(dataset.graph(i));
+    return static_cast<double>(dataset.size()) / seconds_since(start);
+  };
+  std::vector<double> dense_rates;
+  std::vector<double> packed_rates;
+  std::vector<double> ratios;
+  const auto encode_start = Clock::now();
+  while (ratios.size() < encode_reps || seconds_since(encode_start) < kMinEncodeSeconds) {
+    dense_rates.push_back(
+        pass_rate([&](const graph::Graph& g) { return dense_encoder.encode(g); }));
+    packed_rates.push_back(
+        pass_rate([&](const graph::Graph& g) { return packed_encoder.encode_packed(g); }));
+    ratios.push_back(packed_rates.back() / dense_rates.back());
+  }
+  const auto median = [](std::vector<double> values) {
+    const auto middle = values.begin() + static_cast<std::ptrdiff_t>(values.size() / 2);
+    std::nth_element(values.begin(), middle, values.end());
+    return *middle;
+  };
+  const double dense_encode_gps = median(dense_rates);
+  const double packed_encode_gps = median(packed_rates);
+  const double encode_speedup = median(ratios);
 
   // --- query throughput on pre-encoded vectors (the paper's inference op),
   // with both class-vector caches built outside the timed region.
@@ -168,8 +190,8 @@ int main() {
   std::printf("  \"vertices_per_graph\": %zu,\n", vertices);
   std::printf("  \"predictions_identical\": %s,\n", identical ? "true" : "false");
   std::printf("  \"encode\": {\"dense_graphs_per_s\": %.1f, \"packed_graphs_per_s\": %.1f, "
-              "\"speedup\": %.3f},\n",
-              dense_encode_gps, packed_encode_gps, packed_encode_gps / dense_encode_gps);
+              "\"speedup\": %.3f, \"rounds\": %zu},\n",
+              dense_encode_gps, packed_encode_gps, encode_speedup, ratios.size());
   std::printf("  \"query\": {\"dense_queries_per_s\": %.1f, \"packed_queries_per_s\": %.1f, "
               "\"speedup\": %.3f},\n",
               dense_qps, packed_qps, query_speedup);

@@ -504,7 +504,7 @@ int cmd_serve(const std::string& model_path, const Args& args) {
       std::max<std::uint64_t>(2, parse_u64("queue", args.get("queue", "1024")));
   const std::uint64_t request_limit = parse_u64("requests", args.get("requests", "0"));
 
-  auto snapshot = core::load_snapshot(model_path, core::SnapshotLoad::kAuto);
+  auto snapshot = core::load_snapshot(model_path, core::SnapshotLoad::kMmap);
   serve::Server server(std::move(snapshot), server_config);
   serve::net::TcpServerConfig net_config;
   net_config.port = static_cast<std::uint16_t>(port_value);

@@ -844,7 +844,7 @@ std::shared_ptr<const InferenceSnapshot> load_snapshot(const std::filesystem::pa
     // take its snapshot (also the migration path for v1/v2 files).
     return load_model(path).snapshot();
   }
-  if (mode != SnapshotLoad::kRead) {
+  if (mode == SnapshotLoad::kMmap) {
     return snapshot_from_mmap(path);
   }
   const std::string blob = read_file_bytes(path, "load_snapshot");

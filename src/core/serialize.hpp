@@ -71,7 +71,6 @@ enum class SnapshotLoad {
   kRead,  ///< read the whole file, own the buffers, verify every checksum.
   kMmap,  ///< zero-copy: borrow the mapped sections (header/config checksum
           ///< only).  Text artifacts are parsed instead.
-  kAuto,  ///< the same as kMmap.
 };
 
 /// Writes `model` as a v3 binary artifact.  Throws std::runtime_error on
@@ -109,7 +108,7 @@ void save_model_text(const GraphHdModel& model, const std::filesystem::path& pat
 /// zero-copy via mmap.  Accepts v1/v2 text artifacts too (parsed and
 /// converted in memory).  See SnapshotLoad for the mode semantics.
 [[nodiscard]] std::shared_ptr<const InferenceSnapshot> load_snapshot(
-    const std::filesystem::path& path, SnapshotLoad mode = SnapshotLoad::kAuto);
+    const std::filesystem::path& path, SnapshotLoad mode = SnapshotLoad::kMmap);
 
 // CheckpointProgress (the payload of the progress section, id 4) lives in
 // core/options.hpp next to TrainOptions: GraphHdModel::fit_stream_shard

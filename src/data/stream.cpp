@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <stdexcept>
 
 #include "data/text_io.hpp"
@@ -12,9 +11,6 @@ namespace graphhd::data {
 namespace {
 
 namespace fs = std::filesystem;
-
-using text_io::parse_ints;
-using text_io::trim;
 
 }  // namespace
 
@@ -305,47 +301,43 @@ std::optional<std::vector<std::size_t>> ShardedStream::label_scan() {
 // TUDatasetStream
 // ---------------------------------------------------------------------------
 
-/// Open files plus the one-line lookahead each of them needs.  reset() simply
+/// Open files plus the one-row lookahead each of them needs.  reset() simply
 /// rebuilds the cursor.
 struct TUDatasetStream::Cursor {
-  std::ifstream indicator_in;
-  std::ifstream adjacency_in;
-  std::ifstream node_labels_in;
-  std::size_t indicator_line_no = 0;
-  std::size_t adjacency_line_no = 0;
-  std::size_t node_labels_line_no = 0;
+  Cursor(const fs::path& directory, const std::string& name, bool has_node_labels)
+      : indicator(directory / (name + "_graph_indicator.txt")),
+        adjacency(directory / (name + "_A.txt")) {
+    if (has_node_labels) node_labels.emplace(directory / (name + "_node_labels.txt"));
+  }
+
+  /// Past the last graph every file must be exhausted: a row left over
+  /// would name a vertex, an edge or a vertex label of no graph.
+  void reject_leftover_rows() {
+    long long value = 0;
+    std::array<long long, 2> edge{};
+    if (pending_indicator || indicator.next({&value, 1})) {
+      indicator.fail("row past the last graph");
+    }
+    if (pending_edge || adjacency.next(edge)) adjacency.fail("row past the last graph");
+    if (node_labels && node_labels->next({&value, 1})) {
+      node_labels->fail("row past the last graph");
+    }
+  }
+
+  text_io::RowReader indicator;
+  text_io::RowReader adjacency;
+  std::optional<text_io::RowReader> node_labels;
   /// Lookahead: graph id (1-based) of the next unconsumed indicator row.
-  std::optional<long long> pending_indicator;
+  bool pending_indicator = false;
+  long long indicator_row = 0;
   /// Lookahead: next unconsumed adjacency row as global 1-based ids.
-  std::optional<std::pair<long long, long long>> pending_edge;
+  bool pending_edge = false;
+  std::array<long long, 2> edge_row{};
+  /// The current graph's adjacency rows in local ids, reused across graphs.
+  std::vector<graph::Edge> edges;
   std::size_t next_graph = 0;          ///< 0-based id of the next graph to emit.
   std::size_t global_vertex_base = 0;  ///< 0-based global id of that graph's vertex 0.
 };
-
-namespace {
-
-/// Reads the next non-empty row of `file` as exactly `arity` integers;
-/// nullopt at EOF.
-[[nodiscard]] std::optional<std::vector<long long>> next_row(std::ifstream& in,
-                                                            const fs::path& file,
-                                                            std::size_t& line_no,
-                                                            std::size_t arity) {
-  std::string line;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const auto trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    auto ints = parse_ints(trimmed, file, line_no);
-    if (ints.size() != arity) {
-      throw std::runtime_error(file.string() + ":" + std::to_string(line_no) + ": expected " +
-                               std::to_string(arity) + " integer(s)");
-    }
-    return ints;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
 
 TUDatasetStream::TUDatasetStream(const fs::path& directory, const std::string& name)
     : directory_(directory), name_(name) {
@@ -364,134 +356,103 @@ TUDatasetStream::TUDatasetStream(const fs::path& directory, const std::string& n
   // pass runs up front; the per-vertex rows stream later.
   const fs::path node_labels_file = directory_ / (name_ + "_node_labels.txt");
   has_node_labels_ = fs::exists(node_labels_file);
-  if (has_node_labels_) {
-    const auto raw = text_io::read_int_column(node_labels_file);
-    const std::set<long long> distinct(raw.begin(), raw.end());
-    node_label_map_keys_.assign(distinct.begin(), distinct.end());
-  }
+  if (has_node_labels_) node_label_map_keys_ = text_io::read_distinct_column(node_labels_file);
   reset();
 }
 
 void TUDatasetStream::reset() {
-  auto cursor = std::make_shared<Cursor>();
-  cursor->indicator_in.open(directory_ / (name_ + "_graph_indicator.txt"));
-  cursor->adjacency_in.open(directory_ / (name_ + "_A.txt"));
-  if (!cursor->indicator_in || !cursor->adjacency_in) {
-    throw std::runtime_error("TUDatasetStream: cannot open dataset files for " +
-                             (directory_ / name_).string());
-  }
-  if (has_node_labels_) {
-    cursor->node_labels_in.open(directory_ / (name_ + "_node_labels.txt"));
-    if (!cursor->node_labels_in) {
-      throw std::runtime_error("TUDatasetStream: cannot reopen node labels for " +
-                               (directory_ / name_).string());
-    }
-  }
-  cursor_ = std::move(cursor);
+  cursor_ = std::make_shared<Cursor>(directory_, name_, has_node_labels_);
 }
 
 std::optional<StreamSample> TUDatasetStream::next() {
   Cursor& cursor = *cursor_;
   if (cursor.next_graph >= labels_.size()) {
-    // Exhausted: any leftover adjacency or indicator rows name graphs that
-    // do not exist.
-    if (cursor.pending_edge.has_value()) {
-      throw std::runtime_error("TUDatasetStream: adjacency rows past the last graph");
-    }
+    cursor.reject_leftover_rows();
     return std::nullopt;
   }
-  const fs::path indicator_file = directory_ / (name_ + "_graph_indicator.txt");
-  const fs::path adjacency_file = directory_ / (name_ + "_A.txt");
   const auto graph_id = static_cast<long long>(cursor.next_graph) + 1;  // 1-based.
+  const auto graph_count = static_cast<long long>(labels_.size());
 
   // 1. Consume this graph's indicator rows (the column must be
   //    non-decreasing — that is what makes single-pass streaming sound).
   std::size_t vertices = 0;
   while (true) {
-    if (!cursor.pending_indicator.has_value()) {
-      const auto row =
-          next_row(cursor.indicator_in, indicator_file, cursor.indicator_line_no, 1);
-      if (!row.has_value()) break;  // EOF — later graphs are empty.
-      cursor.pending_indicator = row->front();
+    if (!cursor.pending_indicator) {
+      // EOF: later graphs are empty.
+      if (!cursor.indicator.next({&cursor.indicator_row, 1})) break;
+      cursor.pending_indicator = true;
     }
-    const long long id = *cursor.pending_indicator;
+    const long long id = cursor.indicator_row;
     if (id < graph_id) {
-      throw std::runtime_error(indicator_file.string() +
-                               ": indicator column is not non-decreasing (graph id " +
-                               std::to_string(id) + " after graph " + std::to_string(graph_id) +
-                               " started); the streaming reader requires the canonical sorted "
-                               "layout — use load_tudataset for arbitrary row orders");
+      cursor.indicator.fail("indicator column is not non-decreasing (graph id " +
+                            std::to_string(id) + " after graph " + std::to_string(graph_id) +
+                            " started); the streaming reader requires the canonical sorted "
+                            "layout — use load_tudataset for arbitrary row orders");
     }
-    if (id > static_cast<long long>(labels_.size())) {
-      throw std::runtime_error(indicator_file.string() + ": graph id " + std::to_string(id) +
-                               " exceeds the label count " + std::to_string(labels_.size()));
+    if (id > graph_count) {
+      cursor.indicator.fail("graph id " + std::to_string(id) + " exceeds the label count " +
+                            std::to_string(graph_count));
     }
     if (id > graph_id) break;  // belongs to a later graph — keep as lookahead.
-    cursor.pending_indicator.reset();
+    cursor.pending_indicator = false;
     ++vertices;
   }
 
   // 2. Consume this graph's adjacency rows (grouped-by-graph layout).
-  graph::GraphBuilder builder(vertices);
-  const auto in_range = [&](long long global_id) {
-    return global_id > static_cast<long long>(cursor.global_vertex_base) &&
-           global_id <= static_cast<long long>(cursor.global_vertex_base + vertices);
-  };
+  cursor.edges.clear();
+  const auto base = static_cast<long long>(cursor.global_vertex_base);
+  const long long last = base + static_cast<long long>(vertices);
   while (true) {
-    if (!cursor.pending_edge.has_value()) {
-      const auto row = next_row(cursor.adjacency_in, adjacency_file, cursor.adjacency_line_no, 2);
-      if (!row.has_value()) break;  // EOF — later graphs carry no edges.
-      cursor.pending_edge = std::make_pair(row->front(), row->back());
+    if (!cursor.pending_edge) {
+      // EOF: later graphs carry no edges.
+      if (!cursor.adjacency.next(cursor.edge_row)) break;
+      cursor.pending_edge = true;
     }
-    const auto [gi, gj] = *cursor.pending_edge;
-    if (gi < 1 || gj < 1) {
-      throw std::runtime_error(adjacency_file.string() + ": vertex ids must be >= 1");
-    }
-    const bool i_here = in_range(gi), j_here = in_range(gj);
+    const auto [gi, gj] = cursor.edge_row;
+    if (gi < 1 || gj < 1) cursor.adjacency.fail("vertex ids must be >= 1");
+    const bool i_here = gi > base && gi <= last;
+    const bool j_here = gj > base && gj <= last;
     if (!i_here && !j_here) {
-      if (gi <= static_cast<long long>(cursor.global_vertex_base) ||
-          gj <= static_cast<long long>(cursor.global_vertex_base)) {
-        throw std::runtime_error(
-            adjacency_file.string() + ": adjacency rows are not grouped by graph (edge " +
-            std::to_string(gi) + ", " + std::to_string(gj) + " references an earlier graph); "
-            "the streaming reader requires the canonical grouped layout — use load_tudataset "
-            "for arbitrary row orders");
+      if (gi <= base || gj <= base) {
+        cursor.adjacency.fail("adjacency rows are not grouped by graph (edge " +
+                              std::to_string(gi) + ", " + std::to_string(gj) +
+                              " references an earlier graph); the streaming reader requires "
+                              "the canonical grouped layout — use load_tudataset for "
+                              "arbitrary row orders");
       }
       break;  // belongs to a later graph — keep as lookahead.
     }
     if (i_here != j_here) {
-      throw std::runtime_error(adjacency_file.string() + ": edge " + std::to_string(gi) + ", " +
-                               std::to_string(gj) + " crosses a graph boundary");
+      cursor.adjacency.fail("edge " + std::to_string(gi) + ", " + std::to_string(gj) +
+                            " crosses a graph boundary");
     }
-    cursor.pending_edge.reset();
-    builder.add_edge(
-        static_cast<graph::VertexId>(gi - 1 - static_cast<long long>(cursor.global_vertex_base)),
-        static_cast<graph::VertexId>(gj - 1 - static_cast<long long>(cursor.global_vertex_base)));
+    cursor.pending_edge = false;
+    cursor.edges.push_back({static_cast<graph::VertexId>(gi - 1 - base),
+                            static_cast<graph::VertexId>(gj - 1 - base)});
   }
 
+  // Rows list each edge once per direction; the builder merges them.
+  graph::GraphBuilder builder(vertices);
+  builder.reserve_edges(cursor.edges.size());
+  for (const graph::Edge& e : cursor.edges) builder.add_edge(e.u, e.v);
   StreamSample sample;
-  builder.ensure_vertices(vertices);
   sample.graph = builder.build();
   sample.label = labels_[cursor.next_graph];
 
   // 3. This graph's node-label rows (one per vertex, same global order).
-  if (has_node_labels_) {
-    const fs::path node_labels_file = directory_ / (name_ + "_node_labels.txt");
+  if (cursor.node_labels) {
     sample.vertex_labels.reserve(vertices);
+    long long raw = 0;
     for (std::size_t v = 0; v < vertices; ++v) {
-      const auto row =
-          next_row(cursor.node_labels_in, node_labels_file, cursor.node_labels_line_no, 1);
-      if (!row.has_value()) {
-        throw std::runtime_error(node_labels_file.string() + ": fewer node labels than vertices");
+      if (!cursor.node_labels->next({&raw, 1})) {
+        cursor.node_labels->fail("fewer node labels than vertices");
       }
-      const auto it = std::lower_bound(node_label_map_keys_.begin(), node_label_map_keys_.end(),
-                                       row->front());
-      if (it == node_label_map_keys_.end() || *it != row->front()) {
-        throw std::runtime_error(node_labels_file.string() + ": unexpected node label value " +
-                                 std::to_string(row->front()));
+      const auto it =
+          std::lower_bound(node_label_map_keys_.begin(), node_label_map_keys_.end(), raw);
+      if (it == node_label_map_keys_.end() || *it != raw) {
+        cursor.node_labels->fail("unexpected node label value " + std::to_string(raw));
       }
-      sample.vertex_labels.push_back(
-          static_cast<std::size_t>(it - node_label_map_keys_.begin()));
+      sample.vertex_labels.push_back(static_cast<std::size_t>(it - node_label_map_keys_.begin()));
     }
   }
 

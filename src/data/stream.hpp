@@ -186,12 +186,13 @@ class GeneratorStream final : public GraphStream {
 /// label column and the node-label value map are read up front (model
 /// construction needs num_classes, and TUDataset node labels densify by
 /// global numeric order), but adjacency, indicator and node-label rows are
-/// consumed line by line as graphs are pulled.  Requires the indicator
-/// column to be non-decreasing and the adjacency rows grouped by graph —
-/// the canonical layout every known TUDataset dump (and save_tudataset /
-/// TUDatasetWriter) uses; anything else throws std::runtime_error rather
-/// than silently reordering.  Produces exactly the samples load_tudataset
-/// materializes (labels densified the same way).
+/// consumed row by row, through one fixed-size buffer per file, as graphs
+/// are pulled.  Requires the indicator column to be non-decreasing and the
+/// adjacency rows grouped by graph — the canonical layout every known
+/// TUDataset dump (and save_tudataset / TUDatasetWriter) uses; anything else
+/// throws std::runtime_error rather than silently reordering.  So does a row
+/// left in any of the three files after the last graph.  Produces exactly
+/// the samples load_tudataset materializes (labels densified the same way).
 class TUDatasetStream final : public GraphStream {
  public:
   TUDatasetStream(const std::filesystem::path& directory, const std::string& name);

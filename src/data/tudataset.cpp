@@ -1,7 +1,7 @@
 #include "data/tudataset.hpp"
 
 #include <algorithm>
-#include <fstream>
+#include <array>
 #include <map>
 #include <span>
 #include <stdexcept>
@@ -16,9 +16,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-using text_io::parse_ints;
 using text_io::read_int_column;
-using text_io::trim;
 
 }  // namespace
 
@@ -73,43 +71,23 @@ GraphDataset load_tudataset(const fs::path& directory, const std::string& name) 
   std::size_t next_label = 0;
   for (auto& [raw, dense] : label_map) dense = next_label++;
 
-  // 3. Edges.
-  std::vector<graph::GraphBuilder> builders;
-  builders.reserve(num_graphs);
-  for (std::size_t g = 0; g < num_graphs; ++g) {
-    builders.emplace_back(graph_size[g]);
-  }
-  std::ifstream adjacency_in(adjacency_file);
-  if (!adjacency_in) {
-    throw std::runtime_error("tudataset: cannot open " + adjacency_file.string());
-  }
-  std::string line;
-  std::size_t line_no = 0;
-  while (std::getline(adjacency_in, line)) {
-    ++line_no;
-    const auto trimmed = trim(line);
-    if (trimmed.empty()) continue;
-    const auto ints = parse_ints(trimmed, adjacency_file, line_no);
-    if (ints.size() != 2) {
-      throw std::runtime_error(adjacency_file.string() + ":" + std::to_string(line_no) +
-                               ": expected 'i, j'");
-    }
-    const long long gi = ints[0], gj = ints[1];
+  // 3. Edges, kept per graph as listed (local ids); each graph is then built
+  //    on its own, so one builder's key table is alive at a time.
+  std::vector<std::vector<graph::Edge>> listed(num_graphs);
+  text_io::RowReader adjacency(adjacency_file);
+  std::array<long long, 2> row{};
+  while (adjacency.next(row)) {
+    const auto [gi, gj] = row;
     if (gi < 1 || gj < 1 || static_cast<std::size_t>(gi) > total_vertices ||
         static_cast<std::size_t>(gj) > total_vertices) {
-      throw std::runtime_error(adjacency_file.string() + ":" + std::to_string(line_no) +
-                               ": vertex id out of range");
+      adjacency.fail("vertex id out of range");
     }
     const auto u = static_cast<std::size_t>(gi) - 1;
     const auto v = static_cast<std::size_t>(gj) - 1;
-    if (indicator[u] != indicator[v]) {
-      throw std::runtime_error(adjacency_file.string() + ":" + std::to_string(line_no) +
-                               ": edge crosses graph boundary");
-    }
+    if (indicator[u] != indicator[v]) adjacency.fail("edge crosses graph boundary");
     const auto g = static_cast<std::size_t>(indicator[u]) - 1;
-    // The builder merges the reverse direction and ignores self-loops.
-    builders[g].add_edge(static_cast<graph::VertexId>(local_id[u]),
-                         static_cast<graph::VertexId>(local_id[v]));
+    listed[g].push_back(
+        {static_cast<graph::VertexId>(local_id[u]), static_cast<graph::VertexId>(local_id[v])});
   }
 
   std::vector<Graph> graphs;
@@ -117,8 +95,12 @@ GraphDataset load_tudataset(const fs::path& directory, const std::string& name) 
   graphs.reserve(num_graphs);
   labels.reserve(num_graphs);
   for (std::size_t g = 0; g < num_graphs; ++g) {
-    builders[g].ensure_vertices(graph_size[g]);
-    graphs.push_back(builders[g].build());
+    // The builder merges the reverse direction and ignores self-loops.
+    graph::GraphBuilder builder(graph_size[g]);
+    builder.reserve_edges(listed[g].size());
+    for (const graph::Edge& e : listed[g]) builder.add_edge(e.u, e.v);
+    std::vector<graph::Edge>().swap(listed[g]);
+    graphs.push_back(builder.build());
     labels.push_back(label_map.at(raw_labels[g]));
   }
   GraphDataset dataset(name, std::move(graphs), std::move(labels));

@@ -39,8 +39,10 @@ class Graph {
   Graph() = default;
 
   /// Builds a graph with `num_vertices` vertices from an undirected edge
-  /// list.  Duplicate edges and self-loops are rejected with
-  /// std::invalid_argument (the TUDataset loader deduplicates upstream).
+  /// list, in any order and either orientation, in O(|V| + |E|) plus a sort
+  /// of each adjacency run: a counting sort lays out the CSR, and edges()
+  /// is read back from it.  Duplicate edges and self-loops are rejected
+  /// with std::invalid_argument (the TUDataset loader deduplicates upstream).
   [[nodiscard]] static Graph from_edges(std::size_t num_vertices, std::span<const Edge> edges);
 
   [[nodiscard]] std::size_t num_vertices() const noexcept {
@@ -87,8 +89,13 @@ class GraphBuilder {
   [[nodiscard]] std::size_t duplicates_ignored() const noexcept { return duplicates_; }
   [[nodiscard]] std::size_t self_loops_ignored() const noexcept { return self_loops_; }
 
+  /// Sizes the edge list and the duplicate table for `count` edges, so that
+  /// adding up to that many rehashes nothing.
+  void reserve_edges(std::size_t count);
+
   /// Adds undirected edge (u, v); grows the vertex set if needed.  Self-loops
-  /// and repeats are ignored.  Returns true when the edge was new.
+  /// and repeats are ignored.  Returns true when the edge was new.  O(1)
+  /// amortized: repeats are found in an open-addressed table of edge keys.
   bool add_edge(VertexId u, VertexId v);
 
   /// Finalizes into an immutable Graph.  The builder may be reused afterwards
@@ -96,9 +103,16 @@ class GraphBuilder {
   [[nodiscard]] Graph build() const;
 
  private:
+  /// Rebuilds the key table with `size` slots (a power of two).
+  void rehash(std::size_t size);
+
   std::size_t num_vertices_ = 0;
-  std::vector<Edge> edges_;  // canonical, deduplicated via the set below
-  std::vector<std::uint64_t> edge_keys_;  // sorted keys for dedup lookups
+  std::vector<Edge> edges_;  // canonical, deduplicated via the table below
+  /// Open-addressed (linear probing) set of the keys of edges_; 0 marks an
+  /// empty slot, which no edge key equals.  Size 0 or a power of two, at
+  /// most half full.
+  std::vector<std::uint64_t> key_table_;
+  unsigned key_shift_ = 64;  ///< 64 - log2(key_table_.size()).
   std::size_t duplicates_ = 0;
   std::size_t self_loops_ = 0;
 };

@@ -152,7 +152,7 @@ TEST(FixtureCompat, GoldenArtifactsLoadAsSnapshots) {
   // accept them (parse + convert) under every mode.
   auto twin = fixture_twin(core::Backend::kDenseBipolar);
   const auto snapshot =
-      core::load_snapshot(kFixtureDir / "model_v2_dense.ghd", core::SnapshotLoad::kAuto);
+      core::load_snapshot(kFixtureDir / "model_v2_dense.ghd", core::SnapshotLoad::kMmap);
   core::GraphHdEncoder encoder(snapshot->config());
   const auto probes = data::make_synthetic_replica("MUTAG", /*seed=*/11, /*scale=*/0.05);
   for (std::size_t i = 0; i < probes.size(); ++i) {

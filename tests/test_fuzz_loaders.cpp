@@ -16,6 +16,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -96,6 +97,23 @@ std::ostream& operator<<(std::ostream& out, const Mutation& m) {
 // TUDataset directory fuzz (materialized loader + streaming reader).
 // ---------------------------------------------------------------------------
 
+[[nodiscard]] bool same_dataset(const data::GraphDataset& a, const data::GraphDataset& b,
+                                std::ostream& diag) {
+  if (a.size() != b.size() || a.num_classes() != b.num_classes() ||
+      a.has_vertex_labels() != b.has_vertex_labels()) {
+    diag << " [readers disagree on the dataset's shape]";
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a.graph(i) != b.graph(i) || a.label(i) != b.label(i) ||
+        (a.has_vertex_labels() && a.vertex_labels()[i] != b.vertex_labels()[i])) {
+      diag << " [readers disagree on graph " << i << "]";
+      return false;
+    }
+  }
+  return true;
+}
+
 class TUDatasetFuzz : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -148,22 +166,25 @@ TEST_F(TUDatasetFuzz, CorruptFilesNeverCrashEitherReader) {
         diag << m;
         install(m);
         // Materialized loader.
+        std::optional<data::GraphDataset> loaded;
         try {
-          const auto dataset = data::load_tudataset(*dir_, "MUTAG");
-          diag << " [loader ok: " << dataset.size() << " graphs]";
+          loaded = data::load_tudataset(*dir_, "MUTAG");
+          diag << " [loader ok: " << loaded->size() << " graphs]";
         } catch (const std::exception& error) {
           diag << " [loader error: " << error.what() << "]";
         }
         // Streaming reader (constructor + full drain).
+        std::optional<data::GraphDataset> streamed;
         try {
           data::TUDatasetStream stream(*dir_, "MUTAG");
-          std::size_t count = 0;
-          while (stream.next().has_value()) ++count;
-          diag << " [stream ok: " << count << " graphs]";
+          streamed = data::materialize(stream, "MUTAG");
+          diag << " [stream ok: " << streamed->size() << " graphs]";
         } catch (const std::exception& error) {
           diag << " [stream error: " << error.what() << "]";
         }
-        return true;  // surviving to this point IS the property.
+        // Surviving to this point is the property, and when both readers
+        // accept a directory they must read the same dataset.
+        return !loaded || !streamed || same_dataset(*loaded, *streamed, diag);
       },
       proptest::Config{.cases = 64});
   // Restore the pristine directory for any later test.

@@ -3,7 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <stdexcept>
+#include <utility>
+#include <vector>
+
+#include "support/proptest.hpp"
 
 namespace {
 
@@ -157,6 +163,114 @@ TEST(GraphBuilder, BuildIsRepeatable) {
   const auto first = builder.build();
   const auto second = builder.build();
   EXPECT_EQ(first, second);
+}
+
+/// Random insertions, self-loops and repeats in both orientations included.
+struct Insertions {
+  std::size_t num_vertices = 0;
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+};
+
+std::ostream& operator<<(std::ostream& out, const Insertions& c) {
+  out << c.num_vertices << " vertices:";
+  for (const auto& [u, v] : c.pairs) out << " (" << u << "," << v << ")";
+  return out;
+}
+
+TEST(GraphBuilder, MatchesASetReference) {
+  // The builder's hashed duplicate check and from_edges' counting-sort CSR
+  // against a std::set: same add_edge answers and counters, and a graph
+  // whose neighbor runs and canonical edge list are the set's, sorted.
+  graphhd::proptest::check<Insertions>(
+      "GraphBuilder matches a std::set of canonical pairs",
+      [](graphhd::hdc::Rng& rng, std::size_t index) {
+        Insertions c;
+        c.num_vertices = 1 + rng.next_below(index < 8 ? 4 : 80);
+        const std::size_t count = rng.next_below(4 * c.num_vertices + 8);
+        const bool star = index % 5 == 4;
+        for (std::size_t i = 0; i < count; ++i) {
+          const auto u = star ? 0 : static_cast<VertexId>(rng.next_below(c.num_vertices));
+          const auto v = static_cast<VertexId>(rng.next_below(c.num_vertices));
+          c.pairs.emplace_back(u, v);
+        }
+        return c;
+      },
+      [](const Insertions& c) {
+        std::vector<Insertions> smaller;
+        if (!c.pairs.empty()) {
+          Insertions fewer = c;
+          fewer.pairs.resize(c.pairs.size() / 2);
+          smaller.push_back(std::move(fewer));
+        }
+        return smaller;
+      },
+      [](const Insertions& c, std::ostream& diag) {
+        diag << c;
+        GraphBuilder builder(c.num_vertices);
+        std::set<std::pair<VertexId, VertexId>> reference;
+        std::size_t duplicates = 0, self_loops = 0;
+        for (const auto& [u, v] : c.pairs) {
+          bool expected = false;
+          if (u == v) {
+            ++self_loops;
+          } else if (reference.emplace(std::min(u, v), std::max(u, v)).second) {
+            expected = true;
+          } else {
+            ++duplicates;
+          }
+          if (builder.add_edge(u, v) != expected) {
+            diag << " [add_edge(" << u << "," << v << ") answered wrong]";
+            return false;
+          }
+        }
+        if (builder.duplicates_ignored() != duplicates ||
+            builder.self_loops_ignored() != self_loops ||
+            builder.num_edges_added() != reference.size()) {
+          diag << " [counters differ]";
+          return false;
+        }
+        const Graph g = builder.build();
+        std::vector<Edge> edges;
+        std::map<VertexId, std::vector<VertexId>> neighbors;
+        for (const auto& [u, v] : reference) {
+          edges.push_back({u, v});
+          neighbors[u].push_back(v);
+          neighbors[v].push_back(u);
+        }
+        if (!std::equal(edges.begin(), edges.end(), g.edges().begin(), g.edges().end())) {
+          diag << " [edges() differs]";
+          return false;
+        }
+        for (VertexId v = 0; v < g.num_vertices(); ++v) {
+          auto expected = neighbors[v];
+          std::sort(expected.begin(), expected.end());
+          const auto actual = g.neighbors(v);
+          if (!std::equal(expected.begin(), expected.end(), actual.begin(), actual.end())) {
+            diag << " [neighbors(" << v << ") differ]";
+            return false;
+          }
+        }
+        // from_edges takes the same edges in any order and orientation.
+        std::vector<Edge> shuffled;
+        for (auto it = reference.rbegin(); it != reference.rend(); ++it) {
+          shuffled.push_back(shuffled.size() % 2 == 0 ? Edge{it->second, it->first}
+                                                      : Edge{it->first, it->second});
+        }
+        if (Graph::from_edges(g.num_vertices(), shuffled) != g) {
+          diag << " [from_edges on reordered edges differs]";
+          return false;
+        }
+        return true;
+      },
+      graphhd::proptest::Config{.cases = 96, .min_cases = 8});
+}
+
+TEST(Graph, FromEdgesRejectsDuplicatesAtHubs) {
+  // A duplicate inside a long (std::sort) run is found as in a short one.
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v < 100; ++v) edges.push_back({0, v});
+  edges.push_back({57, 0});
+  EXPECT_THROW((void)Graph::from_edges(100, edges), std::invalid_argument);
 }
 
 TEST(EdgeOrdering, LexicographicByPair) {

@@ -498,8 +498,7 @@ TEST(SerializeV3, SnapshotLoadFromTextArtifactFallsBackToParsing) {
   auto model = trained_model();
   TempArtifact artifact("graphhd_v3_textfallback_test.ghd");
   save_model_text(model, artifact.path);
-  for (const SnapshotLoad mode :
-       {SnapshotLoad::kRead, SnapshotLoad::kMmap, SnapshotLoad::kAuto}) {
+  for (const SnapshotLoad mode : {SnapshotLoad::kRead, SnapshotLoad::kMmap}) {
     const auto snapshot = load_snapshot(artifact.path, mode);
     expect_snapshot_matches_model(model, snapshot);
   }

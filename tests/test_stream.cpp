@@ -176,6 +176,45 @@ TEST(TUDatasetStreamTest, RejectsNonMonotoneIndicator) {
   fs::remove_all(dir);
 }
 
+TEST(TUDatasetStreamTest, RejectsNodeLabelRowsPastTheLastGraph) {
+  // One node label too many: the loader counts rows against the indicator,
+  // and the stream must not yield the graphs as if the row were not there
+  // (its value-collecting pre-pass already counted it, so a new value would
+  // have shifted every dense vertex label).
+  const auto dataset = small_replica();
+  const fs::path dir = fresh_temp_dir("tud_extra_node_label");
+  data::save_tudataset(dataset, dir);
+  std::ofstream(dir / "MUTAG_node_labels.txt", std::ios::app) << "99\n";
+  EXPECT_THROW((void)data::load_tudataset(dir, "MUTAG"), std::runtime_error);
+  TUDatasetStream stream(dir, "MUTAG");
+  EXPECT_THROW((void)data::materialize(stream), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(TUDatasetStreamTest, RejectsAnEmptyGraphLabelsFile) {
+  const auto dataset = small_replica();
+  const fs::path dir = fresh_temp_dir("tud_no_labels");
+  data::save_tudataset(dataset, dir);
+  std::ofstream(dir / "MUTAG_graph_labels.txt", std::ios::trunc).flush();
+  EXPECT_THROW((void)data::load_tudataset(dir, "MUTAG"), std::runtime_error);
+  TUDatasetStream stream(dir, "MUTAG");
+  EXPECT_EQ(stream.num_classes(), 0u);
+  EXPECT_THROW((void)data::materialize(stream), std::runtime_error);
+  fs::remove_all(dir);
+}
+
+TEST(TUDatasetStreamTest, BlankRowsAfterTheLastGraphAreNotRows) {
+  const auto dataset = small_replica();
+  const fs::path dir = fresh_temp_dir("tud_trailing_blank");
+  data::save_tudataset(dataset, dir);
+  for (const char* suffix : {"_A.txt", "_graph_indicator.txt", "_node_labels.txt"}) {
+    std::ofstream(dir / ("MUTAG" + std::string(suffix)), std::ios::app) << "\n  \r\n# end\n";
+  }
+  TUDatasetStream stream(dir, "MUTAG");
+  expect_same_dataset(data::materialize(stream, "MUTAG"), data::load_tudataset(dir, "MUTAG"));
+  fs::remove_all(dir);
+}
+
 TEST(TUDatasetWriterTest, ProducesByteIdenticalFilesToSaveTudataset) {
   // save_tudataset is a loop over the writer, so both are pinned against the
   // expected bytes.  The vertex-free first graph writes no indicator or
